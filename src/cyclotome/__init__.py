@@ -47,7 +47,9 @@ from .errors import (
     GammaNotPrimitive,
     HypothesisNotMet,
     IndependenceFails,
+    InvalidParameters,
     ModulusNotIrreducible,
+    NegativePeriodSum,
     NoDiophantineSolution,
     NonIntegralWeight,
     NotADivisor,

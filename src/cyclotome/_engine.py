@@ -8,15 +8,21 @@ of (x_1, ..., x_t) code tuples.
 Everything here works on packed element ints (see gf).  Additions ride on
 per-digit arithmetic (XOR when p = 2), multiplications on per-constant
 lookup tables, so a pass over a grid is a handful of numpy gathers.
-The by-slab variants keep peak memory at O(r^(t-1)) by sweeping x_1.
+
+The naive and period-sum kernels sweep slabs of fixed x_1 over the grid of
+(x_2, ..., x_t), one x_1 per orbit of the code's automorphisms
+(x1_orbit_representatives), and count each slab with its orbit size.  So
+(d_1 + 1) r^(t-1) inputs stand for all r^t, and every count stays exact.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
 import numpy as np
 
 from .codes import DerivedParams
-from .errors import CapExceeded
+from .errors import CapExceeded, NegativePeriodSum, NonIntegralWeight
 from .gf import FieldTower
 
 
@@ -53,6 +59,27 @@ def fold_sum(tower: FieldTower, luts: list[np.ndarray]) -> np.ndarray:
     return arr
 
 
+def x1_orbit_representatives(tower: FieldTower, derived: DerivedParams
+                             ) -> list[tuple[int, int]]:
+    """(x_1 code, multiplicity) pairs: one x_1 per orbit, multiplicities
+    summing to r.
+
+    Two maps keep every codeword's Hamming weight: the cyclic shift
+    x_j -> x_j gamma^(a_j) (it rotates the codeword) and scaling all x_j by
+    c in GF(q)* (it scales the codeword).  Each maps the slab of inputs
+    with x_1 = rho one to one onto the slab with x_1 = rho gamma^(a_1)
+    (or c rho), so all slabs with x_1 in a coset of
+    H = <gamma^(a_1)> GF(q)* = <gamma^(d_1)>, d_1 = gcd(r-1, a_1, (r-1)/(q-1)),
+    have the same weight distribution.
+
+    The pairs are code 0 once, then code 1 + k for k < d_1, each with
+    multiplicity |H| = (r-1)/d_1.
+    """
+    r1 = tower.r - 1
+    d1 = gcd(r1, derived.a_list[0], r1 // (tower.q - 1))
+    return [(0, 1)] + [(1 + k, r1 // d1) for k in range(d1)]
+
+
 # ----------------------------------------------------------------------
 # Naive weights: count nonzero trace symbols of every codeword.
 # ----------------------------------------------------------------------
@@ -60,33 +87,48 @@ def fold_sum(tower: FieldTower, luts: list[np.ndarray]) -> np.ndarray:
 def naive_weight_counts(tower: FieldTower, derived: DerivedParams) -> np.ndarray:
     """counts[w] = number of inputs whose codeword has Hamming weight w.
 
-    Walks the n coordinates once; moving from coordinate i to i+1 multiplies
-    x_j by gamma^(a_j), which on the grid is a fixed permutation (a rotation
-    of each axis's nonzero codes), applied as one flat gather per step.
+    Walks the n coordinates once over the grid of (x_2, ..., x_t), holding
+    U_i = sum_{j>=2} x_j gamma^(a_j i).  Trace is additive, so symbol i of
+    the input (rho, x_2, ..., x_t) is nonzero exactly when
+    Tr(U_i) != Tr(-rho gamma^(a_1 i)): one trace gather per coordinate
+    serves every representative rho.  Moving from coordinate i to i+1
+    multiplies x_j by gamma^(a_j), which on the grid is a fixed permutation
+    (a rotation of each axis's nonzero codes), applied as one flat gather
+    per step.  Only code automorphisms enter, no period theory.
     """
-    r, t = tower.r, derived.t
-    size = r ** t
-    eoc = elem_of_code(tower)
-    U = fold_sum(tower, [eoc] * t)
+    r, t, n = tower.r, derived.t, derived.n
+    reps = x1_orbit_representatives(tower, derived)
+    size = r ** (t - 1)
+    U = fold_sum(tower, [elem_of_code(tower)] * (t - 1))
 
-    P = np.zeros((r,) * t, dtype=np.int32 if size < 2**31 else np.int64)
-    for j, a in enumerate(derived.a_list):
+    P = np.zeros((r,) * (t - 1), dtype=np.int32 if size < 2**31 else np.int64)
+    for j, a in enumerate(derived.a_list[1:]):
         pi = np.empty(r, dtype=np.int64)
         pi[0] = 0
         pi[1:] = 1 + (np.arange(r - 1) + a) % (r - 1)
-        stride = r ** (t - 1 - j)
-        shape = (1,) * j + (r,) + (1,) * (t - 1 - j)
+        stride = r ** (t - 2 - j)
+        shape = (1,) * j + (r,) + (1,) * (t - 2 - j)
         P += (pi * stride).astype(P.dtype).reshape(shape)
     P = P.ravel()
 
-    nz = tower.trace_q_vector != 0
-    wdtype = np.uint16 if derived.n < 2**16 else np.uint32
-    wacc = np.zeros(size, dtype=wdtype)
-    for i in range(derived.n):
-        wacc += nz[U]
-        if i + 1 < derived.n:
+    # target[i, k] = Tr(-rho_k gamma^(a_1 i)), with Tr(0) = 0 for rho_0 = 0
+    trace = tower.trace_q_vector
+    ks = np.array([c - 1 for c, _ in reps[1:]], dtype=np.int64)
+    minus_one = tower.dlog_of(tower.neg(1))
+    steps = derived.a_list[0] * np.arange(n, dtype=np.int64) + minus_one
+    target = np.zeros((n, len(reps)), dtype=trace.dtype)
+    target[:, 1:] = trace[tower.exp[(steps[:, None] + ks) % (r - 1)]]
+
+    wdtype = np.uint16 if n < 2**16 else np.uint32
+    wacc = np.zeros((len(reps), size), dtype=wdtype)
+    for i in range(n):
+        wacc += trace[U] != target[i][:, None]
+        if i + 1 < n:
             U = U[P]
-    return np.bincount(wacc, minlength=derived.n + 1)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for row, (_, mult) in zip(wacc, reps):
+        counts += mult * np.bincount(row, minlength=n + 1)
+    return counts
 
 
 # ----------------------------------------------------------------------
@@ -113,7 +155,8 @@ def period_argument_folds(tower: FieldTower, derived: DerivedParams):
     luts[h][0] covers the x_1 axis by code and subs[h] is the folded value
     of the remaining axes (length r^(t-1))."""
     luts = _per_h_luts(tower, derived, with_g=True)
-    subs = [fold_sum(tower, luts[h][1:]) for h in range(derived.e)]
+    subs = [fold_sum(tower, luts[h][1:]).astype(np.int32)
+            for h in range(derived.e)]
     return luts, subs
 
 
@@ -122,30 +165,29 @@ def period_sum_tally(tower: FieldTower, derived: DerivedParams,
     """tally[X] = number of inputs with X = e(r-1) - sum_h nval[v_h(x)].
 
     With nval holding N * eta(class) at nonzero elements and r - 1 at zero,
-    X is the scaled period sum the weight formula consumes; the grid is
-    swept in slabs of x_1 to bound memory at O(r^(t-1))."""
+    X is the scaled period sum the weight formula consumes.  X fixes the
+    weight, so one slab of x_1 per orbit (x1_orbit_representatives) stands
+    for its whole orbit.  Within the slab x_1 = rho, v_h = off_h + sub_h
+    with off_h fixed, so each term (r-1) - nval[v_h] is one gather through
+    an r-entry table indexed by the sub-fold sub_h."""
     r, e = tower.r, derived.e
     luts, subs = period_argument_folds(tower, derived)
     top = 2 * e * (r - 1)
+    dtype = np.int32 if top < 2**31 else np.int64
+    elems = np.arange(r, dtype=np.int64)
     tally = np.zeros(top + 1, dtype=np.int64)
-    dm = tower.digit_matrix
-    if tower.p != 2:
-        sub_digits = [dm[s].astype(np.int16) for s in subs]
-    for c1 in range(r):
-        acc = None
+    for c1, mult in x1_orbit_representatives(tower, derived):
+        X = None
         for h in range(e):
-            off = luts[h][0][c1]
-            if tower.p == 2:
-                v = subs[h] ^ off
+            v = tower.add_arrays(elems, luts[h][0][c1])
+            table = ((r - 1) - nval_by_elem[v]).astype(dtype)
+            if X is None:
+                X = table[subs[h]]
             else:
-                dig = (sub_digits[h] + dm[off]) % tower.p
-                v = dig.astype(np.int64) @ tower._packing_weights
-            term = nval_by_elem[v]
-            acc = term.copy() if acc is None else acc + term
-        X = e * (r - 1) - acc
+                X += table[subs[h]]
         if X.min() < 0:
-            raise AssertionError("negative scaled period sum")
-        tally += np.bincount(X, minlength=top + 1)
+            raise NegativePeriodSum("negative scaled period sum")
+        tally += mult * np.bincount(X, minlength=top + 1)
     return tally
 
 
@@ -247,5 +289,5 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
     num = (q - 1) * (e * (tower.r - 1) - acc)
     den = q * delta * e
     if np.any(num % den):
-        raise AssertionError("sampled weight is not an integer")
+        raise NonIntegralWeight("sampled weight is not an integer")
     return num // den

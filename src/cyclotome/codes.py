@@ -34,6 +34,7 @@ from .errors import (
     AssumptionViolated,
     DivisionNotExact,
     EDoesNotDivide,
+    InvalidParameters,
     NonIntegralWeight,
 )
 from .gf import (
@@ -65,9 +66,10 @@ class CodeSpec:
 
     def __post_init__(self):
         if len(self.deltas) != self.t:
-            raise ValueError("need exactly t offsets")
+            raise InvalidParameters("need exactly t offsets")
         if not (2 <= self.t <= self.e):
-            raise ValueError("need e >= t >= 2")
+            raise InvalidParameters(
+                f"need e >= t >= 2, got e = {self.e}, t = {self.t}")
 
     @property
     def q(self) -> int:

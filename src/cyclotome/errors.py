@@ -10,6 +10,10 @@ class CyclotomeError(Exception):
     """Base class for all cyclotome errors."""
 
 
+class InvalidParameters(CyclotomeError, ValueError):
+    """A field or code parameter is out of range or has the wrong shape."""
+
+
 # field tower construction
 class NotPrime(CyclotomeError):
     """The claimed characteristic is not a prime number."""
@@ -64,6 +68,10 @@ class NonIntegralWeight(CyclotomeError):
 # weight distribution methods
 class CapExceeded(CyclotomeError):
     """An enumeration would exceed the configured input cap."""
+
+
+class NegativePeriodSum(CyclotomeError):
+    """A scaled period sum came out negative; internal inconsistency."""
 
 
 class UnsupportedCase(CyclotomeError):

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (
     GammaNotPrimitive,
+    InvalidParameters,
     ModulusNotIrreducible,
     NotPrime,
     TowerTooLarge,
@@ -230,14 +231,14 @@ class FieldTower:
         if not is_prime(p):
             raise NotPrime(f"p = {p} is not prime")
         if s < 1 or m < 1:
-            raise ValueError("s and m must be positive")
+            raise InvalidParameters("s and m must be positive")
         d = s * m
         r = p ** d
         if r > table_cap:
             raise TowerTooLarge(f"r = {r} exceeds the table cap {table_cap}")
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != d + 1 or modulus[-1] != 1:
-            raise ValueError(
+            raise InvalidParameters(
                 f"modulus must be monic of degree {d}, got {modulus}")
         if not is_irreducible(modulus, p):
             raise ModulusNotIrreducible(f"{modulus} factors over GF({p})")
@@ -518,7 +519,7 @@ def build_field(p: int, s: int, m: int, modulus=None,
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
     if s < 1 or m < 1:
-        raise ValueError("s and m must be positive")
+        raise InvalidParameters("s and m must be positive")
     d = s * m
     if p ** d > table_cap:
         raise TowerTooLarge(f"r = {p**d} exceeds the table cap {table_cap}")

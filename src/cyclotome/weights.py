@@ -539,7 +539,9 @@ def _check_invariants(report: VerificationReport, tower, spec, derived,
     }
     if report.classification.tag == TAG_E3T2N2:
         sqrt_r = isqrt(r)
-        assert sqrt_r * sqrt_r == r
+        if sqrt_r * sqrt_r != r:
+            raise UnsupportedCase(
+                f"the six-weight case needs r to be a square, got r = {r}")
         claims[TAG_E3T2N2] = (2 * (q - 1) * (r - sqrt_r)
                               // (3 * q * derived.delta))
     for name, dist in report.distributions.items():

@@ -1,5 +1,6 @@
-"""Shared test utilities: cached towers, independent float oracles, and the
-deterministic spec grid used by the method-agreement and invariant tests."""
+"""Shared test utilities: cached towers, independent float oracles, the
+unreduced enumeration kernels, and the deterministic spec grid used by the
+method-agreement and invariant tests."""
 
 from __future__ import annotations
 
@@ -8,6 +9,9 @@ import functools
 import random
 from collections import Counter
 
+import numpy as np
+
+from cyclotome._engine import elem_of_code, fold_sum, period_argument_folds
 from cyclotome.codes import CodeSpec, derive_params, validate_assumptions
 from cyclotome.gf import build_field
 from cyclotome.weights import classify
@@ -34,6 +38,60 @@ def float_periods(tw, L):
 def cyclo_to_complex(ci):
     z = cmath.exp(2j * cmath.pi / ci.p)
     return sum(c * z ** i for i, c in enumerate(ci.counts))
+
+
+def naive_weight_counts_unreduced(tower, derived):
+    """Reference for _engine.naive_weight_counts: counts[w] over all r^t
+    inputs, walking the n coordinates on the full t-axis grid."""
+    r, t = tower.r, derived.t
+    size = r ** t
+    U = fold_sum(tower, [elem_of_code(tower)] * t)
+
+    P = np.zeros((r,) * t, dtype=np.int32 if size < 2**31 else np.int64)
+    for j, a in enumerate(derived.a_list):
+        pi = np.empty(r, dtype=np.int64)
+        pi[0] = 0
+        pi[1:] = 1 + (np.arange(r - 1) + a) % (r - 1)
+        stride = r ** (t - 1 - j)
+        shape = (1,) * j + (r,) + (1,) * (t - 1 - j)
+        P += (pi * stride).astype(P.dtype).reshape(shape)
+    P = P.ravel()
+
+    nz = tower.trace_q_vector != 0
+    wdtype = np.uint16 if derived.n < 2**16 else np.uint32
+    wacc = np.zeros(size, dtype=wdtype)
+    for i in range(derived.n):
+        wacc += nz[U]
+        if i + 1 < derived.n:
+            U = U[P]
+    return np.bincount(wacc, minlength=derived.n + 1)
+
+
+def period_sum_tally_unreduced(tower, derived, nval_by_elem):
+    """Reference for _engine.period_sum_tally: tally[X] over all r^t inputs,
+    one slab per x_1, with field additions done digit by digit."""
+    r, e = tower.r, derived.e
+    luts, subs = period_argument_folds(tower, derived)
+    top = 2 * e * (r - 1)
+    tally = np.zeros(top + 1, dtype=np.int64)
+    dm = tower.digit_matrix
+    if tower.p != 2:
+        sub_digits = [dm[s].astype(np.int16) for s in subs]
+    for c1 in range(r):
+        acc = None
+        for h in range(e):
+            off = luts[h][0][c1]
+            if tower.p == 2:
+                v = subs[h] ^ off
+            else:
+                dig = (sub_digits[h] + dm[off]) % tower.p
+                v = dig.astype(np.int64) @ tower._packing_weights
+            term = nval_by_elem[v]
+            acc = term.copy() if acc is None else acc + term
+        X = e * (r - 1) - acc
+        assert X.min() >= 0, "negative scaled period sum"
+        tally += np.bincount(X, minlength=top + 1)
+    return tally
 
 
 GRID_TOWERS = (

@@ -1,9 +1,14 @@
 """Command-line interface: output formats, exit codes, JSON canonicality."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cyclotome
 from cyclotome.cli import main
 
 
@@ -175,3 +180,30 @@ def test_delta_length_mismatch(capsys):
         capsys, "weights", "--p", "3", "--s", "1", "--m", "3", "--e", "2",
         "--t", "2", "--a", "1", "--delta", "0,1,2")
     assert code == 1 and "exactly t" in err
+
+
+def run_cli_process(*argv):
+    """Run the CLI in a fresh interpreter, so an uncaught exception would
+    show as a traceback on stderr."""
+    env = dict(os.environ)
+    src = str(Path(cyclotome.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "cyclotome.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("weights", "--p", "3", "--m", "3", "--e", "2", "--t", "3",
+      "--a", "1", "--delta", "0,1,2"), "e >= t"),
+    (("weights", "--p", "3", "--m", "3", "--e", "2", "--t", "2",
+      "--a", "1", "--delta", "0,1", "--modulus", "1,1"), "degree 3"),
+    (("periods", "--p", "3", "--s", "0", "--m", "3", "--L", "2"),
+     "positive"),
+])
+def test_bad_parameters_exit_1_without_traceback(argv, message):
+    proc = run_cli_process(*argv)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and message in proc.stderr

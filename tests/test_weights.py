@@ -1,21 +1,31 @@
 """Classification, the three distribution methods, and cross-verification."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from math import comb
 
-from cyclotome._engine import decode_profile, sample_weights
+from cyclotome._engine import (
+    decode_profile,
+    naive_weight_counts,
+    period_sum_tally,
+    sample_weights,
+    x1_orbit_representatives,
+)
 from cyclotome.codes import (
     CodeSpec,
     DerivedParams,
     codeword_weight_from_periods,
     derive_params,
+    validate_assumptions,
 )
 from cyclotome.cyclotomy import gaussian_periods
 from cyclotome.errors import (
     CapExceeded,
     IndependenceFails,
+    NegativePeriodSum,
     NonIntegralWeight,
     UnsupportedCase,
 )
@@ -26,8 +36,12 @@ from cyclotome.weights import (
     TAG_TE_N2,
     TAG_TLT_N1,
     TAG_UNSUPPORTED,
+    CaseClassification,
     TProfile,
+    VerificationReport,
     WeightDistribution,
+    _check_invariants,
+    _nval_by_elem,
     classify,
     count_vanishing_patterns,
     cross_verify,
@@ -36,7 +50,14 @@ from cyclotome.weights import (
     wd_naive,
     wd_tsum,
 )
-from helpers import criterion_grid, tower, tower_for
+from helpers import (
+    GRID_TOWERS,
+    criterion_grid,
+    naive_weight_counts_unreduced,
+    period_sum_tally_unreduced,
+    tower,
+    tower_for,
+)
 
 S1 = CodeSpec(3, 1, 3, 2, 2, 1, (0, 1), (1, 2, 0, 1))
 S3 = CodeSpec(5, 1, 2, 3, 3, 1, (0, 1, 2), (2, 4, 1))
@@ -350,6 +371,115 @@ class TestFuzzAgreement:
         sp = CodeSpec(p, s, m, e, t, a, tuple(offs[:t]))
         d = derive_params(tw, sp)
         assert wd_naive(tw, d).entries == wd_tsum(tw, d).entries
+
+
+ORACLE_MAX_INPUTS = 10 ** 5
+
+
+def _oracle_specs():
+    """Specs with r^t <= 1e5: the criterion grid's, plus seeded random ones
+    over the grid towers with any a (so delta > 1 and failed validity
+    conditions occur) and any offsets."""
+    specs = [sp for sp, _, _ in criterion_grid()
+             if sp.r ** sp.t <= ORACLE_MAX_INPUTS]
+    rng = random.Random(20261017)
+    for p, s, m in GRID_TOWERS:
+        r = p ** (s * m)
+        divisors = [e for e in range(2, 13) if (r - 1) % e == 0]
+        for _ in range(8):
+            e = rng.choice(divisors)
+            t = rng.randint(2, e)
+            if r ** t > ORACLE_MAX_INPUTS:
+                continue
+            specs.append(CodeSpec(p, s, m, e, t, rng.randrange(r - 1),
+                                  tuple(rng.sample(range(e), t))))
+    return specs
+
+
+class TestOrbitReduction:
+    def test_oracle_specs_cover_the_edge_cases(self):
+        kinds = set()
+        for sp in _oracle_specs():
+            tw, d = setup_for(sp)
+            kinds.add("delta>1" if d.delta > 1 else "delta=1")
+            kinds.add("s>1" if sp.s > 1 else "s=1")
+            if not validate_assumptions(tw, sp, d).all_hold:
+                kinds.add("invalid")
+        assert {"delta>1", "s>1", "invalid"} <= kinds
+
+    def test_naive_matches_unreduced(self):
+        for sp in _oracle_specs():
+            tw, d = setup_for(sp)
+            np.testing.assert_array_equal(
+                naive_weight_counts(tw, d),
+                naive_weight_counts_unreduced(tw, d), err_msg=str(sp))
+
+    def test_period_sum_tally_matches_unreduced(self):
+        checked = 0
+        for sp in _oracle_specs():
+            tw, d = setup_for(sp)
+            rationals = gaussian_periods(tw, d.N).rational_values
+            if any(v is None for v in rationals):
+                continue
+            nval = _nval_by_elem(tw, d.N, rationals)
+            np.testing.assert_array_equal(
+                period_sum_tally(tw, d, nval),
+                period_sum_tally_unreduced(tw, d, nval), err_msg=str(sp))
+            checked += 1
+        assert checked >= 50
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_representatives_cover_each_orbit_once(self, data):
+        # brute-force the subgroup H = <gamma^(a_1)> GF(q)* in dlog space:
+        # the cosets of the representatives partition GF(r)*, each has
+        # (r-1)/d_1 members, and with x_1 = 0 the multiplicities sum to r
+        p, s, m = data.draw(st.sampled_from(GRID_TOWERS))
+        tw = tower(p, s, m)
+        r1 = tw.r - 1
+        e = data.draw(st.sampled_from(
+            [e for e in range(2, 13) if r1 % e == 0]))
+        t = data.draw(st.integers(2, e))
+        offs = data.draw(st.permutations(range(e)))
+        sp = CodeSpec(p, s, m, e, t, data.draw(st.integers(0, r1 - 1)),
+                      tuple(offs[:t]))
+        d = derive_params(tw, sp)
+        reps = x1_orbit_representatives(tw, d)
+        assert reps[0] == (0, 1)
+        assert sum(mult for _, mult in reps) == tw.r
+        H = {(i * d.a_list[0] + j * (r1 // (tw.q - 1))) % r1
+             for i in range(r1) for j in range(tw.q - 1)}
+        covered = set()
+        for code, mult in reps[1:]:
+            coset = {(code - 1 + h) % r1 for h in H}
+            assert len(coset) == mult == r1 // (len(reps) - 1)
+            assert not coset & covered
+            covered |= coset
+        assert covered == set(range(r1))
+
+
+class TestTypedChecks:
+    """Internal consistency checks raise typed errors, which python -O keeps."""
+
+    def test_negative_period_sum(self):
+        tw, d = setup_for(S6)
+        with pytest.raises(NegativePeriodSum):
+            period_sum_tally(tw, d, np.full(tw.r, 10 * tw.r, dtype=np.int64))
+
+    def test_non_integral_sampled_weight(self):
+        # q = 2, delta = 1, e = 7: 7 * 63 is not a multiple of 14
+        tw, d = setup_for(S5)
+        with pytest.raises(NonIntegralWeight):
+            sample_weights(tw, d, np.zeros(tw.r, dtype=np.int64),
+                           (tw.q, d.delta, d.e), 10, seed=0)
+
+    def test_six_weight_claim_needs_square_r(self):
+        tw, d = setup_for(S1)  # r = 27
+        rep = VerificationReport(spec=S1,
+                                 classification=CaseClassification(TAG_E3T2N2),
+                                 n=d.n, kappa=d.t * tw.m)
+        with pytest.raises(UnsupportedCase):
+            _check_invariants(rep, tw, S1, d, True)
 
 
 class TestTableConsistency:
