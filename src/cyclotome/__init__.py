@@ -46,6 +46,7 @@ from .errors import (
     EDoesNotDivide,
     GammaNotPrimitive,
     HypothesisNotMet,
+    InconsistentPeriods,
     IndependenceFails,
     InvalidParameters,
     ModulusNotIrreducible,

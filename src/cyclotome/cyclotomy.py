@@ -32,7 +32,13 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .errors import BadL, HypothesisNotMet, NoDiophantineSolution, NotADivisor
+from .errors import (
+    BadL,
+    HypothesisNotMet,
+    InconsistentPeriods,
+    NoDiophantineSolution,
+    NotADivisor,
+)
 from .gf import Element, FieldTower, is_prime
 
 
@@ -213,6 +219,13 @@ class GaussianPeriodSet:
         return None if any(v is None for v in vals) else tuple(sorted(vals))
 
 
+def _check_period_sum(values) -> None:
+    total = sum(values[1:], values[0])
+    if not (total.is_rational() and total.rational_value() == -1):
+        raise InconsistentPeriods(
+            "period sum must be -1 (character orthogonality)")
+
+
 def gaussian_periods(tower: FieldTower, L: int) -> GaussianPeriodSet:
     """Exact periods by tallying trace values over each class (the oracle)."""
     if L < 1 or (tower.r - 1) % L:
@@ -223,9 +236,7 @@ def gaussian_periods(tower: FieldTower, L: int) -> GaussianPeriodSet:
     tall = np.bincount(cls * p + tr, minlength=L * p).reshape(L, p)
     values = tuple(CyclotomicInteger(p, tuple(int(c) for c in row))
                    for row in tall)
-    total = sum(values[1:], values[0])
-    assert total.is_rational() and total.rational_value() == -1, \
-        "period sum must be -1 (character orthogonality)"
+    _check_period_sum(values)
     return GaussianPeriodSet(tower, L, values, source="exact")
 
 
@@ -262,7 +273,9 @@ def distinct_values(pset: GaussianPeriodSet) -> DistinctPeriodMultiset:
     for v in pset.values:
         groups[v] = groups.get(v, 0) + 1
     pairs = tuple(sorted(groups.items(), key=lambda kv: kv[0]._canon()))
-    assert sum(t for _, t in pairs) == pset.L
+    if sum(t for _, t in pairs) != pset.L:
+        raise InconsistentPeriods(
+            f"class multiplicities do not add up to L = {pset.L}")
     return DistinctPeriodMultiset(pset.L, pairs)
 
 
@@ -354,8 +367,9 @@ def _closed_order2(tower: FieldTower):
         # eta_0 = (-1 + sign * sqrt(r)) / 2 with an integer sqrt(r)
         sqrt_r = p ** (sm // 2)
         sign = -1 if p % 4 == 1 else -((-1) ** (sm // 2))
-        eta0 = (-1 + sign * sqrt_r) // 2
-        assert (-1 + sign * sqrt_r) % 2 == 0
+        eta0, rem = divmod(-1 + sign * sqrt_r, 2)
+        if rem:
+            raise InconsistentPeriods(f"order-2 period {-1 + sign * sqrt_r}/2")
         vals = (CyclotomicInteger.from_int(p, eta0),
                 CyclotomicInteger.from_int(p, -1 - eta0))
         branch = "even"
@@ -423,17 +437,17 @@ def _closed_semiprimitive(tower: FieldTower, L: int):
     sqrt_r = p ** (j * v)
     if v % 2 and p % 2 and ((p ** j + 1) // L) % 2:
         special_index = L // 2
-        special = ((L - 1) * sqrt_r - 1) // L
-        common = -(sqrt_r + 1) // L
-        assert ((L - 1) * sqrt_r - 1) % L == 0 and (sqrt_r + 1) % L == 0
+        special, rs = divmod((L - 1) * sqrt_r - 1, L)
+        common, rc = divmod(-(sqrt_r + 1), L)
         branch = "all-odd"
     else:
         special_index = 0
         sgn = -1 if v % 2 else 1
         special, rs = divmod(-sgn * (L - 1) * sqrt_r - 1, L)
         common, rc = divmod(sgn * sqrt_r - 1, L)
-        assert rs == 0 and rc == 0
         branch = "general"
+    if rs or rc:
+        raise InconsistentPeriods(f"non-integral semiprimitive periods, L = {L}")
     vals = tuple(
         CyclotomicInteger.from_int(p, special if i == special_index else common)
         for i in range(L))
@@ -453,7 +467,8 @@ def _closed_index2(tower: FieldTower, L: int, exact: GaussianPeriodSet):
     h_L = imaginary_quadratic_class_number(L)
     a, b = solve_index2_form(L, p, h_L)
     exponent4 = k * (L - 1 - 2 * h_L)
-    assert exponent4 % 4 == 0 and exponent4 >= 0
+    if exponent4 % 4 or exponent4 < 0:
+        raise InconsistentPeriods(f"index-2 exponent k(L-1-2h_L) = {exponent4}")
     P = (-1) ** (k - 1) * p ** (exponent4 // 4)
     # ((a + b sqrt(-L)) / 2)^k = A + B sqrt(-L), tracked exactly
     A, B = Fraction(a, 2), Fraction(b, 2)
@@ -510,8 +525,7 @@ def gaussian_periods_closed_form(
     else:
         raise ValueError(f"unknown variant {variant!r}")
     pset = GaussianPeriodSet(tower, L, vals, source=f"closed:{variant}")
-    total = sum(vals[1:], vals[0])
-    assert total.is_rational() and total.rational_value() == -1
+    _check_period_sum(vals)
     return pset, params
 
 

@@ -44,6 +44,11 @@ class NoDiophantineSolution(CyclotomeError):
     """No (a, b) solves the quadratic form constraints; internal inconsistency."""
 
 
+class InconsistentPeriods(CyclotomeError):
+    """Periods break an identity they must satisfy (sum -1, integrality);
+    internal inconsistency."""
+
+
 class BadL(CyclotomeError):
     """Class number requested for an L outside {prime, L = 3 mod 4, L != 3}."""
 

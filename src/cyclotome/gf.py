@@ -19,6 +19,7 @@ read-only), so concurrent readers are safe.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,6 +37,9 @@ from .errors import (
 Element = int
 
 DEFAULT_TABLE_CAP = 1 << 21
+# elements per step of the power-table build: bounds its (n, d) int64
+# temporaries at a few MB whatever the field size
+TABLE_CHUNK = 1 << 15
 
 
 def is_prime(n: int) -> bool:
@@ -164,12 +168,15 @@ def _x_is_primitive(f, p: int, r: int) -> bool:
     return True
 
 
+def _is_primitive_root(g: int, p: int) -> bool:
+    """Does g generate GF(p)*?  (For p = 2 that is g = 1.)"""
+    return g % p != 0 and all(
+        pow(g, (p - 1) // ell, p) != 1 for ell in factorize(p - 1))
+
+
 def smallest_primitive_root(p: int) -> int:
-    if p == 2:
-        return 1  # the trivial group
-    fac = factorize(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // ell, p) != 1 for ell in fac):
+    for g in range(1, p):
+        if _is_primitive_root(g, p):
             return g
     raise NotPrime(f"{p} has no primitive root; not prime?")
 
@@ -178,31 +185,28 @@ def default_modulus(p: int, d: int) -> tuple[int, ...]:
     """Deterministic monic primitive modulus of degree d over GF(p).
 
     Degree 1 uses x - g with g the smallest primitive root mod p, so that
-    gamma is the smallest primitive root.  Degree >= 2 scans monic
-    polynomials in lexicographic order of the ascending coefficient list
-    (c_0 first) and returns the first one with x primitive.
+    gamma is the smallest primitive root.  Degree >= 2 returns the first
+    monic polynomial with x primitive in lexicographic order of the
+    ascending coefficient list (c_0 first, varying slowest).  The constant
+    term of a primitive polynomial of degree d is (-1)^d times a primitive
+    root of GF(p) (Lidl & Niederreiter, Finite Fields, Thm 3.18), so the
+    scan visits only the c_0 blocks where (-1)^d * c_0 is a primitive root;
+    no polynomial in a skipped block could have been selected.
     """
     if d == 1:
         g = smallest_primitive_root(p)
         return ((-g) % p, 1)
     r = p ** d
-    counters = [0] * d  # c_0 .. c_{d-1}, c_0 varies slowest
-    while True:
-        if counters[0] != 0:  # constant term 0 means x divides f
-            f = tuple(counters) + (1,)
+    sign = -1 if d % 2 else 1
+    for c0 in range(1, p):
+        if not _is_primitive_root(sign * c0, p):
+            continue
+        for tail in itertools.product(range(p), repeat=d - 1):
+            f = (c0,) + tail + (1,)
             if is_irreducible(f, p) and _x_is_primitive(f, p, r):
                 return f
-        # increment the lex counter: last coefficient fastest
-        i = d - 1
-        while i >= 0:
-            counters[i] += 1
-            if counters[i] < p:
-                break
-            counters[i] = 0
-            i -= 1
-        if i < 0:
-            raise GammaNotPrimitive(
-                f"no primitive polynomial of degree {d} over GF({p})")
+    raise GammaNotPrimitive(
+        f"no primitive polynomial of degree {d} over GF({p})")
 
 
 def cyclotomic_coset(a: int, q: int, r: int) -> set[int]:
@@ -261,48 +265,48 @@ class FieldTower:
 
     def _gamma_is_primitive(self) -> bool:
         if self.degree == 1:
-            g = (-self.modulus[0]) % self.p
-            return g != 0 and all(
-                pow(g, (self.p - 1) // ell, self.p) != 1
-                for ell in factorize(self.p - 1))
+            return _is_primitive_root(-self.modulus[0], self.p)
         return _x_is_primitive(self.modulus, self.p, self.r)
 
+    def _apply_linear(self, images: list[int], a: np.ndarray) -> np.ndarray:
+        """Apply the GF(p)-linear map sending x^i to images[i] to an array
+        of packed elements."""
+        if self.p == 2:
+            out = np.zeros_like(a)
+            for i, img in enumerate(images):
+                out ^= ((a >> i) & 1) * img
+            return out
+        matrix = np.array([self.coeffs(v) for v in images], dtype=np.int64)
+        digits = np.empty((len(a), self.degree), dtype=np.int64)
+        rest = a
+        for i in range(self.degree):
+            rest, digits[:, i] = np.divmod(rest, self.p)
+        return ((digits @ matrix) % self.p) @ self._packing_weights
+
     def _build_tables(self) -> None:
+        """exp[k] = gamma^k by doubling: multiplication by gamma^B is
+        GF(p)-linear, so with exp[0:B] known, exp[B:2B] is that map applied
+        to exp[0:B], and the map for gamma^(2B) is the map for gamma^B
+        applied to its own images."""
         p, d, r = self.p, self.degree, self.r
+        # multiplication by gamma sends x^i to x^(i+1), and x^(d-1) to
+        # x^d = -(c_0 + ... + c_{d-1} x^(d-1))
+        by_gamma = [p ** (i + 1) for i in range(d - 1)]
+        by_gamma.append(self.from_coeffs(-c for c in self.modulus[:d]))
         exp = np.empty(r - 1, dtype=np.int64)
-        if d == 1:
-            g = self.gamma
-            v = 1
-            for k in range(r - 1):
-                exp[k] = v
-                v = (v * g) % p
-        elif p == 2:
-            # packed bits; reduction is a single XOR with the modulus mask
-            fmask = 0
-            for i, c in enumerate(self.modulus):
-                fmask |= c << i
-            top = 1 << d
-            v = 1
-            for k in range(r - 1):
-                exp[k] = v
-                v <<= 1
-                if v & top:
-                    v ^= fmask
-            assert v == 1
-        else:
-            mod = self.modulus[:d]
-            coeffs = [0] * d
-            coeffs[0] = 1
-            ppow = [p ** i for i in range(d)]
-            for k in range(r - 1):
-                exp[k] = sum(c * w for c, w in zip(coeffs, ppow))
-                carry = coeffs[d - 1]
-                coeffs[1:] = coeffs[: d - 1]
-                coeffs[0] = 0
-                if carry:
-                    for i in range(d):
-                        coeffs[i] = (coeffs[i] - carry * mod[i]) % p
-            assert coeffs[0] == 1 and not any(coeffs[1:])
+        exp[0] = 1
+        images, filled = by_gamma, 1  # the map for gamma^filled
+        while filled < r - 1:
+            n = min(filled, r - 1 - filled)
+            for lo in range(0, n, TABLE_CHUNK):
+                hi = min(lo + TABLE_CHUNK, n)
+                exp[filled + lo:filled + hi] = self._apply_linear(
+                    images, exp[lo:hi])
+            images = [int(v) for v in self._apply_linear(
+                images, np.array(images, dtype=np.int64))]
+            filled += n
+        if self._apply_linear(by_gamma, exp[-1:])[0] != 1:
+            raise GammaNotPrimitive("gamma^(r-1) != 1 in the power table")
         dlog = np.full(r, -1, dtype=np.int64)
         dlog[exp] = np.arange(r - 1, dtype=np.int64)
         if dlog[0] != -1 or np.any(dlog[1:] < 0):
@@ -379,10 +383,6 @@ class FieldTower:
                 raise ZeroDivisionError("0 is not invertible")
             return 0 if k else 1
         return int(self.exp[(self.dlog[a] * k) % (self.r - 1)])
-
-    def scalar_mul(self, c: int, a: Element) -> Element:
-        """Multiply by the GF(p) scalar c (an int in [0, p))."""
-        return self.mul(c % self.p, a)
 
     # -- traces and subfields -----------------------------------------------
 

@@ -1,6 +1,7 @@
 """Shared test utilities: cached towers, independent float oracles, the
-unreduced enumeration kernels, and the deterministic spec grid used by the
-method-agreement and invariant tests."""
+unpruned modulus scan and scalar power table, the unreduced enumeration
+kernels, and the deterministic spec grid used by the method-agreement and
+invariant tests."""
 
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ import numpy as np
 
 from cyclotome._engine import elem_of_code, fold_sum, period_argument_folds
 from cyclotome.codes import CodeSpec, derive_params, validate_assumptions
-from cyclotome.gf import build_field
+from cyclotome.errors import GammaNotPrimitive
+from cyclotome.gf import _x_is_primitive, build_field, is_irreducible
 from cyclotome.weights import classify
 
 
@@ -38,6 +40,70 @@ def float_periods(tw, L):
 def cyclo_to_complex(ci):
     z = cmath.exp(2j * cmath.pi / ci.p)
     return sum(c * z ** i for i, c in enumerate(ci.counts))
+
+
+def default_modulus_unpruned(p, d):
+    """Reference for gf.default_modulus at degree d >= 2: the first monic
+    polynomial with x primitive, scanning every constant term."""
+    r = p ** d
+    counters = [0] * d  # c_0 .. c_{d-1}, c_0 varies slowest
+    while True:
+        if counters[0] != 0:  # constant term 0 means x divides f
+            f = tuple(counters) + (1,)
+            if is_irreducible(f, p) and _x_is_primitive(f, p, r):
+                return f
+        # increment the lex counter: last coefficient fastest
+        i = d - 1
+        while i >= 0:
+            counters[i] += 1
+            if counters[i] < p:
+                break
+            counters[i] = 0
+            i -= 1
+        if i < 0:
+            raise GammaNotPrimitive(
+                f"no primitive polynomial of degree {d} over GF({p})")
+
+
+def power_table_scalar(tower):
+    """Reference for FieldTower.exp: gamma^k for k < r-1, one element at a
+    time by shift-and-reduce."""
+    p, d, r = tower.p, tower.degree, tower.r
+    exp = np.empty(r - 1, dtype=np.int64)
+    if d == 1:
+        g = tower.gamma
+        v = 1
+        for k in range(r - 1):
+            exp[k] = v
+            v = (v * g) % p
+    elif p == 2:
+        # packed bits; reduction is a single XOR with the modulus mask
+        fmask = 0
+        for i, c in enumerate(tower.modulus):
+            fmask |= c << i
+        top = 1 << d
+        v = 1
+        for k in range(r - 1):
+            exp[k] = v
+            v <<= 1
+            if v & top:
+                v ^= fmask
+        assert v == 1
+    else:
+        mod = tower.modulus[:d]
+        coeffs = [0] * d
+        coeffs[0] = 1
+        ppow = [p ** i for i in range(d)]
+        for k in range(r - 1):
+            exp[k] = sum(c * w for c, w in zip(coeffs, ppow))
+            carry = coeffs[d - 1]
+            coeffs[1:] = coeffs[: d - 1]
+            coeffs[0] = 0
+            if carry:
+                for i in range(d):
+                    coeffs[i] = (coeffs[i] - carry * mod[i]) % p
+        assert coeffs[0] == 1 and not any(coeffs[1:])
+    return exp
 
 
 def naive_weight_counts_unreduced(tower, derived):

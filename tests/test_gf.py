@@ -17,12 +17,18 @@ from cyclotome.gf import (
     cyclotomic_coset,
     default_modulus,
     is_irreducible,
+    is_prime,
     min_poly,
     poly_mod,
     smallest_primitive_root,
     trace_to_subfield,
 )
-from helpers import tower
+from helpers import (
+    GRID_TOWERS,
+    default_modulus_unpruned,
+    power_table_scalar,
+    tower,
+)
 
 
 T27 = tower(3, 1, 3, (1, 2, 0, 1))
@@ -70,6 +76,42 @@ class TestBuildField:
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             build_field(3, 1, 3, modulus=(1, 1))
+
+
+# every field with d >= 2 and p^d <= 5^6
+SMALL_FIELDS = tuple(
+    (p, d) for p in range(2, 126) if is_prime(p)
+    for d in range(2, 14) if p ** d <= 5 ** 6)
+
+
+class TestFieldConstruction:
+    """The pruned modulus search and the doubling power table against the
+    unpruned lexicographic scan and the scalar shift-and-reduce loop."""
+
+    @pytest.mark.parametrize("p,d", SMALL_FIELDS)
+    def test_pruned_search_matches_unpruned_scan(self, p, d):
+        assert default_modulus(p, d) == default_modulus_unpruned(p, d)
+
+    @pytest.mark.parametrize("p,d,modulus", [
+        (7, 5, (2, 0, 0, 0, 2, 1)),
+        (17, 4, (3, 0, 0, 6, 1)),
+        (5, 7, (2, 0, 0, 0, 0, 0, 1, 1)),
+        (7, 6, (3, 0, 0, 0, 1, 1, 1)),
+        (5, 8, (2, 0, 0, 0, 0, 0, 2, 1, 1)),
+        (3, 12, (2, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 1)),
+    ])
+    def test_pinned_moduli(self, p, d, modulus):
+        assert default_modulus(p, d) == modulus
+
+    # 2^17 and 7^6 have doubling steps longer than one TABLE_CHUNK
+    @pytest.mark.parametrize("p,s,m", (
+        [(p, 1, 1) for p in (2, 3, 5, 7, 13, 101)] + list(GRID_TOWERS)
+        + [(2, 1, 16), (17, 1, 4), (2, 1, 17), (7, 1, 6)]))
+    def test_power_table_matches_scalar(self, p, s, m):
+        tw = build_field(p, s, m)
+        ref = power_table_scalar(tw)
+        assert tw.exp.dtype == ref.dtype
+        assert np.array_equal(tw.exp, ref)
 
 
 class TestArithmetic:

@@ -1,12 +1,15 @@
 """Classification, the three distribution methods, and cross-verification."""
 
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from math import comb
 
+import cyclotome
 from cyclotome._engine import (
     decode_profile,
     naive_weight_counts,
@@ -21,9 +24,14 @@ from cyclotome.codes import (
     derive_params,
     validate_assumptions,
 )
-from cyclotome.cyclotomy import gaussian_periods
+from cyclotome.cyclotomy import (
+    GaussianPeriodSet,
+    distinct_values,
+    gaussian_periods,
+)
 from cyclotome.errors import (
     CapExceeded,
+    InconsistentPeriods,
     IndependenceFails,
     NegativePeriodSum,
     NonIntegralWeight,
@@ -480,6 +488,20 @@ class TestTypedChecks:
                                  n=d.n, kappa=d.t * tw.m)
         with pytest.raises(UnsupportedCase):
             _check_invariants(rep, tw, S1, d, True)
+
+    def test_period_multiplicities_must_add_up_to_L(self):
+        tw, _ = setup_for(S1)
+        values = gaussian_periods(tw, 2).values
+        with pytest.raises(InconsistentPeriods):
+            distinct_values(GaussianPeriodSet(tw, 13, values, "exact"))
+
+    def test_no_assert_statements_in_src(self):
+        src = Path(cyclotome.__file__).parent
+        found = [f"{path.name}:{node.lineno}"
+                 for path in sorted(src.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Assert)]
+        assert found == []
 
 
 class TestTableConsistency:
