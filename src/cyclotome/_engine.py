@@ -6,13 +6,20 @@ most significant coordinate, so flat order is plain lexicographic order
 of (x_1, ..., x_t) code tuples.
 
 Everything here works on packed element ints (see gf).  Additions ride on
-per-digit arithmetic (XOR when p = 2), multiplications on per-constant
-lookup tables, so a pass over a grid is a handful of numpy gathers.
+FieldTower.add_arrays (per-digit arithmetic, XOR when p = 2), multiplications
+on per-constant lookup tables, so a pass over a grid is a handful of numpy
+gathers.  Folding an axis into a grid is one translation table and one row
+gather (_vadd_outer).
 
 The naive and period-sum kernels sweep slabs of fixed x_1 over the grid of
 (x_2, ..., x_t), one x_1 per orbit of the code's automorphisms
 (x1_orbit_representatives), and count each slab with its orbit size.  So
 (d_1 + 1) r^(t-1) inputs stand for all r^t, and every count stays exact.
+
+Period sums, class profiles and vanishing masks are one sweep (_sweep)
+with three sets of per-h tables.  Its memory is bounded by the byte budget
+SWEEP_BYTES, not by r^t: it keeps only the folds of the trailing axes
+resident and walks the leading codes in blocks.
 """
 
 from __future__ import annotations
@@ -27,28 +34,18 @@ from .gf import FieldTower
 
 
 def elem_of_code(tower: FieldTower) -> np.ndarray:
-    out = np.empty(tower.r, dtype=np.int64)
-    out[0] = 0
-    out[1:] = tower.exp
-    return out
+    return np.concatenate(([0], tower.exp))
 
 
 def _vadd_outer(tower: FieldTower, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """All pairwise field sums, flattened: result[i*len(B)+j] = A[i] + B[j]."""
-    if tower.p == 2:
-        return (A[:, None] ^ B[None, :]).ravel()
-    dm = tower.digit_matrix
-    dig = (dm[A][:, None, :].astype(np.int16) + dm[B][None, :, :]) % tower.p
-    return (dig.astype(np.int64) @ tower._packing_weights).ravel()
+    """All pairwise field sums, flattened: result[i*len(B)+j] = A[i] + B[j].
 
-
-def _vadd(tower: FieldTower, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Elementwise field sum of same-shape packed arrays."""
-    if tower.p == 2:
-        return A ^ B
-    dm = tower.digit_matrix
-    dig = (dm[A].astype(np.int16) + dm[B]) % tower.p
-    return dig.astype(np.int64) @ tower._packing_weights
+    One add_arrays builds the translation table shift[x, j] = x + B[j] over
+    every x in GF(r); the sums are then one row gather.  The table has r
+    rows, so it is no larger than the result once A covers a whole axis."""
+    elems = np.arange(tower.r, dtype=A.dtype)
+    shift = tower.add_arrays(elems[:, None], B[None, :])
+    return shift[A].ravel()
 
 
 def fold_sum(tower: FieldTower, luts: list[np.ndarray]) -> np.ndarray:
@@ -132,8 +129,12 @@ def naive_weight_counts(tower: FieldTower, derived: DerivedParams) -> np.ndarray
 
 
 # ----------------------------------------------------------------------
-# Period-argument class profiles, swept by slabs of x_1.
+# One sweep over the period arguments v_h(x), in chunks of the input grid.
 # ----------------------------------------------------------------------
+
+# bytes of the e resident trailing-axis folds the sweep may hold
+SWEEP_BYTES = 1 << 22
+
 
 def _per_h_luts(tower: FieldTower, derived: DerivedParams,
                 with_g: bool) -> list[list[np.ndarray]]:
@@ -144,20 +145,55 @@ def _per_h_luts(tower: FieldTower, derived: DerivedParams,
         row = []
         for b in derived.betas:
             base = tower.mul(derived.g, b) if with_g else b
-            row.append(tower.mul_constant_table(tower.pow(base, h))[eoc])
+            row.append(tower.mul_constant_table(
+                tower.pow(base, h))[eoc].astype(np.int32))
         out.append(row)
     return out
 
 
-def period_argument_folds(tower: FieldTower, derived: DerivedParams):
-    """Per-coordinate machinery for the e period arguments
-    v_h(x) = g^h sum_tau x_tau beta_tau^h: returns (luts, subs) where
-    luts[h][0] covers the x_1 axis by code and subs[h] is the folded value
-    of the remaining axes (length r^(t-1))."""
-    luts = _per_h_luts(tower, derived, with_g=True)
-    subs = [fold_sum(tower, luts[h][1:]).astype(np.int32)
-            for h in range(derived.e)]
-    return luts, subs
+def _sweep(tower: FieldTower, luts: list[list[np.ndarray]],
+           tables: list[np.ndarray], slabs: list[tuple[int, int]],
+           size: int) -> np.ndarray:
+    """tally[X] = number of inputs with X = sum_h tables[h][v_h(x)], where
+    v_h(x) = sum_tau luts[h][tau][code of x_tau], x_1 runs over the slab
+    codes and each input counts with its slab's multiplicity.
+
+    Only the folds of x_(k+2)..x_t stay resident, k the least for which the
+    e int32 folds fit SWEEP_BYTES.  A head fixes x_1..x_(k+1), so there
+    v_h = head_h + fold_h: one field addition composes the r-entry table
+    tables[h][head_h + .], gathered through the fold.  Heads go in blocks
+    of about SWEEP_BYTES / 4 entries.  The accumulator holds e times the
+    largest |table entry| in the narrowest signed dtype, so it never wraps.
+    """
+    r, e, t = tower.r, len(luts), len(luts[0])
+    points = SWEEP_BYTES // 4
+    k = next((k for k in range(t - 2) if e * r ** (t - 1 - k) <= points),
+             t - 2)
+    codes = [c for c, _ in slabs]
+    heads = np.array([fold_sum(tower, [row[0][codes]] + row[1:k + 1])
+                      for row in luts])
+    folds = [fold_sum(tower, row[k + 1:]) for row in luts]
+    bound = e * max(int(np.abs(tab).max()) for tab in tables)
+    acc_dtype = next(dt for dt in (np.int8, np.int16, np.int32, np.int64)
+                     if bound <= np.iinfo(dt).max)
+    tables = [tab.astype(acc_dtype) for tab in tables]
+    mults = np.repeat([mult for _, mult in slabs], r ** k)
+    step = max(1, points // (e * max(r, folds[0].size)))
+    cuts = set(range(0, mults.size, step))
+    cuts.update(np.flatnonzero(np.diff(mults)) + 1)
+    bounds = sorted(cuts) + [mults.size]
+    elems = np.arange(r, dtype=np.int32)
+    tally = np.zeros(size, dtype=np.int64)
+    for lo, hi in zip(bounds, bounds[1:]):
+        v = tower.add_arrays(elems, heads[:, lo:hi, None])
+        acc = tables[0].take(v[0]).take(folds[0], axis=1)
+        for h in range(1, e):
+            acc += tables[h].take(v[h]).take(folds[h], axis=1)
+        if acc.min() < 0:
+            raise NegativePeriodSum("negative scaled period sum")
+        counts = np.bincount(acc.ravel())
+        tally[:counts.size] += mults[lo] * counts
+    return tally
 
 
 def period_sum_tally(tower: FieldTower, derived: DerivedParams,
@@ -167,28 +203,12 @@ def period_sum_tally(tower: FieldTower, derived: DerivedParams,
     With nval holding N * eta(class) at nonzero elements and r - 1 at zero,
     X is the scaled period sum the weight formula consumes.  X fixes the
     weight, so one slab of x_1 per orbit (x1_orbit_representatives) stands
-    for its whole orbit.  Within the slab x_1 = rho, v_h = off_h + sub_h
-    with off_h fixed, so each term (r-1) - nval[v_h] is one gather through
-    an r-entry table indexed by the sub-fold sub_h."""
+    for its whole orbit."""
     r, e = tower.r, derived.e
-    luts, subs = period_argument_folds(tower, derived)
-    top = 2 * e * (r - 1)
-    dtype = np.int32 if top < 2**31 else np.int64
-    elems = np.arange(r, dtype=np.int64)
-    tally = np.zeros(top + 1, dtype=np.int64)
-    for c1, mult in x1_orbit_representatives(tower, derived):
-        X = None
-        for h in range(e):
-            v = tower.add_arrays(elems, luts[h][0][c1])
-            table = ((r - 1) - nval_by_elem[v]).astype(dtype)
-            if X is None:
-                X = table[subs[h]]
-            else:
-                X += table[subs[h]]
-        if X.min() < 0:
-            raise NegativePeriodSum("negative scaled period sum")
-        tally += mult * np.bincount(X, minlength=top + 1)
-    return tally
+    return _sweep(tower, _per_h_luts(tower, derived, with_g=True),
+                  [(r - 1) - nval_by_elem] * e,
+                  x1_orbit_representatives(tower, derived),
+                  2 * e * (r - 1) + 1)
 
 
 PROFILE_SPACE_LIMIT = 1 << 24
@@ -210,25 +230,9 @@ def profile_code_tally(tower: FieldTower, derived: DerivedParams,
             f"profile space (N+1)^e = {base}^{e} is too large to tabulate")
     cls = np.full(r, N, dtype=np.int64)
     cls[tower.exp] = np.arange(r - 1, dtype=np.int64) % N
-    luts, subs = period_argument_folds(tower, derived)
-    powers = [base ** h for h in range(e)]
-    tally = np.zeros(base ** e, dtype=np.int64)
-    dm = tower.digit_matrix
-    if tower.p != 2:
-        sub_digits = [dm[s].astype(np.int16) for s in subs]
-    for c1 in range(r):
-        code = None
-        for h in range(e):
-            off = luts[h][0][c1]
-            if tower.p == 2:
-                v = subs[h] ^ off
-            else:
-                dig = (sub_digits[h] + dm[off]) % tower.p
-                v = dig.astype(np.int64) @ tower._packing_weights
-            term = cls[v] * powers[h]
-            code = term if code is None else code + term
-        tally += np.bincount(code, minlength=base ** e)
-    return tally
+    return _sweep(tower, _per_h_luts(tower, derived, with_g=True),
+                  [cls * base ** h for h in range(e)],
+                  [(c, 1) for c in range(r)], base ** e)
 
 
 def decode_profile(code: int, N: int, e: int) -> tuple[int, tuple[int, ...]]:
@@ -240,25 +244,15 @@ def decode_profile(code: int, N: int, e: int) -> tuple[int, tuple[int, ...]]:
     return counts[N], tuple(counts[:N])
 
 
-# ----------------------------------------------------------------------
-# Vanishing patterns of the sparse linear forms sum_tau x_tau beta_tau^h.
-# ----------------------------------------------------------------------
-
 def vanishing_mask_tally(tower: FieldTower, derived: DerivedParams) -> np.ndarray:
-    """tally[mask] = number of inputs (including 0) whose form values vanish
-    exactly on the coordinate set encoded by mask's bits."""
+    """tally[mask] = number of inputs (including 0) whose sparse linear forms
+    sum_tau x_tau beta_tau^h vanish exactly on the coordinate set encoded by
+    mask's bits."""
     r, e = tower.r, derived.e
-    luts = _per_h_luts(tower, derived, with_g=False)
-    subs = [fold_sum(tower, luts[h][1:]) for h in range(e)]
-    tally = np.zeros(1 << e, dtype=np.int64)
-    for c1 in range(r):
-        mask = None
-        for h in range(e):
-            v = _vadd(tower, subs[h], np.int64(luts[h][0][c1]))
-            bit = (v == 0).astype(np.int64) << h
-            mask = bit if mask is None else mask + bit
-        tally += np.bincount(mask, minlength=1 << e)
-    return tally
+    is_zero = (np.arange(r) == 0).astype(np.int64)
+    return _sweep(tower, _per_h_luts(tower, derived, with_g=False),
+                  [is_zero << h for h in range(e)],
+                  [(c, 1) for c in range(r)], 1 << e)
 
 
 # ----------------------------------------------------------------------
@@ -284,7 +278,7 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
         for tau in range(t):
             k = tower.pow(tower.mul(derived.g, derived.betas[tau]), h)
             term = tower.mul_constant_table(k)[elems[:, tau]]
-            v = term if v is None else _vadd(tower, v, term)
+            v = term if v is None else tower.add_arrays(v, term)
         acc += nval_by_elem[v]
     num = (q - 1) * (e * (tower.r - 1) - acc)
     den = q * delta * e

@@ -347,6 +347,10 @@ def main(argv=None) -> int:
     except CyclotomeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory; lower --max-enum or pick a smaller "
+              "spec", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -153,12 +153,6 @@ class CyclotomicClassTable:
     def class_elements(self, i: int):
         return (int(v) for v in self.tower.exp[i % self.L::self.L])
 
-    def index_vector(self) -> np.ndarray:
-        """index_of for every element; -1 at the zero element."""
-        out = np.full(self.tower.r, -1, dtype=np.int64)
-        out[self.tower.exp] = np.arange(self.tower.r - 1) % self.L
-        return out
-
 
 def cyclotomic_classes(tower: FieldTower, L: int) -> CyclotomicClassTable:
     if L < 1 or (tower.r - 1) % L:
@@ -351,12 +345,6 @@ def solve_index2_form(L: int, p: int, h_L: int) -> tuple[int, int]:
         b += 1
     raise NoDiophantineSolution(
         f"no (a, b) with a^2 + {L} b^2 = {target} and the sign congruence")
-
-
-def _quadratic_gauss_counts(p: int) -> CyclotomicInteger:
-    """sum_c (c|p) zeta^c, the quadratic Gauss sum over GF(p)."""
-    return CyclotomicInteger(
-        p, (0,) + tuple(legendre(c, p) for c in range(1, p)))
 
 
 def _closed_order2(tower: FieldTower):

@@ -419,30 +419,31 @@ class FieldTower:
     def in_subfield_q(self, a: Element) -> bool:
         return a == 0 or self.pow(a, self.q) == a
 
-    @cached_property
-    def subfield_q_generator(self) -> Element:
-        """gamma^((r-1)/(q-1)), a generator of GF(q)*."""
-        return self.gamma_pow((self.r - 1) // (self.q - 1))
-
     # -- bulk tables used by the enumeration and cyclotomy layers ------------
 
     @cached_property
     def digit_matrix(self) -> np.ndarray:
-        """Shape (r, d) array of GF(p) coefficient vectors, row k = coeffs(k)."""
-        dtype = np.uint8 if self.p < 256 else np.int64
-        out = np.empty((self.r, self.degree), dtype=dtype)
+        """Shape (r, d) array of GF(p) coefficient vectors, row k = coeffs(k),
+        stored digit-major: each column is one contiguous r-vector."""
+        dtype = (np.uint8 if self.p < 2 ** 8 else
+                 np.uint16 if self.p < 2 ** 16 else np.int64)
+        out = np.empty((self.degree, self.r), dtype=dtype)
         rest = np.arange(self.r, dtype=np.int64)
         for i in range(self.degree):
-            rest, dig = np.divmod(rest, self.p)
-            out[:, i] = dig
+            rest, out[i] = np.divmod(rest, self.p)
         out.setflags(write=False)
-        return out
+        return out.T
 
     @cached_property
     def trace_p_vector(self) -> np.ndarray:
-        """trace_to_p for every element, shape (r,), dtype int64."""
-        basis = np.array(self._trace_basis, dtype=np.int64)
-        v = (self.digit_matrix.astype(np.int64) @ basis) % self.p
+        """trace_to_p for every element, shape (r,), dtype int64, summed
+        one digit at a time (no (r, d) array)."""
+        v = np.zeros(self.r, dtype=np.int64)
+        rest = np.arange(self.r, dtype=np.int64)
+        for b in self._trace_basis:
+            rest, dig = np.divmod(rest, self.p)
+            v += b * dig
+        v %= self.p
         v.setflags(write=False)
         return v
 
@@ -450,28 +451,34 @@ class FieldTower:
     def trace_q_vector(self) -> np.ndarray:
         """trace_to_q for every element (packed values), shape (r,)."""
         r1 = self.r - 1
-        acc = np.zeros((self.r, self.degree), dtype=np.int64)
         ks = np.arange(r1, dtype=np.int64)
+        v = np.zeros(self.r, dtype=np.int64)
         for i in range(self.m):
             powmap = np.zeros(self.r, dtype=np.int64)
             powmap[self.exp] = self.exp[(ks * (self.q ** i)) % r1]
-            acc += self.digit_matrix[powmap]
-        v = (acc % self.p) @ self._packing_weights
+            v = self.add_arrays(v, powmap)
         v.setflags(write=False)
         return v
 
     def add_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise field addition of packed-element arrays (broadcasts)."""
+        """Elementwise field addition of packed-element arrays (broadcasts),
+        one digit column at a time.  Digits widen before they add (uint8 to
+        int16, wider to int32); the result is int32 while r <= 2^31."""
         if self.p == 2:
             return a ^ b
-        dig = (self.digit_matrix[a].astype(np.int64)
-               + self.digit_matrix[b]) % self.p
-        return dig @ self._packing_weights
+        p = self.p
+        wide = np.int16 if p < 2 ** 8 else np.int32
+        out = 0
+        for w, col in zip(self._packing_weights, self.digit_matrix.T):
+            dig = np.add(col.take(a), col.take(b), dtype=wide)
+            np.subtract(dig, p, out=dig, where=dig >= p)
+            out = out + dig * w
+        return out
 
     @cached_property
     def _packing_weights(self) -> np.ndarray:
         return np.array([self.p ** i for i in range(self.degree)],
-                        dtype=np.int64)
+                        dtype=np.int32 if self.r <= 2 ** 31 else np.int64)
 
     def mul_constant_table(self, c: Element) -> np.ndarray:
         """Lookup table t with t[x] = c * x for every element x."""

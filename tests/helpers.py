@@ -1,7 +1,8 @@
 """Shared test utilities: cached towers, independent float oracles, the
-unpruned modulus scan and scalar power table, the unreduced enumeration
-kernels, and the deterministic spec grid used by the method-agreement and
-invariant tests."""
+unpruned modulus scan and scalar power table, the unreduced and unchunked
+enumeration kernels (with their own digit-by-digit field additions), and
+the deterministic spec grid used by the method-agreement and invariant
+tests."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from collections import Counter
 
 import numpy as np
 
-from cyclotome._engine import elem_of_code, fold_sum, period_argument_folds
+from cyclotome._engine import _per_h_luts, elem_of_code
 from cyclotome.codes import CodeSpec, derive_params, validate_assumptions
 from cyclotome.errors import GammaNotPrimitive
 from cyclotome.gf import _x_is_primitive, build_field, is_irreducible
@@ -106,6 +107,43 @@ def power_table_scalar(tower):
     return exp
 
 
+def _vadd_outer(tower, A, B):
+    """All pairwise field sums, flattened: result[i*len(B)+j] = A[i] + B[j]."""
+    if tower.p == 2:
+        return (A[:, None] ^ B[None, :]).ravel()
+    dm = tower.digit_matrix
+    dig = (dm[A][:, None, :].astype(np.int16) + dm[B][None, :, :]) % tower.p
+    return (dig.astype(np.int64) @ tower._packing_weights).ravel()
+
+
+def _vadd(tower, A, B):
+    """Elementwise field sum of same-shape packed arrays."""
+    if tower.p == 2:
+        return A ^ B
+    dm = tower.digit_matrix
+    dig = (dm[A].astype(np.int16) + dm[B]) % tower.p
+    return dig.astype(np.int64) @ tower._packing_weights
+
+
+def fold_sum(tower, luts):
+    """Values of sum_tau lut_tau[code_tau] over the full grid, flat order."""
+    arr = luts[0]
+    for lut in luts[1:]:
+        arr = _vadd_outer(tower, arr, lut)
+    return arr
+
+
+def period_argument_folds(tower, derived):
+    """Per-coordinate machinery for the e period arguments
+    v_h(x) = g^h sum_tau x_tau beta_tau^h: returns (luts, subs) where
+    luts[h][0] covers the x_1 axis by code and subs[h] is the folded value
+    of the remaining axes (length r^(t-1))."""
+    luts = _per_h_luts(tower, derived, with_g=True)
+    subs = [fold_sum(tower, luts[h][1:]).astype(np.int32)
+            for h in range(derived.e)]
+    return luts, subs
+
+
 def naive_weight_counts_unreduced(tower, derived):
     """Reference for _engine.naive_weight_counts: counts[w] over all r^t
     inputs, walking the n coordinates on the full t-axis grid."""
@@ -157,6 +195,51 @@ def period_sum_tally_unreduced(tower, derived, nval_by_elem):
         X = e * (r - 1) - acc
         assert X.min() >= 0, "negative scaled period sum"
         tally += np.bincount(X, minlength=top + 1)
+    return tally
+
+
+def profile_code_tally_unchunked(tower, derived, N):
+    """Reference for _engine.profile_code_tally: one slab per x_1 over the
+    whole (t-1)-axis fold, with field additions done digit by digit."""
+    r, e = tower.r, derived.e
+    base = N + 1
+    cls = np.full(r, N, dtype=np.int64)
+    cls[tower.exp] = np.arange(r - 1, dtype=np.int64) % N
+    luts, subs = period_argument_folds(tower, derived)
+    powers = [base ** h for h in range(e)]
+    tally = np.zeros(base ** e, dtype=np.int64)
+    dm = tower.digit_matrix
+    if tower.p != 2:
+        sub_digits = [dm[s].astype(np.int16) for s in subs]
+    for c1 in range(r):
+        code = None
+        for h in range(e):
+            off = luts[h][0][c1]
+            if tower.p == 2:
+                v = subs[h] ^ off
+            else:
+                dig = (sub_digits[h] + dm[off]) % tower.p
+                v = dig.astype(np.int64) @ tower._packing_weights
+            term = cls[v] * powers[h]
+            code = term if code is None else code + term
+        tally += np.bincount(code, minlength=base ** e)
+    return tally
+
+
+def vanishing_mask_tally_unchunked(tower, derived):
+    """Reference for _engine.vanishing_mask_tally: one slab per x_1 over
+    the whole (t-1)-axis fold, with field additions done digit by digit."""
+    r, e = tower.r, derived.e
+    luts = _per_h_luts(tower, derived, with_g=False)
+    subs = [fold_sum(tower, luts[h][1:]) for h in range(e)]
+    tally = np.zeros(1 << e, dtype=np.int64)
+    for c1 in range(r):
+        mask = None
+        for h in range(e):
+            v = _vadd(tower, subs[h], np.int64(luts[h][0][c1]))
+            bit = (v == 0).astype(np.int64) << h
+            mask = bit if mask is None else mask + bit
+        tally += np.bincount(mask, minlength=1 << e)
     return tally
 
 

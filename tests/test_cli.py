@@ -182,6 +182,20 @@ def test_delta_length_mismatch(capsys):
     assert code == 1 and "exactly t" in err
 
 
+def test_out_of_memory_exit_1(capsys, monkeypatch):
+    from cyclotome import _engine
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(_engine, "period_sum_tally", exhausted)
+    code, out, err = run_cli(
+        capsys, "weights", "--p", "3", "--s", "1", "--m", "3", "--e", "2",
+        "--t", "2", "--a", "1", "--delta", "0,1", "--method", "tsum")
+    assert code == 1 and out == ""
+    assert err.startswith("error: out of memory")
+
+
 def run_cli_process(*argv):
     """Run the CLI in a fresh interpreter, so an uncaught exception would
     show as a traceback on stderr."""

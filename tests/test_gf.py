@@ -135,11 +135,34 @@ class TestArithmetic:
         assert tw.coeffs(tw.add(x, y)) == cs
 
     def test_add_arrays_matches_scalar(self):
-        tw = T27
-        xs = np.arange(27)
-        for y in (0, 1, 5, 26):
-            got = tw.add_arrays(xs, np.full(27, y))
-            assert [tw.add(int(x), y) for x in xs] == list(got)
+        # p = 2 (XOR), odd p < 256 (uint8 digits), 256 <= p < 2^16 (uint16
+        # digits, including sums past 2^15) and p >= 2^16 (int64 digits)
+        for field in [(3, 1, 3), (2, 1, 6), (3, 2, 2), (17, 1, 2),
+                      (257, 1, 2), (1447, 1, 2), (40009, 1, 1),
+                      (65537, 1, 1)]:
+            tw = tower(*field)
+            rng = np.random.default_rng(field[0])
+            xs = np.concatenate([np.arange(min(tw.r, 64)),
+                                 rng.integers(0, tw.r, 200), [tw.r - 1]])
+            ys = np.concatenate([rng.integers(0, tw.r, xs.size - 1),
+                                 [tw.r - 1]])
+            got = tw.add_arrays(xs, ys)
+            assert [tw.add(int(x), int(y)) for x, y in zip(xs, ys)] \
+                == list(got), field
+            # broadcasting, as the sweep composes its tables
+            grid = tw.add_arrays(xs[:5], ys[:3, None])
+            assert [[tw.add(int(x), int(y)) for x in xs[:5]]
+                    for y in ys[:3]] == grid.tolist(), field
+
+    @pytest.mark.parametrize("field,dtype", [
+        ((3, 1, 3), np.uint8), ((1447, 1, 2), np.uint16),
+        ((65537, 1, 1), np.int64)])
+    def test_digit_matrix_dtype(self, field, dtype):
+        tw = tower(*field)
+        dm = tw.digit_matrix
+        assert dm.dtype == dtype and dm.shape == (tw.r, tw.degree)
+        for x in (0, 1, tw.p - 1, tw.r // 2, tw.r - 1):
+            assert tuple(int(c) for c in dm[x]) == tw.coeffs(x)
 
 
 class TestTraces:
@@ -176,7 +199,7 @@ class TestTraces:
 
     def test_trace_linear_over_subfield(self):
         tw = T81S2
-        c = tw.subfield_q_generator
+        c = tw.gamma_pow((tw.r - 1) // (tw.q - 1))  # generates GF(q)*
         for x in (5, 17, 60):
             assert (tw.trace_to_q(tw.mul(c, x))
                     == tw.mul(c, tw.trace_to_q(x)))
@@ -187,6 +210,19 @@ class TestTraces:
                 list(tw.trace_p_vector)
             assert [tw.trace_to_q(x) for x in range(tw.r)] == \
                 list(tw.trace_q_vector)
+
+    @pytest.mark.parametrize("field", [
+        (2, 1, 20), (3, 1, 12), (5, 1, 7), (17, 1, 4), (1447, 1, 2)])
+    def test_trace_p_vector_matches_digit_matrix_form(self, field):
+        # the former digit_matrix @ basis form, in row blocks so the test
+        # holds no (r, d) int64 copy either
+        tw = tower(*field)
+        basis = np.array(tw._trace_basis, dtype=np.int64)
+        dm = tw.digit_matrix
+        got = tw.trace_p_vector
+        for lo in range(0, tw.r, 1 << 16):
+            want = (dm[lo:lo + (1 << 16)].astype(np.int64) @ basis) % tw.p
+            np.testing.assert_array_equal(got[lo:lo + (1 << 16)], want)
 
     def test_dispatcher(self):
         assert trace_to_subfield(T27, 5, "p") == T27.trace_to_p(5)
@@ -268,7 +304,7 @@ class TestFormatting:
         assert str(mp) == "x^3 + 2x^2 + 1"
 
     def test_subfield_power_format(self):
-        g = T81S2.subfield_q_generator
+        g = T81S2.gamma_pow((T81S2.r - 1) // (T81S2.q - 1))
         assert T81S2.element_str(g) == "g"
         assert T81S2.element_str(T81S2.mul(g, g)) == "g^2"
         assert T81S2.element_str(2) == "2"

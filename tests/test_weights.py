@@ -2,6 +2,7 @@
 
 import ast
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +11,15 @@ from hypothesis import assume, given, settings, strategies as st
 from math import comb
 
 import cyclotome
+from cyclotome import _engine
 from cyclotome._engine import (
+    PROFILE_SPACE_LIMIT,
     decode_profile,
     naive_weight_counts,
     period_sum_tally,
+    profile_code_tally,
     sample_weights,
+    vanishing_mask_tally,
     x1_orbit_representatives,
 )
 from cyclotome.codes import (
@@ -63,8 +68,10 @@ from helpers import (
     criterion_grid,
     naive_weight_counts_unreduced,
     period_sum_tally_unreduced,
+    profile_code_tally_unchunked,
     tower,
     tower_for,
+    vanishing_mask_tally_unchunked,
 )
 
 S1 = CodeSpec(3, 1, 3, 2, 2, 1, (0, 1), (1, 2, 0, 1))
@@ -464,6 +471,69 @@ class TestOrbitReduction:
             assert not coset & covered
             covered |= coset
         assert covered == set(range(r1))
+
+
+class TestChunkedSweep:
+    def test_tallies_match_unchunked_oracles(self, monkeypatch):
+        # the three period-argument tallies against their unchunked oracles
+        # (digit-by-digit additions, one whole (t-1)-axis fold per x_1) at
+        # three byte budgets: the default; one that holds the folds of
+        # x_3..x_t only (k = 1 leading axis; several heads per block once
+        # t >= 4); and 1 byte (k = t - 2, one head per block) on the specs
+        # with r^t <= 5000
+        checked = {"tsum": 0, "profile": 0, "mask": 0, "k1": 0, "1byte": 0}
+        default = _engine.SWEEP_BYTES
+        for sp in _oracle_specs():
+            tw, d = setup_for(sp)
+            pset = gaussian_periods(tw, d.N)
+            cases = {"mask": (vanishing_mask_tally,
+                              vanishing_mask_tally_unchunked(tw, d))}
+            if all(v is not None for v in pset.rational_values):
+                nval = _nval_by_elem(tw, d.N, pset.rational_values)
+                cases["tsum"] = (lambda tw, d, nval=nval:
+                                 period_sum_tally(tw, d, nval),
+                                 period_sum_tally_unreduced(tw, d, nval))
+            if (d.N + 1) ** d.e <= PROFILE_SPACE_LIMIT:
+                cases["profile"] = (lambda tw, d:
+                                    profile_code_tally(tw, d, d.N),
+                                    profile_code_tally_unchunked(tw, d, d.N))
+            budgets = [default]
+            if d.t >= 3:
+                budgets.append(4 * d.e * tw.r ** (d.t - 2))
+                checked["k1"] += 1
+            if sp.r ** sp.t <= 5000:
+                budgets.append(1)
+                checked["1byte"] += 1
+            for budget in budgets:
+                monkeypatch.setattr(_engine, "SWEEP_BYTES", budget)
+                for name, (kernel, want) in cases.items():
+                    # a tiny budget means one bincount over the profile
+                    # space per head, slow beyond 2^16 codes
+                    if (name == "profile" and budget != default
+                            and (d.N + 1) ** d.e > 1 << 16):
+                        continue
+                    np.testing.assert_array_equal(
+                        kernel(tw, d), want, err_msg=f"{sp} at {budget} B")
+            for name in cases:
+                checked[name] += 1
+        assert checked["mask"] == len(_oracle_specs())
+        assert min(checked.values()) >= 20, checked
+
+    def test_open_case_peak_memory(self):
+        # (3,1,2) with e = t = 8 fails validity condition iii, so tsum is
+        # its only exact method: 9^8 = 4.3e7 inputs in a few MB
+        sp = CodeSpec(3, 1, 2, 8, 8, 7, tuple(range(8)))
+        tw, d = setup_for(sp)
+        assert not validate_assumptions(tw, sp, d).all_hold
+        nval = _nval_by_elem(tw, d.N, gaussian_periods(tw, d.N).rational_values)
+        tracemalloc.start()
+        try:
+            tally = period_sum_tally(tw, d, nval)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(tally.sum()) == tw.r ** d.t
+        assert peak <= 16 * 2 ** 20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 class TestTypedChecks:
