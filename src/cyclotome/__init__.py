@@ -41,9 +41,11 @@ from .errors import (
     AssumptionViolated,
     BadL,
     CapExceeded,
+    CriterionMismatch,
     CyclotomeError,
     DivisionNotExact,
     EDoesNotDivide,
+    FrequencySumMismatch,
     GammaNotPrimitive,
     HypothesisNotMet,
     InconsistentPeriods,

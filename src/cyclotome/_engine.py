@@ -6,9 +6,9 @@ most significant coordinate, so flat order is plain lexicographic order
 of (x_1, ..., x_t) code tuples.
 
 Everything here works on packed element ints (see gf).  Additions ride on
-FieldTower.add_arrays (per-digit arithmetic, XOR when p = 2), multiplications
-on per-constant lookup tables, so a pass over a grid is a handful of numpy
-gathers.  Folding an axis into a grid is one translation table and one row
+FieldTower.add_arrays (radix-p^j addition tables, XOR when p = 2),
+multiplications on the power table through logs, so a pass over a grid is
+a handful of numpy gathers.  Folding an axis into a grid is one translation table and one row
 gather (_vadd_outer).
 
 The naive and period-sum kernels sweep slabs of fixed x_1 over the grid of
@@ -138,15 +138,20 @@ SWEEP_BYTES = 1 << 22
 
 def _per_h_luts(tower: FieldTower, derived: DerivedParams,
                 with_g: bool) -> list[list[np.ndarray]]:
-    """luts[h][tau][code] = K * elem(code) with K = (g b_tau)^h (or b_tau^h)."""
-    eoc = elem_of_code(tower)
+    """luts[h][tau][code] = K * elem(code) with K = (g b_tau)^h (or b_tau^h).
+    Code 1 + i is gamma^i, so past code 0 a lut is the power table rotated
+    by log K: a slice of the table written out twice."""
+    r1 = tower.r - 1
+    exp2 = np.tile(tower.exp.astype(np.int32), 2)
     out = []
     for h in range(derived.e):
         row = []
         for b in derived.betas:
             base = tower.mul(derived.g, b) if with_g else b
-            row.append(tower.mul_constant_table(
-                tower.pow(base, h))[eoc].astype(np.int32))
+            k = h * tower.dlog_of(base) % r1
+            lut = np.zeros(tower.r, dtype=np.int32)
+            lut[1:] = exp2[k:k + r1]
+            row.append(lut)
         out.append(row)
     return out
 
@@ -256,8 +261,19 @@ def vanishing_mask_tally(tower: FieldTower, derived: DerivedParams) -> np.ndarra
 
 
 # ----------------------------------------------------------------------
-# Seeded sampling of codeword weights through the period identity.
+# Weights from scaled period sums, and seeded sampling through them.
 # ----------------------------------------------------------------------
+
+def weights_of_period_sums(X: np.ndarray, q: int, delta: int,
+                           e: int) -> np.ndarray:
+    """w = (q-1) X / (q delta e) for scaled period sums X, the one form of
+    the weight formula the enumeration and sampling kernels share."""
+    num = (q - 1) * X
+    den = q * delta * e
+    if np.any(num % den):
+        raise NonIntegralWeight("a period-sum weight is not an integer")
+    return num // den
+
 
 def sample_weights(tower: FieldTower, derived: DerivedParams,
                    nval_by_elem: np.ndarray, q_delta_e: tuple[int, int, int],
@@ -266,22 +282,39 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
 
     nval_by_elem[v] must hold N * eta(class of v) for v != 0 and r - 1 at
     v = 0 (rational periods only).  Returns an int64 weight per sample.
+
+    Inputs are drawn and weighed in row blocks of about SWEEP_BYTES of
+    int64 codes; consecutive blocks of one generator's draws are the draws
+    of one (count, t) call, so the weights do not depend on the block size.
+    Products go through logs: code c >= 1 is gamma^(c-1), so its product
+    with gamma^k is exp2[c - 1 + k] in the power table written out twice,
+    and a zero code contributes zero.
     """
     q, delta, e = q_delta_e
     r, t = tower.r, derived.t
+    r1 = r - 1
+    dtype = np.int32 if r <= 2 ** 31 else np.int64
+    exp2 = np.tile(tower.exp.astype(dtype), 2)
+    logs = [[h * tower.dlog_of(tower.mul(derived.g, b)) % r1
+             for b in derived.betas] for h in range(e)]
     rng = np.random.default_rng(seed)
-    codes = rng.integers(0, r, size=(count, t))
-    elems = elem_of_code(tower)[codes]
-    acc = np.zeros(count, dtype=np.int64)
-    for h in range(e):
-        v = None
-        for tau in range(t):
-            k = tower.pow(tower.mul(derived.g, derived.betas[tau]), h)
-            term = tower.mul_constant_table(k)[elems[:, tau]]
-            v = term if v is None else tower.add_arrays(v, term)
-        acc += nval_by_elem[v]
-    num = (q - 1) * (e * (tower.r - 1) - acc)
-    den = q * delta * e
-    if np.any(num % den):
-        raise NonIntegralWeight("sampled weight is not an integer")
-    return num // den
+    rows = max(1, SWEEP_BYTES // (8 * t))
+    out = np.empty(count, dtype=np.int64)
+    for lo in range(0, count, rows):
+        size = min(rows, count - lo)
+        lg = rng.integers(0, r, size=(size, t)).T.astype(dtype, order="C")
+        lg -= 1
+        zeros = [np.flatnonzero(row < 0) for row in lg]
+        for row, z in zip(lg, zeros):
+            row[z] = 0
+        acc = np.zeros(size, dtype=np.int64)
+        for ks in logs:
+            v = None
+            for row, z, k in zip(lg, zeros, ks):
+                term = exp2.take(row + k)
+                term[z] = 0
+                v = term if v is None else tower.add_arrays(v, term)
+            acc += nval_by_elem.take(v)
+        out[lo:lo + size] = weights_of_period_sums(
+            e * r1 - acc, q, delta, e)
+    return out

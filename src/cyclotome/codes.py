@@ -32,6 +32,7 @@ from math import gcd
 from .cyclotomy import CyclotomicInteger, GaussianPeriodSet
 from .errors import (
     AssumptionViolated,
+    CriterionMismatch,
     DivisionNotExact,
     EDoesNotDivide,
     InvalidParameters,
@@ -209,7 +210,7 @@ def validate_assumptions(tower: FieldTower, spec: CodeSpec,
     elif not disjoint:
         witnesses["iii"] = "two exponents share a q-cyclotomic coset"
     if method != "direct-only" and not cond_iii:
-        raise AssertionError(
+        raise CriterionMismatch(
             "fast criterion claimed condition iii but the cosets disagree")
     return AssumptionReport(cond_i, cond_ii, cond_iii, method, witnesses)
 

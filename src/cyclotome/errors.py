@@ -62,6 +62,11 @@ class AssumptionViolated(CyclotomeError):
     """A construction requires the validity conditions, and one fails."""
 
 
+class CriterionMismatch(CyclotomeError):
+    """A fast validity criterion claims a condition that the direct check
+    refutes; internal inconsistency."""
+
+
 class DivisionNotExact(CyclotomeError):
     """Exact polynomial division left a remainder; internal inconsistency."""
 
@@ -77,6 +82,11 @@ class CapExceeded(CyclotomeError):
 
 class NegativePeriodSum(CyclotomeError):
     """A scaled period sum came out negative; internal inconsistency."""
+
+
+class FrequencySumMismatch(CyclotomeError):
+    """A closed table's frequencies do not add up to r^t; internal
+    inconsistency."""
 
 
 class UnsupportedCase(CyclotomeError):

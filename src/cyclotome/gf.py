@@ -422,28 +422,29 @@ class FieldTower:
     # -- bulk tables used by the enumeration and cyclotomy layers ------------
 
     @cached_property
-    def digit_matrix(self) -> np.ndarray:
-        """Shape (r, d) array of GF(p) coefficient vectors, row k = coeffs(k),
-        stored digit-major: each column is one contiguous r-vector."""
-        dtype = (np.uint8 if self.p < 2 ** 8 else
-                 np.uint16 if self.p < 2 ** 16 else np.int64)
-        out = np.empty((self.degree, self.r), dtype=dtype)
-        rest = np.arange(self.r, dtype=np.int64)
-        for i in range(self.degree):
-            rest, out[i] = np.divmod(rest, self.p)
-        out.setflags(write=False)
-        return out.T
+    def _chunks(self) -> tuple[tuple[int, int], ...]:
+        """(first digit, digit count) of each radix-P chunk of an element,
+        least significant first.  P = p^j with j = d // 2 the largest j for
+        which P^2 <= r (j = 1 when d = 1), so a table of P^2 entries is no
+        larger than the field; the last chunk may hold fewer digits."""
+        d = self.degree
+        j = max(1, d // 2)
+        return tuple((lo, min(j, d - lo)) for lo in range(0, d, j))
 
     @cached_property
     def trace_p_vector(self) -> np.ndarray:
-        """trace_to_p for every element, shape (r,), dtype int64, summed
-        one digit at a time (no (r, d) array)."""
-        v = np.zeros(self.r, dtype=np.int64)
-        rest = np.arange(self.r, dtype=np.int64)
-        for b in self._trace_basis:
-            rest, dig = np.divmod(rest, self.p)
-            v += b * dig
-        v %= self.p
+        """trace_to_p for every element, shape (r,), dtype int64.  Trace is
+        GF(p)-linear, so it is the sum over chunks of a partial trace; each
+        chunk's partial trace is a table of p^digits entries, and their
+        outer sum, most significant chunk first, is the trace in element
+        order."""
+        p, basis = self.p, self._trace_basis
+        v = np.zeros(1, dtype=np.int64)
+        for lo, count in reversed(self._chunks):
+            u = np.arange(p ** count, dtype=np.int64)
+            part = sum(basis[lo + i] * (u // p ** i % p) for i in range(count))
+            v = (v[:, None] + part % p).ravel()
+        v %= p
         v.setflags(write=False)
         return v
 
@@ -460,33 +461,54 @@ class FieldTower:
         v.setflags(write=False)
         return v
 
+    @cached_property
+    def _add_tables(self) -> tuple[tuple[np.ndarray, int, np.ndarray], ...]:
+        """(col, n, tab) per radix-P chunk: col[x] is the chunk of element x
+        (r entries), and tab[u * n + v] is the digit-wise sum of chunks u and
+        v, shifted into place (n^2 <= r entries)."""
+        p, dtype = self.p, self._packing_weights.dtype
+        digit = np.arange(p, dtype=dtype)
+        one = (digit[:, None] + digit) % p
+        out = []
+        for lo, count in self._chunks:
+            s = one
+            for _ in range(count - 1):
+                # prepend a more significant digit to both chunks
+                n = len(s)
+                s = (one[:, None, :, None] * n + s[None, :, None, :]
+                     ).reshape(n * p, n * p)
+            n = len(s)
+            tab = (s * p ** lo).ravel()
+            col = (np.arange(self.r) // p ** lo % n).astype(
+                np.uint16 if n <= 2 ** 16 else np.int64)
+            col.setflags(write=False)
+            tab.setflags(write=False)
+            out.append((col, n, tab))
+        return tuple(out)
+
     def add_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise field addition of packed-element arrays (broadcasts),
-        one digit column at a time.  Digits widen before they add (uint8 to
-        int16, wider to int32); the result is int32 while r <= 2^31."""
+        """Elementwise field addition of packed-element arrays (broadcasts):
+        XOR for p = 2, (a + b) mod p for d = 1, else one gather per radix-P
+        chunk from its digit-wise addition table, sum_c tab_c[col_c[a] n_c +
+        col_c[b]].  The result is int32 while r <= 2^31."""
         if self.p == 2:
             return a ^ b
-        p = self.p
-        wide = np.int16 if p < 2 ** 8 else np.int32
-        out = 0
-        for w, col in zip(self._packing_weights, self.digit_matrix.T):
-            dig = np.add(col.take(a), col.take(b), dtype=wide)
-            np.subtract(dig, p, out=dig, where=dig >= p)
-            out = out + dig * w
+        dtype = self._packing_weights.dtype
+        if self.degree == 1:
+            out = np.add(a, b, dtype=dtype)
+            np.subtract(out, self.p, out=out, where=out >= self.p)
+            return out
+        out = None
+        for col, n, tab in self._add_tables:
+            idx = np.multiply(col.take(a), n, dtype=dtype) + col.take(b)
+            term = tab.take(idx)
+            out = term if out is None else np.add(out, term, out=out)
         return out
 
     @cached_property
     def _packing_weights(self) -> np.ndarray:
         return np.array([self.p ** i for i in range(self.degree)],
                         dtype=np.int32 if self.r <= 2 ** 31 else np.int64)
-
-    def mul_constant_table(self, c: Element) -> np.ndarray:
-        """Lookup table t with t[x] = c * x for every element x."""
-        out = np.zeros(self.r, dtype=np.int64)
-        if c != 0:
-            k = self.dlog_of(c)
-            out[self.exp] = self.exp[(np.arange(self.r - 1) + k) % (self.r - 1)]
-        return out
 
     # -- misc ----------------------------------------------------------------
 

@@ -59,6 +59,7 @@ from .cyclotomy import (
 )
 from .errors import (
     CapExceeded,
+    FrequencySumMismatch,
     IndependenceFails,
     NonIntegralWeight,
     UnsupportedCase,
@@ -315,11 +316,9 @@ def wd_tsum(tower: FieldTower, derived: DerivedParams,
         tally = _engine.period_sum_tally(
             tower, derived, _nval_by_elem(tower, N, rationals))
         xs = np.nonzero(tally)[0]
-        num = (tower.q - 1) * xs
-        den = tower.q * derived.delta * derived.e
-        if np.any(num % den):
-            raise NonIntegralWeight("a period-sum weight is not an integer")
-        for w, c in zip((num // den).tolist(), tally[xs].tolist()):
+        ws = _engine.weights_of_period_sums(xs, tower.q, derived.delta,
+                                            derived.e)
+        for w, c in zip(ws.tolist(), tally[xs].tolist()):
             weight_counts[w] = weight_counts.get(w, 0) + c
     else:
         # irrational periods: tally full class profiles and reduce each one
@@ -449,7 +448,8 @@ def wd_closed(tower: FieldTower, spec: CodeSpec, derived: DerivedParams,
         table = _closed_e3t2n2(tower, derived, pset)
     dist = WeightDistribution.from_counts(derived.n, derived.t * tower.m, table)
     if dist.total != tower.r ** derived.t:
-        raise AssertionError("closed table frequencies do not sum to r^t")
+        raise FrequencySumMismatch(
+            "closed table frequencies do not sum to r^t")
     return dist
 
 

@@ -1,8 +1,8 @@
 """Shared test utilities: cached towers, independent float oracles, the
 unpruned modulus scan and scalar power table, the unreduced and unchunked
-enumeration kernels (with their own digit-by-digit field additions), and
-the deterministic spec grid used by the method-agreement and invariant
-tests."""
+enumeration kernels (with their own digit-by-digit field additions), the
+unblocked sampling kernel, and the deterministic spec grid used by the
+method-agreement and invariant tests."""
 
 from __future__ import annotations
 
@@ -13,9 +13,9 @@ from collections import Counter
 
 import numpy as np
 
-from cyclotome._engine import _per_h_luts, elem_of_code
+from cyclotome._engine import elem_of_code
 from cyclotome.codes import CodeSpec, derive_params, validate_assumptions
-from cyclotome.errors import GammaNotPrimitive
+from cyclotome.errors import GammaNotPrimitive, NonIntegralWeight
 from cyclotome.gf import _x_is_primitive, build_field, is_irreducible
 from cyclotome.weights import classify
 
@@ -27,6 +27,20 @@ def tower(p, s, m, modulus=None):
 
 def tower_for(spec: CodeSpec):
     return tower(spec.p, spec.s, spec.m, spec.modulus)
+
+
+@functools.lru_cache(maxsize=None)
+def digit_matrix(tower):
+    """Shape (r, d) array of GF(p) coefficient vectors, row k = coeffs(k),
+    stored digit-major: each column is one contiguous r-vector."""
+    dtype = (np.uint8 if tower.p < 2 ** 8 else
+             np.uint16 if tower.p < 2 ** 16 else np.int64)
+    out = np.empty((tower.degree, tower.r), dtype=dtype)
+    rest = np.arange(tower.r, dtype=np.int64)
+    for i in range(tower.degree):
+        rest, out[i] = np.divmod(rest, tower.p)
+    out.setflags(write=False)
+    return out.T
 
 
 def float_periods(tw, L):
@@ -111,7 +125,7 @@ def _vadd_outer(tower, A, B):
     """All pairwise field sums, flattened: result[i*len(B)+j] = A[i] + B[j]."""
     if tower.p == 2:
         return (A[:, None] ^ B[None, :]).ravel()
-    dm = tower.digit_matrix
+    dm = digit_matrix(tower)
     dig = (dm[A][:, None, :].astype(np.int16) + dm[B][None, :, :]) % tower.p
     return (dig.astype(np.int64) @ tower._packing_weights).ravel()
 
@@ -120,7 +134,7 @@ def _vadd(tower, A, B):
     """Elementwise field sum of same-shape packed arrays."""
     if tower.p == 2:
         return A ^ B
-    dm = tower.digit_matrix
+    dm = digit_matrix(tower)
     dig = (dm[A].astype(np.int16) + dm[B]) % tower.p
     return dig.astype(np.int64) @ tower._packing_weights
 
@@ -131,6 +145,30 @@ def fold_sum(tower, luts):
     for lut in luts[1:]:
         arr = _vadd_outer(tower, arr, lut)
     return arr
+
+
+def mul_constant_table(tower, c):
+    """Lookup table t with t[x] = c * x for every element x."""
+    out = np.zeros(tower.r, dtype=np.int64)
+    if c != 0:
+        k = tower.dlog_of(c)
+        out[tower.exp] = tower.exp[(np.arange(tower.r - 1) + k) % (tower.r - 1)]
+    return out
+
+
+def _per_h_luts(tower, derived, with_g):
+    """luts[h][tau][code] = K * elem(code) with K = (g b_tau)^h (or b_tau^h),
+    through one multiplication table per constant."""
+    eoc = elem_of_code(tower)
+    out = []
+    for h in range(derived.e):
+        row = []
+        for b in derived.betas:
+            base = tower.mul(derived.g, b) if with_g else b
+            row.append(mul_constant_table(
+                tower, tower.pow(base, h))[eoc].astype(np.int32))
+        out.append(row)
+    return out
 
 
 def period_argument_folds(tower, derived):
@@ -178,7 +216,7 @@ def period_sum_tally_unreduced(tower, derived, nval_by_elem):
     luts, subs = period_argument_folds(tower, derived)
     top = 2 * e * (r - 1)
     tally = np.zeros(top + 1, dtype=np.int64)
-    dm = tower.digit_matrix
+    dm = digit_matrix(tower)
     if tower.p != 2:
         sub_digits = [dm[s].astype(np.int16) for s in subs]
     for c1 in range(r):
@@ -208,7 +246,7 @@ def profile_code_tally_unchunked(tower, derived, N):
     luts, subs = period_argument_folds(tower, derived)
     powers = [base ** h for h in range(e)]
     tally = np.zeros(base ** e, dtype=np.int64)
-    dm = tower.digit_matrix
+    dm = digit_matrix(tower)
     if tower.p != 2:
         sub_digits = [dm[s].astype(np.int16) for s in subs]
     for c1 in range(r):
@@ -241,6 +279,30 @@ def vanishing_mask_tally_unchunked(tower, derived):
             mask = bit if mask is None else mask + bit
         tally += np.bincount(mask, minlength=1 << e)
     return tally
+
+
+def sample_weights_unblocked(tower, derived, nval_by_elem, q_delta_e,
+                             count, seed):
+    """Reference for _engine.sample_weights: one (count, t) draw, and one
+    r-entry multiplication table per (h, tau)."""
+    q, delta, e = q_delta_e
+    r, t = tower.r, derived.t
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, r, size=(count, t))
+    elems = elem_of_code(tower)[codes]
+    acc = np.zeros(count, dtype=np.int64)
+    for h in range(e):
+        v = None
+        for tau in range(t):
+            k = tower.pow(tower.mul(derived.g, derived.betas[tau]), h)
+            term = mul_constant_table(tower, k)[elems[:, tau]]
+            v = term if v is None else tower.add_arrays(v, term)
+        acc += nval_by_elem[v]
+    num = (q - 1) * (e * (tower.r - 1) - acc)
+    den = q * delta * e
+    if np.any(num % den):
+        raise NonIntegralWeight("sampled weight is not an integer")
+    return num // den
 
 
 GRID_TOWERS = (

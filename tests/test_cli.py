@@ -196,6 +196,19 @@ def test_out_of_memory_exit_1(capsys, monkeypatch):
     assert err.startswith("error: out of memory")
 
 
+def test_internal_inconsistency_exit_1(capsys, monkeypatch):
+    # a closed table whose frequencies do not sum to r^t is a typed error,
+    # so the CLI reports it instead of printing a traceback
+    from cyclotome import weights
+
+    monkeypatch.setattr(weights, "_closed_te_n1", lambda tower, derived: {0: 1})
+    code, out, err = run_cli(
+        capsys, "weights", "--p", "3", "--s", "1", "--m", "3", "--e", "2",
+        "--t", "2", "--a", "1", "--delta", "0,1", "--method", "closed")
+    assert code == 1 and out == ""
+    assert err.startswith("error: closed table frequencies")
+
+
 def run_cli_process(*argv):
     """Run the CLI in a fresh interpreter, so an uncaught exception would
     show as a traceback on stderr."""

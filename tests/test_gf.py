@@ -26,6 +26,7 @@ from cyclotome.gf import (
 from helpers import (
     GRID_TOWERS,
     default_modulus_unpruned,
+    digit_matrix,
     power_table_scalar,
     tower,
 )
@@ -135,11 +136,15 @@ class TestArithmetic:
         assert tw.coeffs(tw.add(x, y)) == cs
 
     def test_add_arrays_matches_scalar(self):
-        # p = 2 (XOR), odd p < 256 (uint8 digits), 256 <= p < 2^16 (uint16
-        # digits, including sums past 2^15) and p >= 2^16 (int64 digits)
+        # p = 2 (XOR); radix-p^j chunks with j = d // 2: one digit per chunk
+        # (d = 2, 3), chunks of equal length (3^12: 6 + 6, 3^4: 2 + 2) and a
+        # short last chunk (5^7: 3 + 3 + 1, 7^5: 2 + 2 + 1), over p < 256,
+        # 257 and 1447; d = 1 adds (a + b) mod p, with sums past 2^15,
+        # 2^16 and 2^21
         for field in [(3, 1, 3), (2, 1, 6), (3, 2, 2), (17, 1, 2),
-                      (257, 1, 2), (1447, 1, 2), (40009, 1, 1),
-                      (65537, 1, 1)]:
+                      (257, 1, 2), (1447, 1, 2), (5, 1, 7), (7, 1, 5),
+                      (3, 1, 12), (40009, 1, 1), (65537, 1, 1),
+                      (2097143, 1, 1)]:
             tw = tower(*field)
             rng = np.random.default_rng(field[0])
             xs = np.concatenate([np.arange(min(tw.r, 64)),
@@ -158,8 +163,9 @@ class TestArithmetic:
         ((3, 1, 3), np.uint8), ((1447, 1, 2), np.uint16),
         ((65537, 1, 1), np.int64)])
     def test_digit_matrix_dtype(self, field, dtype):
+        # the digit table behind the test oracles' additions
         tw = tower(*field)
-        dm = tw.digit_matrix
+        dm = digit_matrix(tw)
         assert dm.dtype == dtype and dm.shape == (tw.r, tw.degree)
         for x in (0, 1, tw.p - 1, tw.r // 2, tw.r - 1):
             assert tuple(int(c) for c in dm[x]) == tw.coeffs(x)
@@ -218,7 +224,7 @@ class TestTraces:
         # holds no (r, d) int64 copy either
         tw = tower(*field)
         basis = np.array(tw._trace_basis, dtype=np.int64)
-        dm = tw.digit_matrix
+        dm = digit_matrix(tw)
         got = tw.trace_p_vector
         for lo in range(0, tw.r, 1 << 16):
             want = (dm[lo:lo + (1 << 16)].astype(np.int64) @ basis) % tw.p

@@ -36,6 +36,8 @@ from cyclotome.cyclotomy import (
 )
 from cyclotome.errors import (
     CapExceeded,
+    CriterionMismatch,
+    FrequencySumMismatch,
     InconsistentPeriods,
     IndependenceFails,
     NegativePeriodSum,
@@ -69,6 +71,7 @@ from helpers import (
     naive_weight_counts_unreduced,
     period_sum_tally_unreduced,
     profile_code_tally_unchunked,
+    sample_weights_unblocked,
     tower,
     tower_for,
     vanishing_mask_tally_unchunked,
@@ -536,6 +539,63 @@ class TestChunkedSweep:
         assert peak <= 16 * 2 ** 20, f"traced peak {peak / 2**20:.1f} MB"
 
 
+# the ladder's sampled fields, one a from each slot's pool (delta = 1)
+SAMPLED_LADDER = (
+    CodeSpec(7, 1, 5, 2, 2, 1, (0, 1)),
+    CodeSpec(17, 1, 4, 2, 2, 7, (1, 0)),
+    CodeSpec(5, 1, 7, 2, 2, 3, (0, 1)),
+    CodeSpec(2, 1, 20, 3, 3, 4, (2, 0, 1)),
+)
+
+
+def _sampling_inputs(sp):
+    tw, d = setup_for(sp)
+    nval = _nval_by_elem(tw, d.N, gaussian_periods(tw, d.N).rational_values)
+    return tw, d, nval, (tw.q, d.delta, d.e)
+
+
+class TestBlockedSampling:
+    @pytest.mark.parametrize("r, t", [(64, 7), (5 ** 7, 2), (2 ** 20, 3)])
+    def test_split_draws_equal_one_draw(self, r, t):
+        # the generator property the blocked kernel relies on: consecutive
+        # row blocks of integers(0, r) draws are the rows of one draw
+        whole = np.random.default_rng(7).integers(0, r, size=(1000, t))
+        rng = np.random.default_rng(7)
+        parts = [rng.integers(0, r, size=(n, t)) for n in (1, 333, 7, 659)]
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("sp", (S5,) + SAMPLED_LADDER,
+                             ids=lambda sp: f"{sp.p}^{sp.s * sp.m}")
+    def test_matches_unblocked_oracle(self, sp, monkeypatch):
+        # a count that is not a multiple of the block size, at the default
+        # budget (one full block and a partial one) and at 1 KB (rows of
+        # 18 to 64 samples)
+        tw, d, nval, qde = _sampling_inputs(sp)
+        default_rows = _engine.SWEEP_BYTES // (8 * d.t)
+        for budget, count in ((_engine.SWEEP_BYTES, default_rows + 4321),
+                              (1 << 10, 1001)):
+            monkeypatch.setattr(_engine, "SWEEP_BYTES", budget)
+            assert count % (budget // (8 * d.t)) != 0
+            got = sample_weights(tw, d, nval, qde, count, seed=3)
+            want = sample_weights_unblocked(tw, d, nval, qde, count, seed=3)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want, err_msg=f"{budget} B")
+
+    def test_peak_memory(self):
+        # 1e6 draws on 2^20: the int64 output and the doubled power table
+        # (8 MB each) plus a few SWEEP_BYTES of block temporaries; the
+        # unblocked kernel peaks at about 93 MB here
+        tw, d, nval, qde = _sampling_inputs(SAMPLED_LADDER[-1])
+        tracemalloc.start()
+        try:
+            ws = sample_weights(tw, d, nval, qde, 10 ** 6, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ws.size == 10 ** 6
+        assert peak <= 32 * 2 ** 20, f"traced peak {peak / 2**20:.1f} MB"
+
+
 class TestTypedChecks:
     """Internal consistency checks raise typed errors, which python -O keeps."""
 
@@ -565,12 +625,38 @@ class TestTypedChecks:
         with pytest.raises(InconsistentPeriods):
             distinct_values(GaussianPeriodSet(tw, 13, values, "exact"))
 
+    def test_fast_criterion_mismatch(self, monkeypatch):
+        # golden 1 has N = 1, so the sqrt-bound criterion claims iii; cosets
+        # of the wrong size contradict it
+        tw, d = setup_for(S1)
+        monkeypatch.setattr(cyclotome.codes, "cyclotomic_coset",
+                            lambda a, q, r: {a})
+        with pytest.raises(CriterionMismatch):
+            validate_assumptions(tw, S1, d)
+
+    def test_closed_frequency_sum(self, monkeypatch):
+        tw, d = setup_for(S1)
+        monkeypatch.setattr(cyclotome.weights, "_closed_te_n1",
+                            lambda tower, derived: {0: 1, 9: 52})
+        with pytest.raises(FrequencySumMismatch):
+            wd_closed(tw, S1, d)
+
     def test_no_assert_statements_in_src(self):
+        # neither assert statements nor raise AssertionError (with or
+        # without a message)
+        def asserts(node):
+            if isinstance(node, ast.Assert):
+                return True
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
         src = Path(cyclotome.__file__).parent
         found = [f"{path.name}:{node.lineno}"
                  for path in sorted(src.glob("*.py"))
                  for node in ast.walk(ast.parse(path.read_text()))
-                 if isinstance(node, ast.Assert)]
+                 if asserts(node)]
         assert found == []
 
 
