@@ -14,8 +14,6 @@ from .codes import (
     DerivedParams,
     build_polynomials,
     build_tower,
-    codeword,
-    codeword_weight_from_periods,
     derive_params,
     independent_power_rows,
     validate_assumptions,
@@ -23,18 +21,13 @@ from .codes import (
 from .corpus import GoldenExample, golden_examples, run_corpus
 from .cyclotomy import (
     ClosedFormParams,
-    CyclotomicClassTable,
     CyclotomicInteger,
-    DistinctPeriodMultiset,
     GaussianPeriodSet,
     applicable_closed_form,
-    cyclotomic_classes,
     cyclotomic_numbers,
-    distinct_values,
     gaussian_periods,
     gaussian_periods_closed_form,
     imaginary_quadratic_class_number,
-    modified_period,
     solve_index2_form,
 )
 from .errors import (
@@ -67,16 +60,13 @@ from .gf import (
     cyclotomic_coset,
     is_irreducible,
     min_poly,
-    trace_to_subfield,
 )
 from .weights import (
     Caps,
     CaseClassification,
-    TProfile,
     VerificationReport,
     WeightDistribution,
     classify,
-    count_vanishing_patterns,
     cross_verify,
     wd_closed,
     wd_naive,

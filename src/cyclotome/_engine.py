@@ -16,10 +16,10 @@ The naive and period-sum kernels sweep slabs of fixed x_1 over the grid of
 (x1_orbit_representatives), and count each slab with its orbit size.  So
 (d_1 + 1) r^(t-1) inputs stand for all r^t, and every count stays exact.
 
-Period sums, class profiles and vanishing masks are one sweep (_sweep)
-with three sets of per-h tables.  Its memory is bounded by the byte budget
-SWEEP_BYTES, not by r^t: it keeps only the folds of the trailing axes
-resident and walks the leading codes in blocks.
+Period sums and class profiles are one sweep (_sweep) with two sets of
+per-h tables.  Its memory is bounded by the byte budget SWEEP_BYTES, not
+by r^t: it keeps only the folds of the trailing axes resident and walks
+the leading codes in blocks.
 """
 
 from __future__ import annotations
@@ -225,8 +225,8 @@ def profile_code_tally(tower: FieldTower, derived: DerivedParams,
     to code c = sum_h digit_h (N+1)^h, digit_h in {0..N-1: class, N: zero}.
 
     digit_h classifies v_h(x).  Only practical while (N+1)^e stays small;
-    the weight methods use period_sum_tally instead whenever the period
-    values are rational.
+    the weight methods use period_sum_tally, since the periods are integers
+    and the weight depends on the input only through their sum.
     """
     r, e = tower.r, derived.e
     base = N + 1
@@ -238,26 +238,6 @@ def profile_code_tally(tower: FieldTower, derived: DerivedParams,
     return _sweep(tower, _per_h_luts(tower, derived, with_g=True),
                   [cls * base ** h for h in range(e)],
                   [(c, 1) for c in range(r)], base ** e)
-
-
-def decode_profile(code: int, N: int, e: int) -> tuple[int, tuple[int, ...]]:
-    """(u_zero, per-class counts) of a packed class-sequence code."""
-    counts = [0] * (N + 1)
-    for _ in range(e):
-        code, digit = divmod(code, N + 1)
-        counts[digit] += 1
-    return counts[N], tuple(counts[:N])
-
-
-def vanishing_mask_tally(tower: FieldTower, derived: DerivedParams) -> np.ndarray:
-    """tally[mask] = number of inputs (including 0) whose sparse linear forms
-    sum_tau x_tau beta_tau^h vanish exactly on the coordinate set encoded by
-    mask's bits."""
-    r, e = tower.r, derived.e
-    is_zero = (np.arange(r) == 0).astype(np.int64)
-    return _sweep(tower, _per_h_luts(tower, derived, with_g=False),
-                  [is_zero << h for h in range(e)],
-                  [(c, 1) for c in range(r)], 1 << e)
 
 
 # ----------------------------------------------------------------------

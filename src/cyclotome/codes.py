@@ -29,14 +29,12 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
 
-from .cyclotomy import CyclotomicInteger, GaussianPeriodSet
 from .errors import (
     AssumptionViolated,
     CriterionMismatch,
     DivisionNotExact,
     EDoesNotDivide,
     InvalidParameters,
-    NonIntegralWeight,
 )
 from .gf import (
     Element,
@@ -89,9 +87,8 @@ class CodeSpec:
         return out
 
 
-def build_tower(spec: CodeSpec, table_cap=None) -> FieldTower:
-    kwargs = {} if table_cap is None else {"table_cap": table_cap}
-    return build_field(spec.p, spec.s, spec.m, modulus=spec.modulus, **kwargs)
+def build_tower(spec: CodeSpec) -> FieldTower:
+    return build_field(spec.p, spec.s, spec.m, modulus=spec.modulus)
 
 
 @dataclass(frozen=True)
@@ -300,58 +297,3 @@ def build_polynomials(tower: FieldTower, spec: CodeSpec,
     g = SubfieldPolynomial(tower, tuple(g_coeffs))
     return CodePolynomials(factors=factors, h=h, g=g)
 
-
-# ----------------------------------------------------------------------
-# Codewords and their weights.
-# ----------------------------------------------------------------------
-
-def codeword(tower: FieldTower, derived: DerivedParams,
-             x_vec: tuple[Element, ...]) -> tuple[Element, ...]:
-    """Symbols Tr_{r/q}(sum_j x_j gamma^(a_j i)) for i = 0..n-1."""
-    powers = [tower.gamma_pow(ai) for ai in derived.a_list]
-    cur = list(x_vec)
-    out = []
-    for _ in range(derived.n):
-        acc = 0
-        for xj in cur:
-            acc = tower.add(acc, xj)
-        out.append(tower.trace_to_q(acc))
-        cur = [tower.mul(xj, w) for xj, w in zip(cur, powers)]
-    return tuple(out)
-
-
-def codeword_weight_from_periods(tower: FieldTower, derived: DerivedParams,
-                                 pset: GaussianPeriodSet,
-                                 x_vec: tuple[Element, ...]) -> int:
-    """Hamming weight of the codeword of x_vec via the period-sum identity:
-
-        w = (q-1)/(q delta) * [ (r-1) - (N/e) * T ],
-        T = sum_h modified_period(g^h * sum_tau x_tau beta_tau^h),
-
-    evaluated in exact integer (or cyclotomic) arithmetic.
-    """
-    if pset.L != derived.N:
-        raise ValueError(f"need periods of order N = {derived.N}, got {pset.L}")
-    q, r, e, delta = tower.q, tower.r, derived.e, derived.delta
-    # N*T accumulates with the 1/N of the zero value cleared
-    NT = CyclotomicInteger.from_int(tower.p, 0)
-    for h in range(e):
-        v = 0
-        for x, b in zip(x_vec, derived.betas):
-            v = tower.add(v, tower.mul(x, tower.pow(b, h)))
-        v = tower.mul(tower.pow(derived.g, h), v)
-        if v == 0:
-            NT = NT + (r - 1)
-        else:
-            NT = NT + derived.N * pset.value(tower.dlog_of(v) % pset.L)
-    scaled = (e * (r - 1)) - NT  # equals e * [(r-1) - (N/e) T]
-    if not scaled.is_rational():
-        raise NonIntegralWeight(f"period sum is irrational for {x_vec}")
-    num = (q - 1) * scaled.rational_value()
-    den = q * delta * e
-    if num % den:
-        raise NonIntegralWeight(f"weight {num}/{den} is not an integer")
-    w = num // den
-    if not 0 <= w <= derived.n:
-        raise NonIntegralWeight(f"weight {w} outside [0, n]")
-    return w

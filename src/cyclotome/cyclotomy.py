@@ -9,8 +9,11 @@ is a rational integer exactly when all multiplicities above index 0 agree.
 
 The Gaussian period of class i is the character sum over the coset
 C_i = gamma^i <gamma^L>, computed here by tallying trace values (the exact
-oracle, no floating point anywhere).  Closed forms are implemented for four
-classical situations:
+oracle, no floating point anywhere).  When L divides (r-1)/(q-1), as the
+order N of the weight formulas does, GF(q)* lies in C_0 and every period
+is the integer (q Z_i - |C_i|)/(q-1), Z_i the number of y in C_i with
+Tr_{r/q}(y) = 0; irrational values arise only for other L.  Closed forms
+are implemented for four classical situations:
 
 * order2:        L = 2, quadratic Gauss sums (rational when s*m is even);
 * order3:        L = 3 with p = 1 mod 3 and 3 | s*m, via 4p^(sm/3) = c^2 + 27d^2;
@@ -39,7 +42,7 @@ from .errors import (
     NoDiophantineSolution,
     NotADivisor,
 )
-from .gf import Element, FieldTower, is_prime
+from .gf import FieldTower, is_prime
 
 
 def legendre(a: int, p: int) -> int:
@@ -90,29 +93,15 @@ class CyclotomicInteger:
     def __hash__(self) -> int:
         return hash((self.p, self._canon()))
 
-    def __add__(self, other) -> "CyclotomicInteger":
-        if isinstance(other, int):
-            other = CyclotomicInteger.from_int(self.p, other)
+    def __add__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
         return CyclotomicInteger(
             self.p, tuple(a + b for a, b in zip(self.counts, other.counts)))
-
-    __radd__ = __add__
 
     def __neg__(self) -> "CyclotomicInteger":
         return CyclotomicInteger(self.p, tuple(-c for c in self.counts))
 
-    def __sub__(self, other) -> "CyclotomicInteger":
-        if isinstance(other, int):
-            other = CyclotomicInteger.from_int(self.p, other)
+    def __sub__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
         return self + (-other)
-
-    def __rsub__(self, other: int) -> "CyclotomicInteger":
-        return CyclotomicInteger.from_int(self.p, other) + (-self)
-
-    def __mul__(self, k: int) -> "CyclotomicInteger":
-        return CyclotomicInteger(self.p, tuple(k * c for c in self.counts))
-
-    __rmul__ = __mul__
 
     def is_rational(self) -> bool:
         return all(c == self.counts[1] for c in self.counts[2:]) \
@@ -123,9 +112,6 @@ class CyclotomicInteger:
             raise ValueError(f"{self} is not rational")
         return self.counts[0] - self.counts[1]
 
-    def rational_or_none(self):
-        return self.rational_value() if self.is_rational() else None
-
     def __repr__(self) -> str:
         if self.is_rational():
             return f"CyclotomicInteger({self.rational_value()})"
@@ -133,32 +119,8 @@ class CyclotomicInteger:
 
 
 # ----------------------------------------------------------------------
-# Cyclotomic classes and numbers.
+# Cyclotomic numbers.
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CyclotomicClassTable:
-    """Order-L cyclotomic classes of GF(r)*: class i is gamma^i <gamma^L>."""
-
-    tower: FieldTower
-    L: int
-
-    @property
-    def class_size(self) -> int:
-        return (self.tower.r - 1) // self.L
-
-    def index_of(self, x: Element) -> int:
-        return self.tower.dlog_of(x) % self.L
-
-    def class_elements(self, i: int):
-        return (int(v) for v in self.tower.exp[i % self.L::self.L])
-
-
-def cyclotomic_classes(tower: FieldTower, L: int) -> CyclotomicClassTable:
-    if L < 1 or (tower.r - 1) % L:
-        raise NotADivisor(f"L = {L} does not divide r - 1 = {tower.r - 1}")
-    return CyclotomicClassTable(tower, L)
-
 
 def cyclotomic_numbers(tower: FieldTower, L: int) -> np.ndarray:
     """The L x L matrix whose (i, j) entry counts x in C_i with x + 1 in C_j.
@@ -199,18 +161,11 @@ class GaussianPeriodSet:
 
     @property
     def rational_values(self) -> tuple:
-        return tuple(v.rational_or_none() for v in self.values)
-
-    def value(self, i: int) -> CyclotomicInteger:
-        return self.values[i % self.L]
+        return tuple(v.rational_value() if v.is_rational() else None
+                     for v in self.values)
 
     def tallies(self) -> tuple[tuple[int, ...], ...]:
         return tuple(v.counts for v in self.values)
-
-    def rational_multiset(self) -> tuple:
-        """Sorted rational values, or None if any value is irrational."""
-        vals = self.rational_values
-        return None if any(v is None for v in vals) else tuple(sorted(vals))
 
 
 def _check_period_sum(values) -> None:
@@ -232,45 +187,6 @@ def gaussian_periods(tower: FieldTower, L: int) -> GaussianPeriodSet:
                    for row in tall)
     _check_period_sum(values)
     return GaussianPeriodSet(tower, L, values, source="exact")
-
-
-def modified_period(pset: GaussianPeriodSet, v: Element):
-    """(r-1)/L at v = 0, otherwise the period of v's class.  Returns a plain
-    int whenever the value is rational."""
-    if v == 0:
-        return pset.eta_bar_zero
-    val = pset.value(pset.tower.dlog_of(v) % pset.L)
-    return val.rational_value() if val.is_rational() else val
-
-
-@dataclass(frozen=True)
-class DistinctPeriodMultiset:
-    """The distinct period values with their class multiplicities."""
-
-    L: int
-    pairs: tuple[tuple[CyclotomicInteger, int], ...]
-
-    @property
-    def mu(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def taus(self) -> tuple[int, ...]:
-        return tuple(t for _, t in self.pairs)
-
-    def rational_pairs(self) -> tuple:
-        return tuple((v.rational_or_none(), t) for v, t in self.pairs)
-
-
-def distinct_values(pset: GaussianPeriodSet) -> DistinctPeriodMultiset:
-    groups: dict[CyclotomicInteger, int] = {}
-    for v in pset.values:
-        groups[v] = groups.get(v, 0) + 1
-    pairs = tuple(sorted(groups.items(), key=lambda kv: kv[0]._canon()))
-    if sum(t for _, t in pairs) != pset.L:
-        raise InconsistentPeriods(
-            f"class multiplicities do not add up to L = {pset.L}")
-    return DistinctPeriodMultiset(pset.L, pairs)
 
 
 # ----------------------------------------------------------------------
@@ -408,15 +324,16 @@ def _closed_order3(tower: FieldTower, exact: GaussianPeriodSet):
         "no sign choice reproduces the exact order-3 periods")
 
 
+def semiprimitive_j(p: int, L: int) -> int | None:
+    """The least j with p^j = -1 mod L, or None when there is none."""
+    return next((j for j in range(1, L + 1) if pow(p, j, L) == L - 1), None)
+
+
 def _closed_semiprimitive(tower: FieldTower, L: int):
     p, sm = tower.p, tower.s * tower.m
     if L <= 2:
         raise HypothesisNotMet("semiprimitive form needs L > 2")
-    j = None
-    for cand in range(1, L + 1):
-        if pow(p, cand, L) == L - 1:
-            j = cand
-            break
+    j = semiprimitive_j(p, L)
     if j is None:
         raise HypothesisNotMet(f"no j with {p}^j = -1 mod {L}")
     if sm % (2 * j):

@@ -228,18 +228,12 @@ def cyclotomic_coset(a: int, q: int, r: int) -> set[int]:
 
 class FieldTower:
     """GF(p) <= GF(q = p^s) <= GF(r = q^m) with a primitive gamma and full
-    discrete-log table.  Use build_field() to construct."""
+    discrete-log table.  Use build_field() to construct: it checks p, s, m
+    and the table cap, and the constructor takes them as given.  A modulus
+    whose x is not primitive fails in _build_tables."""
 
-    def __init__(self, p: int, s: int, m: int, modulus: tuple[int, ...],
-                 table_cap: int = DEFAULT_TABLE_CAP):
-        if not is_prime(p):
-            raise NotPrime(f"p = {p} is not prime")
-        if s < 1 or m < 1:
-            raise InvalidParameters("s and m must be positive")
+    def __init__(self, p: int, s: int, m: int, modulus: tuple[int, ...]):
         d = s * m
-        r = p ** d
-        if r > table_cap:
-            raise TowerTooLarge(f"r = {r} exceeds the table cap {table_cap}")
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != d + 1 or modulus[-1] != 1:
             raise InvalidParameters(
@@ -248,7 +242,7 @@ class FieldTower:
             raise ModulusNotIrreducible(f"{modulus} factors over GF({p})")
         self.p, self.s, self.m = p, s, m
         self.q = p ** s
-        self.r = r
+        self.r = p ** d
         self.degree = d
         self.modulus = modulus
         if d == 1:
@@ -257,16 +251,8 @@ class FieldTower:
                 raise GammaNotPrimitive("x = 0 in GF(p)[x]/(x)")
         else:
             gamma = p
-        if not self._gamma_is_primitive():
-            raise GammaNotPrimitive(
-                f"x has order < r-1 modulo {modulus} over GF({p})")
         self.gamma: Element = gamma
         self._build_tables()
-
-    def _gamma_is_primitive(self) -> bool:
-        if self.degree == 1:
-            return _is_primitive_root(-self.modulus[0], self.p)
-        return _x_is_primitive(self.modulus, self.p, self.r)
 
     def _apply_linear(self, images: list[int], a: np.ndarray) -> np.ndarray:
         """Apply the GF(p)-linear map sending x^i to images[i] to an array
@@ -310,7 +296,8 @@ class FieldTower:
         dlog = np.full(r, -1, dtype=np.int64)
         dlog[exp] = np.arange(r - 1, dtype=np.int64)
         if dlog[0] != -1 or np.any(dlog[1:] < 0):
-            raise GammaNotPrimitive("power table did not cover GF(r)*")
+            raise GammaNotPrimitive(
+                f"x has order < r-1 modulo {self.modulus} over GF({p})")
         exp.setflags(write=False)
         dlog.setflags(write=False)
         self.exp = exp
@@ -554,16 +541,7 @@ def build_field(p: int, s: int, m: int, modulus=None,
         raise TowerTooLarge(f"r = {p**d} exceeds the table cap {table_cap}")
     if modulus is None:
         modulus = default_modulus(p, d)
-    return FieldTower(p, s, m, tuple(modulus), table_cap=table_cap)
-
-
-def trace_to_subfield(tower: FieldTower, x: Element, target: str) -> Element:
-    """Trace of x down to GF(q) (target="q") or GF(p) (target="p")."""
-    if target == "q":
-        return tower.trace_to_q(x)
-    if target == "p":
-        return tower.trace_to_p(x)
-    raise ValueError(f"target must be 'q' or 'p', got {target!r}")
+    return FieldTower(p, s, m, tuple(modulus))
 
 
 # ----------------------------------------------------------------------
@@ -595,13 +573,6 @@ class SubfieldPolynomial:
         if self.tower.s != 1:
             raise ValueError("coefficients live in GF(q) with q > p")
         return self.coeffs  # packed GF(p) constants are their own ints
-
-    def eval_at(self, x: Element) -> Element:
-        t = self.tower
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = t.add(t.mul(acc, x), c)
-        return acc
 
     def serial(self) -> str:
         """Comma-separated ascending coefficients (ints when s = 1, else

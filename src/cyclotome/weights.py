@@ -1,23 +1,27 @@
 """Weight distributions by three mutually checking routes.
 
 1. naive: enumerate inputs, build every codeword, count nonzero symbols.
-2. period sums: enumerate inputs, but reduce each one to the class profile
-   of its e period arguments; the weight depends on the input only through
-   that profile, via
+2. period sums: enumerate inputs, but reduce each one to the sum of the
+   periods at its e period arguments; the weight depends on the input only
+   through that sum, via
 
        w = (q-1)/(q delta) [ (r-1) - (N/e) T ],
-       T = sum_h modified_period( g^h sum_tau x_tau beta_tau^h ).
+       T = sum_h eta_bar( g^h sum_tau x_tau beta_tau^h ),
+
+   where eta_bar(0) = (r-1)/N and eta_bar(v) is the period of v's class.
+   N divides (r-1)/(q-1), so every period is an integer (see cyclotomy).
 
 3. closed form: evaluate the applicable frequency table directly, with
    exact big-integer combinatorics.
 
 The closed tables, keyed by the case classification:
 
-* t = e, N = 1: weight (q-1) r u / (delta e q) occurs C(e,u) (r-1)^u times.
-* t = e, N >= 2: for the mu distinct period values eta_j (tau_j classes
-  each) and every composition u_0 + ... + u_mu = e,
+* t = e: for the mu distinct period values eta_j (tau_j classes each) and
+  every composition u_0 + ... + u_mu = e,
       weight    (q-1)/(delta e q) * sum_j u_j (r - 1 - N eta_j),
       frequency e!/(u_0! ... u_mu!) ((r-1)/N)^(e-u_0) prod_j tau_j^(u_j).
+  At N = 1 the one period is -1, so weight (q-1) r u / (delta e q) occurs
+  C(e,u) (r-1)^u times.
 * t < e, N = 1 (needs every t x t minor of the column-root power matrix
   invertible): weight (q-1) r (e-t+u)/(delta e q), u = 1..t, with frequency
       C(e, t-u) sum_{k=0}^{u-1} (-1)^k C(e-t+u, k) (r^(u-k) - 1).
@@ -27,12 +31,16 @@ The closed tables, keyed by the case classification:
   frequencies come from order-2 cyclotomic numbers (here r = 1 mod 4, so
   (0,0) = (r-5)/4 and the other three equal (r-1)/4).
 
-Frequencies are arbitrary-precision ints throughout; equal weights arising
-from different compositions are merged before anything is compared.
+Each table is built over the scaled period sums X = e(r-1) - N T and goes
+through the same map w = (q-1) X/(q delta e) as the enumerations
+(_engine.weights_of_period_sums).  Frequencies are arbitrary-precision
+ints throughout; equal weights arising from different compositions are
+merged before anything is compared.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, factorial, isqrt, prod
@@ -49,19 +57,18 @@ from .codes import (
     validate_assumptions,
 )
 from .cyclotomy import (
-    CyclotomicInteger,
-    DistinctPeriodMultiset,
     GaussianPeriodSet,
-    distinct_values,
     gaussian_periods,
     gaussian_periods_closed_form,
     legendre,
+    semiprimitive_j,
 )
 from .errors import (
     CapExceeded,
+    CyclotomeError,
     FrequencySumMismatch,
+    InconsistentPeriods,
     IndependenceFails,
-    NonIntegralWeight,
     UnsupportedCase,
 )
 from .gf import FieldTower, is_prime
@@ -160,6 +167,7 @@ class CaseClassification:
     tag: str
     period_source: str | None = None
     reason: str | None = None  # set when unsupported
+    error: type[CyclotomeError] = UnsupportedCase  # raised when unsupported
 
     @property
     def supported(self) -> bool:
@@ -172,13 +180,6 @@ class CaseClassification:
         if self.reason is not None:
             out["reason"] = self.reason
         return out
-
-
-def _semiprimitive_j(p: int, N: int) -> int | None:
-    for j in range(1, N + 1):
-        if pow(p, j, N) == N - 1:
-            return j
-    return None
 
 
 def classify(tower: FieldTower, spec: CodeSpec, derived: DerivedParams,
@@ -197,7 +198,7 @@ def classify(tower: FieldTower, spec: CodeSpec, derived: DerivedParams,
             return CaseClassification(TAG_TE_N2, SOURCE_ORDER2)
         if N == 3 and p % 3 == 1:
             return CaseClassification(TAG_TE_N2, SOURCE_ORDER3)
-        if N > 2 and _semiprimitive_j(p, N) is not None:
+        if N > 2 and semiprimitive_j(p, N) is not None:
             return CaseClassification(TAG_TE_N2, SOURCE_SEMIPRIMITIVE)
         if (N != 3 and N % 4 == 3 and is_prime(N)
                 and legendre(p, N) == 1 and (2 * sm) % (N - 1) == 0):
@@ -207,7 +208,8 @@ def classify(tower: FieldTower, spec: CodeSpec, derived: DerivedParams,
         if independent_power_rows(tower, derived):
             return CaseClassification(TAG_TLT_N1)
         return CaseClassification(
-            TAG_UNSUPPORTED, reason="a t x t minor of the power matrix is singular")
+            TAG_UNSUPPORTED, reason="a t x t minor of the power matrix is singular",
+            error=IndependenceFails)
     if spec.e == 3 and spec.t == 2 and N == 2:
         return CaseClassification(TAG_E3T2N2)
     return CaseClassification(
@@ -229,43 +231,15 @@ def periods_for_classification(tower: FieldTower, derived: DerivedParams,
     return gaussian_periods_closed_form(src, tower, derived.N)[0]
 
 
-# ----------------------------------------------------------------------
-# Profiles of the period arguments.
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TProfile:
-    """How the e period arguments of one input split: u_zero of them are 0,
-    class_counts[i] of them land in cyclotomic class i."""
-
-    u_zero: int
-    class_counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.u_zero < 0 or any(c < 0 for c in self.class_counts):
-            raise ValueError("negative profile count")
-
-    @property
-    def e(self) -> int:
-        return self.u_zero + sum(self.class_counts)
-
-
-def profile_weight(tower: FieldTower, derived: DerivedParams,
-                   pset: GaussianPeriodSet, profile: TProfile) -> int:
-    """The common weight of all inputs with this argument profile."""
-    r, q, e, delta = tower.r, tower.q, derived.e, derived.delta
-    NT = CyclotomicInteger.from_int(tower.p, profile.u_zero * (r - 1))
-    for i, c in enumerate(profile.class_counts):
-        if c:
-            NT = NT + (c * derived.N) * pset.value(i)
-    scaled = e * (r - 1) - NT
-    if not scaled.is_rational():
-        raise NonIntegralWeight(f"irrational period sum for {profile}")
-    num = (q - 1) * scaled.rational_value()
-    den = q * delta * e
-    if num % den:
-        raise NonIntegralWeight(f"weight {num}/{den} for {profile}")
-    return num // den
+def integer_periods(pset: GaussianPeriodSet) -> tuple[int, ...]:
+    """The periods as ints.  The weight formulas use order N, which divides
+    (r-1)/(q-1), so each period is an integer; an irrational one would be
+    an internal inconsistency."""
+    values = pset.rational_values
+    if None in values:
+        raise InconsistentPeriods(
+            f"the order-{pset.L} periods must be integers here")
+    return values
 
 
 # ----------------------------------------------------------------------
@@ -287,18 +261,17 @@ def wd_naive(tower: FieldTower, derived: DerivedParams,
 # Method 2: exact period sums.
 # ----------------------------------------------------------------------
 
-def _nval_by_elem(tower: FieldTower, N: int, rationals) -> np.ndarray:
+def _nval_by_elem(tower: FieldTower, N: int, periods) -> np.ndarray:
     """nval[v] = N * eta(class of v) for v != 0 and r - 1 at v = 0, so that
     the scaled period sum e(r-1) - sum_h nval[v_h] feeds the weight formula."""
     nval = np.zeros(tower.r, dtype=np.int64)
     nval[0] = tower.r - 1
-    vals = np.array(rationals, dtype=np.int64) * N
+    vals = np.array(periods, dtype=np.int64) * N
     nval[tower.exp] = vals[np.arange(tower.r - 1) % N]
     return nval
 
 
 def wd_tsum(tower: FieldTower, derived: DerivedParams,
-            pset: GaussianPeriodSet | None = None,
             cap: int = DEFAULT_TSUM_CAP) -> WeightDistribution:
     """Enumerate inputs through the exact period-sum identity (much cheaper
     per word than building codewords; length never enters)."""
@@ -306,30 +279,24 @@ def wd_tsum(tower: FieldTower, derived: DerivedParams,
     if size > cap:
         raise CapExceeded(f"r^t = {size} exceeds the period-sum cap {cap}")
     N = derived.N
-    if pset is None:
-        pset = gaussian_periods(tower, N)
-    elif pset.L != N:
-        raise ValueError(f"need periods of order {N}, got {pset.L}")
-    rationals = pset.rational_values
+    periods = integer_periods(gaussian_periods(tower, N))
+    tally = _engine.period_sum_tally(tower, derived,
+                                     _nval_by_elem(tower, N, periods))
+    xs = np.nonzero(tally)[0]
+    return _from_period_sums(tower, derived,
+                             dict(zip(xs.tolist(), tally[xs].tolist())))
+
+
+def _from_period_sums(tower: FieldTower, derived: DerivedParams,
+                      sums: dict[int, int]) -> WeightDistribution:
+    """The distribution of the weights of scaled period sums X, each with
+    its frequency, through the one weight map of the kernels."""
+    ws = _engine.weights_of_period_sums(
+        np.array(list(sums), dtype=np.int64), tower.q, derived.delta,
+        derived.e)
     weight_counts: dict[int, int] = {}
-    if all(v is not None for v in rationals):
-        tally = _engine.period_sum_tally(
-            tower, derived, _nval_by_elem(tower, N, rationals))
-        xs = np.nonzero(tally)[0]
-        ws = _engine.weights_of_period_sums(xs, tower.q, derived.delta,
-                                            derived.e)
-        for w, c in zip(ws.tolist(), tally[xs].tolist()):
-            weight_counts[w] = weight_counts.get(w, 0) + c
-    else:
-        # irrational periods: tally full class profiles and reduce each one
-        # in exact cyclotomic arithmetic
-        tally = _engine.profile_code_tally(tower, derived, N)
-        codes = np.nonzero(tally)[0]
-        for code, c in zip(codes.tolist(), tally[codes].tolist()):
-            u0, cls_counts = _engine.decode_profile(int(code), N, derived.e)
-            w = profile_weight(tower, derived, pset,
-                               TProfile(u0, cls_counts))
-            weight_counts[w] = weight_counts.get(w, 0) + c
+    for w, c in zip(ws.tolist(), sums.values()):
+        weight_counts[w] = weight_counts.get(w, 0) + c
     return WeightDistribution.from_counts(
         derived.n, derived.t * tower.m, weight_counts)
 
@@ -347,71 +314,37 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _exact_div(num: int, den: int, what: str) -> int:
-    if num % den:
-        raise NonIntegralWeight(f"{what}: {num}/{den} is not an integer")
-    return num // den
-
-
-def _closed_te_n1(tower, derived) -> dict[int, int]:
-    r, q, e, delta = tower.r, tower.q, derived.e, derived.delta
+def _closed_te_n2(tower, derived, periods: tuple[int, ...]) -> dict[int, int]:
+    r, e, N = tower.r, derived.e, derived.N
+    groups = sorted(Counter(periods).items())  # (eta_j, tau_j)
     out: dict[int, int] = {}
-    for u in range(e + 1):
-        w = _exact_div((q - 1) * r * u, delta * e * q, "table weight")
-        out[w] = out.get(w, 0) + comb(e, u) * (r - 1) ** u
-    return out
-
-
-def _closed_te_n2(tower, derived, multiset: DistinctPeriodMultiset
-                  ) -> dict[int, int]:
-    r, q, e, delta, N = tower.r, tower.q, derived.e, derived.delta, derived.N
-    taus = multiset.taus
-    vals = [v for v, _ in multiset.pairs]
-    out: dict[int, int] = {}
-    for u in _compositions(e, multiset.mu + 1):
+    for u in _compositions(e, len(groups) + 1):
         u0, us = u[0], u[1:]
-        scaled = CyclotomicInteger.from_int(tower.p, 0)
-        for uj, eta in zip(us, vals):
-            if uj:
-                scaled = scaled + uj * ((r - 1) - N * eta)
-        if not scaled.is_rational():
-            raise NonIntegralWeight(f"irrational table weight at {u}")
-        w = _exact_div((q - 1) * scaled.rational_value(), delta * e * q,
-                       "table weight")
+        X = sum(uj * ((r - 1) - N * eta) for uj, (eta, _) in zip(us, groups))
         freq = (factorial(e) // prod(factorial(x) for x in u)
                 * ((r - 1) // N) ** (e - u0)
-                * prod(t ** uj for t, uj in zip(taus, us)))
-        out[w] = out.get(w, 0) + freq
+                * prod(tau ** uj for (_, tau), uj in zip(groups, us)))
+        out[X] = out.get(X, 0) + freq
     return out
 
 
 def _closed_tlt_n1(tower, derived) -> dict[int, int]:
-    r, q, e, t, delta = tower.r, tower.q, derived.e, derived.t, derived.delta
+    r, e, t = tower.r, derived.e, derived.t
     out = {0: 1}
     for u in range(1, t + 1):
-        w = _exact_div((q - 1) * r * (e - t + u), delta * e * q, "table weight")
-        freq = comb(e, t - u) * sum(
+        out[r * (e - t + u)] = comb(e, t - u) * sum(
             (-1) ** k * comb(e - t + u, k) * (r ** (u - k) - 1)
             for k in range(u))
-        out[w] = out.get(w, 0) + freq
     return out
 
 
-def _closed_e3t2n2(tower, derived, pset: GaussianPeriodSet) -> dict[int, int]:
-    r, q, delta = tower.r, tower.q, derived.delta
+def _closed_e3t2n2(tower, derived, eta: tuple[int, ...]) -> dict[int, int]:
+    r = tower.r
     if r % 4 != 1:
         raise UnsupportedCase("this case forces r = 1 mod 4")
-    eta = pset.rational_values
-    if any(v is None for v in eta) or pset.L != 2:
-        raise UnsupportedCase("need rational order-2 periods")
     c00 = (r - 5) // 4
     mixed = 3 * (r - 1) // 4  # (0,1) + (1,0) + (1,1)
     half = (r - 1) // 2
-
-    def weight_of(T: int) -> int:
-        return _exact_div((q - 1) * (3 * (r - 1) - 2 * T), q * delta * 3,
-                          "table weight")
-
     rows = [(3 * half, 1)]  # all three arguments zero
     for v in eta:
         rows.append((half + 2 * v, 3 * (r - 1) // 2))
@@ -419,60 +352,38 @@ def _closed_e3t2n2(tower, derived, pset: GaussianPeriodSet) -> dict[int, int]:
     rows.append((2 * eta[0] + eta[1], half * mixed))
     rows.append((eta[0] + 2 * eta[1], half * mixed))
     out: dict[int, int] = {}
-    for T, freq in rows:
-        w = weight_of(T)
-        out[w] = out.get(w, 0) + freq
+    for T, freq in rows:  # X = e (r-1) - N T with e = 3, N = 2
+        X = 3 * (r - 1) - 2 * T
+        out[X] = out.get(X, 0) + freq
     return out
 
 
 def wd_closed(tower: FieldTower, spec: CodeSpec, derived: DerivedParams,
-              classification: CaseClassification | None = None,
-              pset: GaussianPeriodSet | None = None) -> WeightDistribution:
+              classification: CaseClassification | None = None
+              ) -> WeightDistribution:
     """Evaluate the closed-form table for the classified case (no
     enumeration; frequencies are exact big integers)."""
     if classification is None:
         classification = classify(tower, spec, derived)
     if not classification.supported:
-        if classification.reason and "minor" in classification.reason:
-            raise IndependenceFails(classification.reason)
-        raise UnsupportedCase(classification.reason or "unsupported case")
-    if pset is None:
-        pset = periods_for_classification(tower, derived, classification)
-    if classification.tag == TAG_TE_N1:
-        table = _closed_te_n1(tower, derived)
-    elif classification.tag == TAG_TE_N2:
-        table = _closed_te_n2(tower, derived, distinct_values(pset))
-    elif classification.tag == TAG_TLT_N1:
+        raise classification.error(classification.reason or "unsupported case")
+    tag = classification.tag
+    if tag == TAG_TE_N1:
+        table = _closed_te_n2(tower, derived, (-1,))  # the order-1 period
+    elif tag == TAG_TLT_N1:
         table = _closed_tlt_n1(tower, derived)
     else:
-        table = _closed_e3t2n2(tower, derived, pset)
-    dist = WeightDistribution.from_counts(derived.n, derived.t * tower.m, table)
+        periods = integer_periods(
+            periods_for_classification(tower, derived, classification))
+        if tag == TAG_TE_N2:
+            table = _closed_te_n2(tower, derived, periods)
+        else:
+            table = _closed_e3t2n2(tower, derived, periods)
+    dist = _from_period_sums(tower, derived, table)
     if dist.total != tower.r ** derived.t:
         raise FrequencySumMismatch(
             "closed table frequencies do not sum to r^t")
     return dist
-
-
-# ----------------------------------------------------------------------
-# Vanishing-pattern counts (supports the t < e frequency derivation).
-# ----------------------------------------------------------------------
-
-def count_vanishing_patterns(tower: FieldTower, derived: DerivedParams,
-                             E, cap: int = DEFAULT_TSUM_CAP) -> int:
-    """Number of nonzero inputs whose form values sum_tau x_tau beta_tau^h
-    vanish exactly for h in E (and nowhere else)."""
-    size = tower.r ** derived.t
-    if size > cap:
-        raise CapExceeded(f"r^t = {size} exceeds the cap {cap}")
-    E = frozenset(E)
-    if not all(0 <= h < derived.e for h in E):
-        raise ValueError("pattern indices must lie in [0, e)")
-    tally = _engine.vanishing_mask_tally(tower, derived)
-    mask = sum(1 << h for h in E)
-    count = int(tally[mask])
-    if len(E) == derived.e:
-        count -= 1  # the all-zero input vanishes everywhere
-    return count
 
 
 # ----------------------------------------------------------------------
@@ -611,12 +522,9 @@ def _sampling_check(tower, derived, closed: WeightDistribution,
     """Seeded spot check against a closed-form distribution: every sampled
     weight must lie in its support, and each weight class's observed count
     must sit within 3 sigma of the binomial expectation."""
-    pset = gaussian_periods(tower, derived.N)
-    rationals = pset.rational_values
-    if any(v is None for v in rationals):
-        return {"ok": False, "note": "irrational periods, sampling unavailable"}
+    periods = integer_periods(gaussian_periods(tower, derived.N))
     ws = _engine.sample_weights(
-        tower, derived, _nval_by_elem(tower, derived.N, rationals),
+        tower, derived, _nval_by_elem(tower, derived.N, periods),
         (tower.q, derived.delta, derived.e), caps.sample_count, caps.seed)
     observed = np.bincount(ws, minlength=derived.n + 1)
     support = set(closed.weights())

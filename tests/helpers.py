@@ -1,8 +1,9 @@
 """Shared test utilities: cached towers, independent float oracles, the
 unpruned modulus scan and scalar power table, the unreduced and unchunked
 enumeration kernels (with their own digit-by-digit field additions), the
-unblocked sampling kernel, and the deterministic spec grid used by the
-method-agreement and invariant tests."""
+unblocked sampling kernel, scalar codewords and the scalar period-sum
+weight, class tables, vanishing-pattern counts, and the deterministic spec
+grid used by the method-agreement and invariant tests."""
 
 from __future__ import annotations
 
@@ -10,14 +11,21 @@ import cmath
 import functools
 import random
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
-from cyclotome._engine import elem_of_code
+from cyclotome import _engine
+from cyclotome._engine import elem_of_code, weights_of_period_sums
 from cyclotome.codes import CodeSpec, derive_params, validate_assumptions
-from cyclotome.errors import GammaNotPrimitive, NonIntegralWeight
+from cyclotome.errors import (
+    CapExceeded,
+    GammaNotPrimitive,
+    NonIntegralWeight,
+    NotADivisor,
+)
 from cyclotome.gf import _x_is_primitive, build_field, is_irreducible
-from cyclotome.weights import classify
+from cyclotome.weights import classify, integer_periods
 
 
 @functools.lru_cache(maxsize=None)
@@ -265,7 +273,7 @@ def profile_code_tally_unchunked(tower, derived, N):
 
 
 def vanishing_mask_tally_unchunked(tower, derived):
-    """Reference for _engine.vanishing_mask_tally: one slab per x_1 over
+    """Reference for vanishing_mask_tally: one slab per x_1 over
     the whole (t-1)-axis fold, with field additions done digit by digit."""
     r, e = tower.r, derived.e
     luts = _per_h_luts(tower, derived, with_g=False)
@@ -303,6 +311,150 @@ def sample_weights_unblocked(tower, derived, nval_by_elem, q_delta_e,
     if np.any(num % den):
         raise NonIntegralWeight("sampled weight is not an integer")
     return num // den
+
+
+def trace_to_subfield(tower, x, target):
+    """Trace of x down to GF(q) (target="q") or GF(p) (target="p")."""
+    if target == "q":
+        return tower.trace_to_q(x)
+    if target == "p":
+        return tower.trace_to_p(x)
+    raise ValueError(f"target must be 'q' or 'p', got {target!r}")
+
+
+@dataclass(frozen=True)
+class CyclotomicClassTable:
+    """Order-L cyclotomic classes of GF(r)*: class i is gamma^i <gamma^L>."""
+
+    tower: object
+    L: int
+
+    @property
+    def class_size(self):
+        return (self.tower.r - 1) // self.L
+
+    def index_of(self, x):
+        return self.tower.dlog_of(x) % self.L
+
+    def class_elements(self, i):
+        return (int(v) for v in self.tower.exp[i % self.L::self.L])
+
+
+def cyclotomic_classes(tower, L):
+    if L < 1 or (tower.r - 1) % L:
+        raise NotADivisor(f"L = {L} does not divide r - 1 = {tower.r - 1}")
+    return CyclotomicClassTable(tower, L)
+
+
+def modified_period(pset, v):
+    """(r-1)/L at v = 0, otherwise the period of v's class.  Returns a plain
+    int whenever the value is rational."""
+    if v == 0:
+        return pset.eta_bar_zero
+    val = pset.values[pset.tower.dlog_of(v) % pset.L]
+    return val.rational_value() if val.is_rational() else val
+
+
+def eval_poly(poly, x):
+    """Value at x of a SubfieldPolynomial, by Horner's rule in GF(r)."""
+    t = poly.tower
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = t.add(t.mul(acc, x), c)
+    return acc
+
+
+def codeword(tower, derived, x_vec):
+    """Symbols Tr_{r/q}(sum_j x_j gamma^(a_j i)) for i = 0..n-1."""
+    powers = [tower.gamma_pow(ai) for ai in derived.a_list]
+    cur = list(x_vec)
+    out = []
+    for _ in range(derived.n):
+        acc = 0
+        for xj in cur:
+            acc = tower.add(acc, xj)
+        out.append(tower.trace_to_q(acc))
+        cur = [tower.mul(xj, w) for xj, w in zip(cur, powers)]
+    return tuple(out)
+
+
+def period_arguments(tower, derived, x_vec):
+    """The e period arguments g^h sum_tau x_tau beta_tau^h, one at a time."""
+    out = []
+    for h in range(derived.e):
+        v = 0
+        for x, b in zip(x_vec, derived.betas):
+            v = tower.add(v, tower.mul(x, tower.pow(b, h)))
+        out.append(tower.mul(tower.pow(derived.g, h), v))
+    return out
+
+
+def codeword_weight_from_periods(tower, derived, pset, x_vec):
+    """Scalar oracle: the Hamming weight of the codeword of x_vec via the
+    period-sum identity, in ints,
+
+        w = (q-1)/(q delta e) * [ e (r-1) - N T ],
+        T = sum_h modified_period(g^h * sum_tau x_tau beta_tau^h).
+    """
+    if pset.L != derived.N:
+        raise ValueError(f"need periods of order N = {derived.N}, got {pset.L}")
+    periods = integer_periods(pset)
+    q, r, e = tower.q, tower.r, derived.e
+    NT = sum(r - 1 if v == 0 else derived.N * periods[tower.dlog_of(v) % pset.L]
+             for v in period_arguments(tower, derived, x_vec))
+    num = (q - 1) * (e * (r - 1) - NT)
+    den = q * derived.delta * e
+    if num % den:
+        raise NonIntegralWeight(f"weight {num}/{den} is not an integer")
+    w = num // den
+    if not 0 <= w <= derived.n:
+        raise NonIntegralWeight(f"weight {w} outside [0, n]")
+    return w
+
+
+def decode_profile(code, N, e):
+    """(u_zero, per-class counts) of a packed class-sequence code."""
+    counts = [0] * (N + 1)
+    for _ in range(e):
+        code, digit = divmod(code, N + 1)
+        counts[digit] += 1
+    return counts[N], tuple(counts[:N])
+
+
+def profile_weight(tower, derived, periods, u_zero, class_counts):
+    """The weight of every input whose period arguments are u_zero zeros and
+    class_counts[i] members of class i, through the engine's weight map."""
+    r, N = tower.r, derived.N
+    X = (derived.e - u_zero) * (r - 1) - N * sum(
+        c * eta for c, eta in zip(class_counts, periods))
+    return int(weights_of_period_sums(np.array([X]), tower.q, derived.delta,
+                                      derived.e)[0])
+
+
+def vanishing_mask_tally(tower, derived):
+    """tally[mask] = number of inputs (including 0) whose sparse linear forms
+    sum_tau x_tau beta_tau^h vanish exactly on the coordinate set encoded by
+    mask's bits: the engine's sweep with one bit table per h."""
+    r, e = tower.r, derived.e
+    is_zero = (np.arange(r) == 0).astype(np.int64)
+    return _engine._sweep(tower, _per_h_luts(tower, derived, with_g=False),
+                          [is_zero << h for h in range(e)],
+                          [(c, 1) for c in range(r)], 1 << e)
+
+
+def count_vanishing_patterns(tower, derived, E, cap=10 ** 8):
+    """Number of nonzero inputs whose form values sum_tau x_tau beta_tau^h
+    vanish exactly for h in E (and nowhere else)."""
+    size = tower.r ** derived.t
+    if size > cap:
+        raise CapExceeded(f"r^t = {size} exceeds the cap {cap}")
+    E = frozenset(E)
+    if not all(0 <= h < derived.e for h in E):
+        raise ValueError("pattern indices must lie in [0, e)")
+    count = int(vanishing_mask_tally(tower, derived)[sum(1 << h for h in E)])
+    if len(E) == derived.e:
+        count -= 1  # the all-zero input vanishes everywhere
+    return count
 
 
 GRID_TOWERS = (

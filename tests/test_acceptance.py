@@ -13,7 +13,6 @@ from cyclotome.codes import CodeSpec, derive_params, validate_assumptions
 from cyclotome.corpus import golden_examples, run_example
 from cyclotome.cyclotomy import (
     cyclotomic_numbers,
-    distinct_values,
     gaussian_periods,
     gaussian_periods_closed_form,
 )
@@ -122,7 +121,8 @@ def test_criterion_4_closed_forms_vs_oracle():
         closed, _ = gaussian_periods_closed_form("order2", tw, 2)
         exact = gaussian_periods(tw, 2)
         assert closed.values == exact.values, r
-        assert closed.rational_multiset() == exact.rational_multiset() != None
+        assert None not in exact.rational_values
+        assert sorted(closed.rational_values) == sorted(exact.rational_values)
         quad += 1
     assert quad >= 16
 
@@ -136,8 +136,8 @@ def test_criterion_4_closed_forms_vs_oracle():
         assert 4 * p ** (sm // 3) == params.c1 ** 2 + 27 * params.d1 ** 2
         cubic_rs.append(tw.r)
     t343 = tower(7, 1, 3)
-    ms = gaussian_periods_closed_form("order3", t343, 3)[0].rational_multiset()
-    assert ms == (-12, 2, 9)
+    ms = gaussian_periods_closed_form("order3", t343, 3)[0].rational_values
+    assert sorted(ms) == [-12, 2, 9]
 
     # semiprimitive: >= 10 (p, L, v) triples with r <= 10^6, both branches
     triples = [(2, 3, 2), (2, 3, 3), (2, 5, 1), (2, 9, 1), (2, 17, 1),
@@ -233,8 +233,7 @@ def test_criterion_7_consistency_identities(grid_results):
         cl, d = rec["classification"], rec["derived"]
         if cl.tag != TAG_TE_N2:
             continue
-        mu = distinct_values(
-            gaussian_periods(rec["tower"], d.N)).mu
+        mu = len(set(gaussian_periods(rec["tower"], d.N).values))
         nonzero = sum(1 for w, _ in rec["closed"].entries if w > 0)
         assert nonzero <= comb(mu + d.e, d.e) - 1
         bound_checked += 1

@@ -201,7 +201,8 @@ def test_internal_inconsistency_exit_1(capsys, monkeypatch):
     # so the CLI reports it instead of printing a traceback
     from cyclotome import weights
 
-    monkeypatch.setattr(weights, "_closed_te_n1", lambda tower, derived: {0: 1})
+    monkeypatch.setattr(weights, "_closed_te_n2",
+                        lambda tower, derived, periods: {0: 1})
     code, out, err = run_cli(
         capsys, "weights", "--p", "3", "--s", "1", "--m", "3", "--e", "2",
         "--t", "2", "--a", "1", "--delta", "0,1", "--method", "closed")
@@ -209,15 +210,20 @@ def test_internal_inconsistency_exit_1(capsys, monkeypatch):
     assert err.startswith("error: closed table frequencies")
 
 
-def run_cli_process(*argv):
-    """Run the CLI in a fresh interpreter, so an uncaught exception would
-    show as a traceback on stderr."""
+def cli_env():
+    """The environment for a fresh interpreter that imports this checkout."""
     env = dict(os.environ)
     src = str(Path(cyclotome.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_cli_process(*argv):
+    """Run the CLI in a fresh interpreter, so an uncaught exception would
+    show as a traceback on stderr."""
     return subprocess.run([sys.executable, "-m", "cyclotome.cli", *argv],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=cli_env(),
                           timeout=60)
 
 
@@ -234,3 +240,23 @@ def test_bad_parameters_exit_1_without_traceback(argv, message):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and message in proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exit_1_without_traceback(unbuffered):
+    # the reader of stdout goes away before the CLI prints, as with
+    # `cyclotome verify ... --json | head -c 10`: exit 1, nothing on stderr.
+    # Block-buffered stdout fails at the final flush, unbuffered in print
+    env = cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with subprocess.Popen(
+            [sys.executable, "-m", "cyclotome.cli", "verify", "--p", "7",
+             "--m", "2", "--e", "2", "--t", "2", "--a", "1", "--delta", "0,1",
+             "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert err == ""

@@ -9,15 +9,18 @@ from hypothesis import given, strategies as st
 from cyclotome.codes import (
     CodeSpec,
     build_polynomials,
-    codeword,
-    codeword_weight_from_periods,
     derive_params,
     independent_power_rows,
     validate_assumptions,
 )
 from cyclotome.cyclotomy import gaussian_periods
 from cyclotome.errors import AssumptionViolated, EDoesNotDivide
-from helpers import tower, tower_for
+from helpers import (
+    codeword,
+    codeword_weight_from_periods,
+    tower,
+    tower_for,
+)
 
 S1 = CodeSpec(3, 1, 3, 2, 2, 1, (0, 1), (1, 2, 0, 1))
 S6 = CodeSpec(7, 1, 2, 3, 2, 2, (0, 1), (3, 6, 1))

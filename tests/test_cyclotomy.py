@@ -1,25 +1,31 @@
 """Cyclotomic classes/numbers, exact periods, and the four closed forms."""
 
 import cmath
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from cyclotome.cyclotomy import (
     CyclotomicInteger,
     applicable_closed_form,
-    cyclotomic_classes,
     cyclotomic_numbers,
-    distinct_values,
     gaussian_periods,
     gaussian_periods_closed_form,
     imaginary_quadratic_class_number,
     legendre,
-    modified_period,
     solve_index2_form,
 )
 from cyclotome.errors import BadL, HypothesisNotMet, NotADivisor
-from helpers import cyclo_to_complex, float_periods, tower
+from helpers import (
+    GRID_TOWERS,
+    cyclo_to_complex,
+    cyclotomic_classes,
+    float_periods,
+    modified_period,
+    tower,
+)
 
 T27 = tower(3, 1, 3, (1, 2, 0, 1))
 T49 = tower(7, 1, 2, (3, 6, 1))
@@ -38,15 +44,13 @@ class TestCyclotomicInteger:
         assert abs(cyclo_to_complex(a) - cyclo_to_complex(b)) < 1e-9
 
     @given(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
-           st.lists(st.integers(-9, 9), min_size=3, max_size=3),
-           st.integers(-4, 4))
-    def test_ring_ops_match_complex(self, ca, cb, k):
+           st.lists(st.integers(-9, 9), min_size=3, max_size=3))
+    def test_ring_ops_match_complex(self, ca, cb):
         a = CyclotomicInteger(3, tuple(ca))
         b = CyclotomicInteger(3, tuple(cb))
         za, zb = cyclo_to_complex(a), cyclo_to_complex(b)
         assert abs(cyclo_to_complex(a + b) - (za + zb)) < 1e-9
         assert abs(cyclo_to_complex(a - b) - (za - zb)) < 1e-9
-        assert abs(cyclo_to_complex(k * a) - k * za) < 1e-9
 
     def test_rationality_rule(self):
         assert CyclotomicInteger(5, (7, 2, 2, 2, 2)).rational_value() == 5
@@ -126,18 +130,42 @@ class TestExactPeriods:
         assert a == b == [-12, 2, 9]
 
 
+class TestIntegerPeriods:
+    def test_trace_zero_count_formula(self):
+        # for L | (r-1)/(q-1), GF(q)* lies in C_0, and summing the character
+        # over each coset z GF(q)* gives q [Tr_{r/q}(z) = 0] - 1; so every
+        # period is eta_i = (q Z_i - |C_i|)/(q-1), Z_i = #{y in C_i : Tr = 0}
+        pairs = 0
+        for p, s, m in GRID_TOWERS:
+            tw = tower(p, s, m)
+            r, q = tw.r, tw.q
+            M = (r - 1) // (q - 1)
+            trace_zero = tw.trace_q_vector[tw.exp] == 0
+            for L in (L for L in range(1, M + 1) if M % L == 0):
+                Z = np.bincount(np.flatnonzero(trace_zero) % L, minlength=L)
+                size = (r - 1) // L
+                assert all((q * int(z) - size) % (q - 1) == 0 for z in Z)
+                want = tuple((q * int(z) - size) // (q - 1) for z in Z)
+                assert gaussian_periods(tw, L).rational_values == want, \
+                    (p, s, m, L)
+                pairs += 1
+        assert pairs >= 120
+
+
 class TestDistinctValues:
     def test_r64(self):
-        dm = distinct_values(gaussian_periods(T64, 7))
-        assert dm.mu == 3
-        assert sum(dm.taus) == 7
-        assert dm.rational_pairs() == ((-3, 3), (1, 3), (5, 1))
+        groups = Counter(gaussian_periods(T64, 7).rational_values)
+        assert sorted(groups.items()) == [(-3, 3), (1, 3), (5, 1)]
 
     def test_pairwise_distinct(self):
-        dm = distinct_values(gaussian_periods(tower(3, 1, 4), 16))
-        vals = [v for v, _ in dm.pairs]
-        assert len(set(vals)) == len(vals)
-        assert sum(dm.taus) == 16
+        # irrational values group by their normalized counts exactly as
+        # their complex values do
+        values = gaussian_periods(tower(3, 1, 4), 16).values
+        groups = Counter(values)
+        assert sum(groups.values()) == 16
+        points = {complex(round(z.real, 6), round(z.imag, 6))
+                  for z in map(cyclo_to_complex, values)}
+        assert len(groups) == len(points)
 
 
 class TestModifiedPeriod:

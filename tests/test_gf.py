@@ -21,14 +21,15 @@ from cyclotome.gf import (
     min_poly,
     poly_mod,
     smallest_primitive_root,
-    trace_to_subfield,
 )
 from helpers import (
     GRID_TOWERS,
     default_modulus_unpruned,
     digit_matrix,
+    eval_poly,
     power_table_scalar,
     tower,
+    trace_to_subfield,
 )
 
 
@@ -66,9 +67,17 @@ class TestBuildField:
             build_field(3, 1, 2, modulus=(2, 0, 1))  # x^2 - 1
 
     def test_irreducible_but_not_primitive(self):
-        # x^2 + 1 over GF(3): x has order 4 < 8
-        with pytest.raises(GammaNotPrimitive):
-            build_field(3, 1, 2, modulus=(1, 0, 1))
+        # the power table is the only primitivity check of a given modulus
+        for p, s, m, modulus in (
+                (3, 1, 2, (1, 0, 1)),         # x^2 + 1: x has order 4 < 8
+                (5, 1, 1, (1, 1)),            # x + 1: gamma = 4 has order 2
+                (7, 1, 1, (5, 1)),            # x - 2: gamma = 2 has order 3
+                (5, 1, 1, (0, 1)),            # x: gamma = 0
+                (2, 1, 1, (0, 1)),
+                (2, 1, 4, (1, 1, 1, 1, 1)),   # x^4 + ... + 1: x has order 5
+                (2, 2, 2, (1, 1, 1, 1, 1))):
+            with pytest.raises(GammaNotPrimitive):
+                build_field(p, s, m, modulus=modulus)
 
     def test_table_cap(self):
         with pytest.raises(TowerTooLarge):
@@ -279,7 +288,7 @@ class TestMinPoly:
         for k in (1, 5, 14, 20):
             b = T27.gamma_pow(k)
             mp = min_poly(T27, b)
-            assert mp.eval_at(b) == 0
+            assert eval_poly(mp, b) == 0
             assert min_poly(T27, T27.pow(b, 3)).coeffs == mp.coeffs
             assert mp.degree == len(cyclotomic_coset(k, 3, 27))
 

@@ -14,26 +14,19 @@ import cyclotome
 from cyclotome import _engine
 from cyclotome._engine import (
     PROFILE_SPACE_LIMIT,
-    decode_profile,
     naive_weight_counts,
     period_sum_tally,
     profile_code_tally,
     sample_weights,
-    vanishing_mask_tally,
     x1_orbit_representatives,
 )
 from cyclotome.codes import (
     CodeSpec,
     DerivedParams,
-    codeword_weight_from_periods,
     derive_params,
     validate_assumptions,
 )
-from cyclotome.cyclotomy import (
-    GaussianPeriodSet,
-    distinct_values,
-    gaussian_periods,
-)
+from cyclotome.cyclotomy import gaussian_periods
 from cyclotome.errors import (
     CapExceeded,
     CriterionMismatch,
@@ -52,28 +45,32 @@ from cyclotome.weights import (
     TAG_TLT_N1,
     TAG_UNSUPPORTED,
     CaseClassification,
-    TProfile,
     VerificationReport,
     WeightDistribution,
     _check_invariants,
     _nval_by_elem,
+    _sampling_check,
     classify,
-    count_vanishing_patterns,
     cross_verify,
-    profile_weight,
     wd_closed,
     wd_naive,
     wd_tsum,
 )
 from helpers import (
     GRID_TOWERS,
+    codeword_weight_from_periods,
+    count_vanishing_patterns,
     criterion_grid,
+    decode_profile,
     naive_weight_counts_unreduced,
+    period_arguments,
     period_sum_tally_unreduced,
     profile_code_tally_unchunked,
+    profile_weight,
     sample_weights_unblocked,
     tower,
     tower_for,
+    vanishing_mask_tally,
     vanishing_mask_tally_unchunked,
 )
 
@@ -163,17 +160,20 @@ class TestTsum:
         with pytest.raises(CapExceeded):
             wd_tsum(tw, d, cap=10 ** 6)
 
-    def test_profile_route_matches_fast_route(self, monkeypatch):
-        # force the profile-decoding branch (normally reserved for
-        # irrational periods) and check it reproduces the direct tally
-        from cyclotome.cyclotomy import GaussianPeriodSet
-        tw, d = setup_for(S6)
-        fast = wd_tsum(tw, d)
-        monkeypatch.setattr(
-            GaussianPeriodSet, "rational_values",
-            property(lambda self: (None,) * self.L))
-        slow = wd_tsum(tw, d)
-        assert slow.entries == fast.entries
+    def test_profile_route_matches_fast_route(self):
+        # decode the class-profile tally through the integer weight formula:
+        # it must reproduce the period-sum distribution
+        for sp in (S1, S3, S6, STHM3):
+            tw, d = setup_for(sp)
+            periods = gaussian_periods(tw, d.N).rational_values
+            tally = profile_code_tally(tw, d, d.N)
+            counts: dict[int, int] = {}
+            for code in np.nonzero(tally)[0].tolist():
+                w = profile_weight(tw, d, periods,
+                                   *decode_profile(code, d.N, d.e))
+                counts[w] = counts.get(w, 0) + int(tally[code])
+            slow = WeightDistribution.from_counts(d.n, d.t * tw.m, counts)
+            assert slow.entries == wd_tsum(tw, d).entries, sp
 
     def test_agrees_with_naive_outside_validity(self):
         # the period-sum identity never used the distinctness or degree
@@ -204,36 +204,29 @@ class TestProfiles:
         tw, d = setup_for(S6)
         ps = gaussian_periods(tw, d.N)
         x = (5, 29)
-        parts = []
-        for h in range(d.e):
-            v = 0
-            for xj, b in zip(x, d.betas):
-                v = tw.add(v, tw.mul(xj, tw.pow(b, h)))
-            parts.append(tw.mul(tw.pow(d.g, h), v))
+        parts = period_arguments(tw, d, x)
         u0 = sum(1 for v in parts if v == 0)
         counts = [0] * d.N
         for v in parts:
             if v:
                 counts[tw.dlog_of(v) % d.N] += 1
-        prof = TProfile(u0, tuple(counts))
-        assert profile_weight(tw, d, ps, prof) == \
+        assert profile_weight(tw, d, ps.rational_values, u0, counts) == \
             codeword_weight_from_periods(tw, d, ps, x)
 
-    def test_irrational_period_arithmetic(self):
-        # order-16 periods of GF(81) are not all rational; the profile
-        # machinery must still produce exact integers for balanced profiles
-        # and refuse unbalanced ones
+    def test_irrational_periods_raise(self):
+        # order-16 periods of GF(81) are not all rational: 16 does not
+        # divide (r-1)/(q-1) = 40, so no real spec has N = 16 here.  Fake
+        # parameters that claim it must stop the period-sum and sampling
+        # routes instead of weighing with irrational periods
         tw = tower(3, 1, 4)
-        ps = gaussian_periods(tw, 16)
-        assert any(v is None for v in ps.rational_values)
+        assert any(v is None for v in gaussian_periods(tw, 16).rational_values)
         fake = DerivedParams(e=16, t=2, a=1, a_list=(1, 6), delta=1, n=80,
                              N=16, g=tw.gamma, betas=(1, tw.gamma))
-        balanced = TProfile(0, (1,) * 16)  # sum of all periods is -1
-        w = profile_weight(tw, fake, ps, balanced)
-        assert w == (tw.q - 1) * (16 * 80 + 16) // (tw.q * 16)
-        lopsided = TProfile(15, (1,) + (0,) * 15)
-        with pytest.raises(NonIntegralWeight):
-            profile_weight(tw, fake, ps, lopsided)
+        with pytest.raises(InconsistentPeriods):
+            wd_tsum(tw, fake)
+        closed = WeightDistribution.from_counts(80, 8, {0: 1})
+        with pytest.raises(InconsistentPeriods):
+            _sampling_check(tw, fake, closed, Caps(sample_count=10))
 
 
 class TestClosed:
@@ -619,12 +612,6 @@ class TestTypedChecks:
         with pytest.raises(UnsupportedCase):
             _check_invariants(rep, tw, S1, d, True)
 
-    def test_period_multiplicities_must_add_up_to_L(self):
-        tw, _ = setup_for(S1)
-        values = gaussian_periods(tw, 2).values
-        with pytest.raises(InconsistentPeriods):
-            distinct_values(GaussianPeriodSet(tw, 13, values, "exact"))
-
     def test_fast_criterion_mismatch(self, monkeypatch):
         # golden 1 has N = 1, so the sqrt-bound criterion claims iii; cosets
         # of the wrong size contradict it
@@ -636,8 +623,8 @@ class TestTypedChecks:
 
     def test_closed_frequency_sum(self, monkeypatch):
         tw, d = setup_for(S1)
-        monkeypatch.setattr(cyclotome.weights, "_closed_te_n1",
-                            lambda tower, derived: {0: 1, 9: 52})
+        monkeypatch.setattr(cyclotome.weights, "_closed_te_n2",
+                            lambda tower, derived, periods: {0: 1, 9: 52})
         with pytest.raises(FrequencySumMismatch):
             wd_closed(tw, S1, d)
 
@@ -680,12 +667,11 @@ class TestTableConsistency:
 
     def test_weight_count_bound(self):
         # distinct nonzero weights never exceed C(mu + e, e) - 1
-        from cyclotome.cyclotomy import distinct_values
         for sp, d, cl in criterion_grid()[:20]:
             if cl.tag != TAG_TE_N2:
                 continue
             tw = tower_for(sp)
-            mu = distinct_values(gaussian_periods(tw, d.N)).mu
+            mu = len(set(gaussian_periods(tw, d.N).values))
             dist = wd_closed(tw, sp, d, cl)
             nonzero = sum(1 for w, _ in dist.entries if w > 0)
             assert nonzero <= comb(mu + d.e, d.e) - 1
