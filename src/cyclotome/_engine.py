@@ -136,9 +136,9 @@ def naive_weight_counts(tower: FieldTower, derived: DerivedParams) -> np.ndarray
 SWEEP_BYTES = 1 << 22
 
 
-def _per_h_luts(tower: FieldTower, derived: DerivedParams,
-                with_g: bool) -> list[list[np.ndarray]]:
-    """luts[h][tau][code] = K * elem(code) with K = (g b_tau)^h (or b_tau^h).
+def _per_h_luts(tower: FieldTower, derived: DerivedParams
+                ) -> list[list[np.ndarray]]:
+    """luts[h][tau][code] = K * elem(code) with K = (g b_tau)^h.
     Code 1 + i is gamma^i, so past code 0 a lut is the power table rotated
     by log K: a slice of the table written out twice."""
     r1 = tower.r - 1
@@ -147,8 +147,7 @@ def _per_h_luts(tower: FieldTower, derived: DerivedParams,
     for h in range(derived.e):
         row = []
         for b in derived.betas:
-            base = tower.mul(derived.g, b) if with_g else b
-            k = h * tower.dlog_of(base) % r1
+            k = h * tower.dlog_of(tower.mul(derived.g, b)) % r1
             lut = np.zeros(tower.r, dtype=np.int32)
             lut[1:] = exp2[k:k + r1]
             row.append(lut)
@@ -210,7 +209,7 @@ def period_sum_tally(tower: FieldTower, derived: DerivedParams,
     weight, so one slab of x_1 per orbit (x1_orbit_representatives) stands
     for its whole orbit."""
     r, e = tower.r, derived.e
-    return _sweep(tower, _per_h_luts(tower, derived, with_g=True),
+    return _sweep(tower, _per_h_luts(tower, derived),
                   [(r - 1) - nval_by_elem] * e,
                   x1_orbit_representatives(tower, derived),
                   2 * e * (r - 1) + 1)
@@ -235,7 +234,7 @@ def profile_code_tally(tower: FieldTower, derived: DerivedParams,
             f"profile space (N+1)^e = {base}^{e} is too large to tabulate")
     cls = np.full(r, N, dtype=np.int64)
     cls[tower.exp] = np.arange(r - 1, dtype=np.int64) % N
-    return _sweep(tower, _per_h_luts(tower, derived, with_g=True),
+    return _sweep(tower, _per_h_luts(tower, derived),
                   [cls * base ** h for h in range(e)],
                   [(c, 1) for c in range(r)], base ** e)
 
@@ -256,8 +255,8 @@ def weights_of_period_sums(X: np.ndarray, q: int, delta: int,
 
 
 def sample_weights(tower: FieldTower, derived: DerivedParams,
-                   nval_by_elem: np.ndarray, q_delta_e: tuple[int, int, int],
-                   count: int, seed: int) -> np.ndarray:
+                   nval_by_elem: np.ndarray, count: int,
+                   seed: int) -> np.ndarray:
     """Weights of `count` seeded-uniform inputs, via the period identity.
 
     nval_by_elem[v] must hold N * eta(class of v) for v != 0 and r - 1 at
@@ -270,8 +269,7 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
     with gamma^k is exp2[c - 1 + k] in the power table written out twice,
     and a zero code contributes zero.
     """
-    q, delta, e = q_delta_e
-    r, t = tower.r, derived.t
+    r, t, e = tower.r, derived.t, derived.e
     r1 = r - 1
     dtype = np.int32 if r <= 2 ** 31 else np.int64
     exp2 = np.tile(tower.exp.astype(dtype), 2)
@@ -296,5 +294,5 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
                 v = term if v is None else tower.add_arrays(v, term)
             acc += nval_by_elem.take(v)
         out[lo:lo + size] = weights_of_period_sums(
-            e * r1 - acc, q, delta, e)
+            e * r1 - acc, tower.q, derived.delta, e)
     return out

@@ -193,18 +193,6 @@ def cmd_cyclonum(args) -> int:
     return 0
 
 
-def _weights_json(spec, classification, derived, tower, dist, agreed) -> dict:
-    return {
-        "spec": spec.to_json_dict(),
-        "classification": classification.to_json_dict(),
-        "n": derived.n,
-        "k": derived.t * tower.m,
-        "d": dist.d,
-        "weights": dist.to_json_entries(),
-        "methods_agreed": agreed,
-    }
-
-
 def cmd_weights(args) -> int:
     spec = _spec_from_args(args)
     caps = _caps_from_args(args)
@@ -219,8 +207,6 @@ def cmd_weights(args) -> int:
             method = "closed"
         elif size <= caps.tsum:
             method = "tsum"
-        elif size <= caps.naive:
-            method = "naive"
         else:
             raise CyclotomeError(
                 f"no feasible method: case is {classification.tag} "
@@ -233,8 +219,15 @@ def cmd_weights(args) -> int:
     else:
         dist = wd_naive(tower, derived, cap=caps.naive)
     if args.json:
-        print(canonical_json(_weights_json(spec, classification, derived,
-                                           tower, dist, None)))
+        print(canonical_json({
+            "spec": spec.to_json_dict(),
+            "classification": classification.to_json_dict(),
+            "n": derived.n,
+            "k": derived.t * tower.m,
+            "d": dist.d,
+            "weights": dist.to_json_entries(),
+            "methods_agreed": None,
+        }))
         return 0
     print(f"[{derived.n}, {derived.t * tower.m}, {dist.d}] code over "
           f"GF({tower.q}), method {method}, case {classification.tag}"

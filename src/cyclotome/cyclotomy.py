@@ -18,10 +18,12 @@ are implemented for four classical situations:
 * order2:        L = 2, quadratic Gauss sums (rational when s*m is even);
 * order3:        L = 3 with p = 1 mod 3 and 3 | s*m, via 4p^(sm/3) = c^2 + 27d^2;
 * semiprimitive: p^j = -1 mod L, two rational values;
-* index2:        L = 3 mod 4 prime, p a quadratic residue mod L, via the
-                 class number of Q(sqrt(-L)) and a^2 + L b^2 = 4 p^h.
+* index2:        L = 3 mod 4 prime, L != 3, with <p> of index 2 in (Z/L)*,
+                 i.e. ord_L(p) = (L-1)/2, via the class number of
+                 Q(sqrt(-L)) and a^2 + L b^2 = 4 p^h.
 
-Closed forms are always cross-checkable against the exact oracle; the
+applicable_closed_form is the one statement of these hypotheses.  Closed
+forms are always cross-checkable against the exact oracle; the
 order3 and index2 variants use the oracle to pin the class labels that
 genuinely depend on the choice of gamma (only the value multiset is
 canonical there).
@@ -42,7 +44,7 @@ from .errors import (
     NoDiophantineSolution,
     NotADivisor,
 )
-from .gf import FieldTower, is_prime
+from .gf import FieldTower, factorize, is_prime
 
 
 def legendre(a: int, p: int) -> int:
@@ -152,7 +154,6 @@ class GaussianPeriodSet:
     tower: FieldTower
     L: int
     values: tuple[CyclotomicInteger, ...]
-    source: str  # "exact" or "closed:<variant>"
 
     @property
     def eta_bar_zero(self) -> int:
@@ -186,7 +187,7 @@ def gaussian_periods(tower: FieldTower, L: int) -> GaussianPeriodSet:
     values = tuple(CyclotomicInteger(p, tuple(int(c) for c in row))
                    for row in tall)
     _check_period_sum(values)
-    return GaussianPeriodSet(tower, L, values, source="exact")
+    return GaussianPeriodSet(tower, L, values)
 
 
 # ----------------------------------------------------------------------
@@ -291,10 +292,6 @@ def _closed_order2(tower: FieldTower):
 
 def _closed_order3(tower: FieldTower, exact: GaussianPeriodSet):
     p, sm = tower.p, tower.s * tower.m
-    if p % 3 != 1:
-        raise HypothesisNotMet(f"p = {p} is not 1 mod 3")
-    if sm % 3:
-        raise HypothesisNotMet(f"s*m = {sm} is not divisible by 3")
     R = p ** (sm // 3)
     target = 4 * R
     candidates = []
@@ -331,13 +328,7 @@ def semiprimitive_j(p: int, L: int) -> int | None:
 
 def _closed_semiprimitive(tower: FieldTower, L: int):
     p, sm = tower.p, tower.s * tower.m
-    if L <= 2:
-        raise HypothesisNotMet("semiprimitive form needs L > 2")
     j = semiprimitive_j(p, L)
-    if j is None:
-        raise HypothesisNotMet(f"no j with {p}^j = -1 mod {L}")
-    if sm % (2 * j):
-        raise HypothesisNotMet(f"s*m = {sm} is not a multiple of 2j = {2*j}")
     v = sm // (2 * j)
     sqrt_r = p ** (j * v)
     if v % 2 and p % 2 and ((p ** j + 1) // L) % 2:
@@ -362,12 +353,6 @@ def _closed_semiprimitive(tower: FieldTower, L: int):
 
 def _closed_index2(tower: FieldTower, L: int, exact: GaussianPeriodSet):
     p, sm = tower.p, tower.s * tower.m
-    if L == 3 or L % 4 != 3 or not is_prime(L):
-        raise HypothesisNotMet(f"L = {L} is not a prime = 3 mod 4 (or is 3)")
-    if legendre(p, L) != 1:
-        raise HypothesisNotMet(f"p = {p} is not a quadratic residue mod {L}")
-    if (2 * sm) % (L - 1):
-        raise HypothesisNotMet(f"(L-1)/2 = {(L-1)//2} does not divide s*m = {sm}")
     k = 2 * sm // (L - 1)
     h_L = imaginary_quadratic_class_number(L)
     a, b = solve_index2_form(L, p, h_L)
@@ -401,7 +386,29 @@ def _closed_index2(tower: FieldTower, L: int, exact: GaussianPeriodSet):
         "index-2 closed form does not reproduce the exact periods")
 
 
-CLOSED_FORM_VARIANTS = ("order2", "order3", "semiprimitive", "index2")
+def applicable_closed_form(tower: FieldTower, L: int) -> str | None:
+    """The closed-form variant whose hypotheses hold at order L, or None.
+
+    The one statement of the four hypotheses, a test on (p, s*m, L) alone.
+    L | r - 1 makes ord_L(p) divide s*m, so the divisibility each form needs
+    (2j | s*m, (L-1)/2 | s*m) holds already.  No two hypotheses hold at
+    once: p^j = -1 mod L needs ord_L(p) even, index 2 has it odd, and at
+    L = 3 order3 asks p = 1 mod 3 where semiprimitive has p = 2 mod 3.
+    """
+    p, sm = tower.p, tower.s * tower.m
+    if L < 2 or (tower.r - 1) % L:
+        return None
+    if L == 2:
+        return "order2"
+    if L == 3 and p % 3 == 1 and sm % 3 == 0:
+        return "order3"
+    if semiprimitive_j(p, L) is not None:
+        return "semiprimitive"
+    half = (L - 1) // 2
+    if (L % 4 == 3 and L != 3 and is_prime(L) and pow(p, half, L) == 1
+            and all(pow(p, half // ell, L) != 1 for ell in factorize(half))):
+        return "index2"
+    return None
 
 
 def gaussian_periods_closed_form(
@@ -415,31 +422,16 @@ def gaussian_periods_closed_form(
     """
     if L < 1 or (tower.r - 1) % L:
         raise NotADivisor(f"L = {L} does not divide r - 1 = {tower.r - 1}")
+    if applicable_closed_form(tower, L) != variant:
+        raise HypothesisNotMet(
+            f"the {variant} hypotheses fail for L = {L} over GF({tower.r})")
     if variant == "order2":
-        if L != 2:
-            raise HypothesisNotMet("order2 form needs L = 2")
         vals, params = _closed_order2(tower)
     elif variant == "order3":
-        if L != 3:
-            raise HypothesisNotMet("order3 form needs L = 3")
         vals, params = _closed_order3(tower, gaussian_periods(tower, 3))
     elif variant == "semiprimitive":
         vals, params = _closed_semiprimitive(tower, L)
-    elif variant == "index2":
-        vals, params = _closed_index2(tower, L, gaussian_periods(tower, L))
     else:
-        raise ValueError(f"unknown variant {variant!r}")
-    pset = GaussianPeriodSet(tower, L, vals, source=f"closed:{variant}")
+        vals, params = _closed_index2(tower, L, gaussian_periods(tower, L))
     _check_period_sum(vals)
-    return pset, params
-
-
-def applicable_closed_form(tower: FieldTower, L: int) -> str | None:
-    """The first closed-form variant whose hypotheses hold, or None."""
-    for variant in CLOSED_FORM_VARIANTS:
-        try:
-            gaussian_periods_closed_form(variant, tower, L)
-            return variant
-        except (HypothesisNotMet, NotADivisor):
-            continue
-    return None
+    return GaussianPeriodSet(tower, L, vals), params

@@ -387,22 +387,6 @@ class FieldTower:
             s[k] = (-acc) % p
         return tuple(s)
 
-    def trace_to_p(self, a: Element) -> int:
-        """Tr_{r/p}(a) = sum of the p-power conjugates, as an int in [0, p)."""
-        basis = self._trace_basis
-        p, out = self.p, 0
-        for i in range(self.degree):
-            a, c = divmod(a, p)
-            out = (out + c * basis[i]) % p
-        return out
-
-    def trace_to_q(self, a: Element) -> Element:
-        """Tr_{r/q}(a) = sum_{i<m} a^(q^i), an element of the GF(q) subfield."""
-        out = 0
-        for i in range(self.m):
-            out = self.add(out, self.pow(a, self.q ** i))
-        return out
-
     def in_subfield_q(self, a: Element) -> bool:
         return a == 0 or self.pow(a, self.q) == a
 
@@ -420,11 +404,11 @@ class FieldTower:
 
     @cached_property
     def trace_p_vector(self) -> np.ndarray:
-        """trace_to_p for every element, shape (r,), dtype int64.  Trace is
-        GF(p)-linear, so it is the sum over chunks of a partial trace; each
-        chunk's partial trace is a table of p^digits entries, and their
-        outer sum, most significant chunk first, is the trace in element
-        order."""
+        """Tr_{r/p} of every element as an int in [0, p), shape (r,), dtype
+        int64.  Trace is GF(p)-linear, so it is the sum over chunks of a
+        partial trace; each chunk's partial trace is a table of p^digits
+        entries, and their outer sum, most significant chunk first, is the
+        trace in element order."""
         p, basis = self.p, self._trace_basis
         v = np.zeros(1, dtype=np.int64)
         for lo, count in reversed(self._chunks):
@@ -437,7 +421,8 @@ class FieldTower:
 
     @cached_property
     def trace_q_vector(self) -> np.ndarray:
-        """trace_to_q for every element (packed values), shape (r,)."""
+        """Tr_{r/q}(x) = sum_{i<m} x^(q^i) of every element (packed GF(q)
+        subfield values), shape (r,)."""
         r1 = self.r - 1
         ks = np.arange(r1, dtype=np.int64)
         v = np.zeros(self.r, dtype=np.int64)

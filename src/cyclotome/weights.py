@@ -58,10 +58,9 @@ from .codes import (
 )
 from .cyclotomy import (
     GaussianPeriodSet,
+    applicable_closed_form,
     gaussian_periods,
     gaussian_periods_closed_form,
-    legendre,
-    semiprimitive_j,
 )
 from .errors import (
     CapExceeded,
@@ -71,7 +70,7 @@ from .errors import (
     IndependenceFails,
     UnsupportedCase,
 )
-from .gf import FieldTower, is_prime
+from .gf import FieldTower
 
 DEFAULT_NAIVE_CAP = 10 ** 7
 DEFAULT_TSUM_CAP = 10 ** 8
@@ -155,10 +154,6 @@ TAG_TLT_N1 = "t<e,N=1"
 TAG_E3T2N2 = "e=3,t=2,N=2"
 TAG_UNSUPPORTED = "unsupported"
 
-SOURCE_ORDER2 = "order2"
-SOURCE_ORDER3 = "order3"
-SOURCE_SEMIPRIMITIVE = "semiprimitive"
-SOURCE_INDEX2 = "index2"
 SOURCE_EXACT = "exact"
 
 
@@ -190,20 +185,12 @@ def classify(tower: FieldTower, spec: CodeSpec, derived: DerivedParams,
     if not report.all_hold:
         return CaseClassification(
             TAG_UNSUPPORTED, reason=f"conditions {report.failing()} fail")
-    N, p, sm = derived.N, tower.p, tower.s * tower.m
+    N = derived.N
     if spec.t == spec.e:
         if N == 1:
             return CaseClassification(TAG_TE_N1)
-        if N == 2:
-            return CaseClassification(TAG_TE_N2, SOURCE_ORDER2)
-        if N == 3 and p % 3 == 1:
-            return CaseClassification(TAG_TE_N2, SOURCE_ORDER3)
-        if N > 2 and semiprimitive_j(p, N) is not None:
-            return CaseClassification(TAG_TE_N2, SOURCE_SEMIPRIMITIVE)
-        if (N != 3 and N % 4 == 3 and is_prime(N)
-                and legendre(p, N) == 1 and (2 * sm) % (N - 1) == 0):
-            return CaseClassification(TAG_TE_N2, SOURCE_INDEX2)
-        return CaseClassification(TAG_TE_N2, SOURCE_EXACT)
+        return CaseClassification(
+            TAG_TE_N2, applicable_closed_form(tower, N) or SOURCE_EXACT)
     if N == 1:
         if independent_power_rows(tower, derived):
             return CaseClassification(TAG_TLT_N1)
@@ -438,7 +425,7 @@ class VerificationReport:
         }
 
 
-def _check_invariants(report: VerificationReport, tower, spec, derived,
+def _check_invariants(report: VerificationReport, tower, derived,
                       cond_iii: bool) -> None:
     r, q = tower.r, tower.q
     size = r ** derived.t
@@ -508,7 +495,7 @@ def cross_verify(spec: CodeSpec, caps: Caps = Caps()) -> VerificationReport:
                               f"{eb[diff] if diff < len(eb) else None}")
             break
 
-    _check_invariants(rep, tower, spec, derived, report_a.cond_iii)
+    _check_invariants(rep, tower, derived, report_a.cond_iii)
 
     if "closed" in rep.distributions and not any(
             m in rep.distributions for m in ("naive", "tsum")):
@@ -525,7 +512,7 @@ def _sampling_check(tower, derived, closed: WeightDistribution,
     periods = integer_periods(gaussian_periods(tower, derived.N))
     ws = _engine.sample_weights(
         tower, derived, _nval_by_elem(tower, derived.N, periods),
-        (tower.q, derived.delta, derived.e), caps.sample_count, caps.seed)
+        caps.sample_count, caps.seed)
     observed = np.bincount(ws, minlength=derived.n + 1)
     support = set(closed.weights())
     outside = [int(w) for w in np.nonzero(observed)[0] if int(w) not in support]

@@ -1,9 +1,9 @@
 """Shared test utilities: cached towers, independent float oracles, the
 unpruned modulus scan and scalar power table, the unreduced and unchunked
 enumeration kernels (with their own digit-by-digit field additions), the
-unblocked sampling kernel, scalar codewords and the scalar period-sum
-weight, class tables, vanishing-pattern counts, and the deterministic spec
-grid used by the method-agreement and invariant tests."""
+unblocked sampling kernel, scalar traces, scalar codewords and the scalar
+period-sum weight, class tables, vanishing-pattern counts, and the
+deterministic spec grid used by the method-agreement and invariant tests."""
 
 from __future__ import annotations
 
@@ -51,12 +51,32 @@ def digit_matrix(tower):
     return out.T
 
 
+def trace_to_p(tower, a):
+    """Tr_{r/p}(a) = sum of the p-power conjugates, as an int in [0, p):
+    the scalar form of tower.trace_p_vector, through the trace basis."""
+    basis = tower._trace_basis
+    p, out = tower.p, 0
+    for i in range(tower.degree):
+        a, c = divmod(a, p)
+        out = (out + c * basis[i]) % p
+    return out
+
+
+def trace_to_q(tower, a):
+    """Tr_{r/q}(a) = sum_{i<m} a^(q^i), an element of the GF(q) subfield:
+    the scalar form of tower.trace_q_vector."""
+    out = 0
+    for i in range(tower.m):
+        out = tower.add(out, tower.pow(a, tower.q ** i))
+    return out
+
+
 def float_periods(tw, L):
     """Independent complex-arithmetic period oracle (rounded)."""
     vals = [0j] * L
     for k in range(tw.r - 1):
         x = int(tw.exp[k])
-        vals[k % L] += cmath.exp(2j * cmath.pi * tw.trace_to_p(x) / tw.p)
+        vals[k % L] += cmath.exp(2j * cmath.pi * trace_to_p(tw, x) / tw.p)
     return [complex(round(v.real, 6), round(v.imag, 6)) for v in vals]
 
 
@@ -316,9 +336,9 @@ def sample_weights_unblocked(tower, derived, nval_by_elem, q_delta_e,
 def trace_to_subfield(tower, x, target):
     """Trace of x down to GF(q) (target="q") or GF(p) (target="p")."""
     if target == "q":
-        return tower.trace_to_q(x)
+        return trace_to_q(tower, x)
     if target == "p":
-        return tower.trace_to_p(x)
+        return trace_to_p(tower, x)
     raise ValueError(f"target must be 'q' or 'p', got {target!r}")
 
 
@@ -373,7 +393,7 @@ def codeword(tower, derived, x_vec):
         acc = 0
         for xj in cur:
             acc = tower.add(acc, xj)
-        out.append(tower.trace_to_q(acc))
+        out.append(trace_to_q(tower, acc))
         cur = [tower.mul(xj, w) for xj, w in zip(cur, powers)]
     return tuple(out)
 

@@ -62,6 +62,15 @@ def test_periods_human_and_closed_form(capsys):
     assert "index2" in out and "matches exact: True" in out
 
 
+def test_periods_without_closed_form(capsys):
+    # 29 is 1 mod 7: a square, but of order 1, so the index-2 form does
+    # not apply
+    code, out, _ = run_cli(capsys, "periods", "--p", "29", "--m", "3",
+                           "--L", "7")
+    assert code == 0
+    assert "closed form: none applicable" in out
+
+
 def test_periods_json_schema(capsys):
     code, out, _ = run_cli(
         capsys, "periods", "--p", "2", "--s", "1", "--m", "6", "--L", "7",

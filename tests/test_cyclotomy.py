@@ -18,6 +18,7 @@ from cyclotome.cyclotomy import (
     solve_index2_form,
 )
 from cyclotome.errors import BadL, HypothesisNotMet, NotADivisor
+from cyclotome.gf import is_prime
 from helpers import (
     GRID_TOWERS,
     cyclo_to_complex,
@@ -31,6 +32,8 @@ T27 = tower(3, 1, 3, (1, 2, 0, 1))
 T49 = tower(7, 1, 2, (3, 6, 1))
 T64 = tower(2, 1, 6, (1, 1, 0, 1, 1, 0, 1))
 T343 = tower(7, 1, 3, (4, 0, 6, 1))
+
+VARIANTS = ("order2", "order3", "semiprimitive", "index2")
 
 
 class TestCyclotomicInteger:
@@ -271,3 +274,43 @@ class TestClosedForms:
     def test_not_a_divisor(self):
         with pytest.raises(NotADivisor):
             gaussian_periods_closed_form("order2", T64, 2)
+
+
+class TestApplicability:
+    def test_rule_matches_the_forms_on_every_small_field(self):
+        # every field p^d <= 5000 with p < 100 and every L | r - 1: the
+        # variant the rule names reproduces the oracle, and every other
+        # variant refuses with HypothesisNotMet
+        pairs, seen = 0, Counter()
+        for p in (p for p in range(2, 100) if is_prime(p)):
+            d = 1
+            while p ** d <= 5000:
+                tw = tower(p, 1, d)
+                for L in range(1, tw.r):
+                    if (tw.r - 1) % L:
+                        continue
+                    variant = applicable_closed_form(tw, L)
+                    seen[variant] += 1
+                    exact = gaussian_periods(tw, L).values
+                    for v in VARIANTS:
+                        if v == variant:
+                            closed, _ = gaussian_periods_closed_form(v, tw, L)
+                            assert closed.values == exact, (p, d, L, v)
+                        else:
+                            with pytest.raises(HypothesisNotMet):
+                                gaussian_periods_closed_form(v, tw, L)
+                    pairs += 1
+                d += 1
+        assert pairs == 820  # 753 of them with L >= 2, plus L = 1 per field
+        assert set(seen) == set(VARIANTS) | {None}
+
+    @pytest.mark.parametrize("p, d, L", [(29, 3, 7), (43, 3, 7), (2, 15, 31)])
+    def test_residue_of_smaller_order_is_not_index2(self, p, d, L):
+        # p is a square mod L, but ord_L(p) < (L-1)/2, so <p> has index
+        # above 2 and the index-2 evaluation does not apply
+        tw = tower(p, 1, d)
+        order = next(k for k in range(1, L) if pow(p, k, L) == 1)
+        assert legendre(p, L) == 1 and order < (L - 1) // 2
+        assert applicable_closed_form(tw, L) is None
+        with pytest.raises(HypothesisNotMet):
+            gaussian_periods_closed_form("index2", tw, L)

@@ -52,6 +52,7 @@ from cyclotome.weights import (
     _sampling_check,
     classify,
     cross_verify,
+    periods_for_classification,
     wd_closed,
     wd_naive,
     wd_tsum,
@@ -109,6 +110,17 @@ class TestClassify:
         tw, d = setup_for(sp)
         cl = classify(tw, sp, d)
         assert d.N == 8 and (cl.tag, cl.period_source) == (TAG_TE_N2, "exact")
+
+    def test_index_above_two_uses_the_oracle(self):
+        # N = 31 over GF(2^15): 2 is a square mod 31 but has order 5, not
+        # 15, so no closed form applies and the t = e table takes the
+        # oracle's periods
+        sp = CodeSpec(2, 1, 15, 31, 31, 1, tuple(range(31)))
+        tw, d = setup_for(sp)
+        cl = classify(tw, sp, d)
+        assert d.N == 31 and (cl.tag, cl.period_source) == (TAG_TE_N2, "exact")
+        pset = periods_for_classification(tw, d, cl)
+        assert pset.values == gaussian_periods(tw, 31).values
 
     def test_unsupported_cases(self):
         # t < e with N >= 2 outside the six-weight case
@@ -352,7 +364,7 @@ class TestCrossVerify:
         nval[0] = tw.r - 1
         vals = np.array(ps.rational_values, dtype=np.int64) * d.N
         nval[tw.exp] = vals[np.arange(tw.r - 1) % d.N]
-        ws = sample_weights(tw, d, nval, (tw.q, d.delta, d.e), 50, seed=123)
+        ws = sample_weights(tw, d, nval, 50, seed=123)
         rng = np.random.default_rng(123)
         codes = rng.integers(0, tw.r, size=(50, 7))
         eoc = np.concatenate([[0], tw.exp])
@@ -569,7 +581,7 @@ class TestBlockedSampling:
                               (1 << 10, 1001)):
             monkeypatch.setattr(_engine, "SWEEP_BYTES", budget)
             assert count % (budget // (8 * d.t)) != 0
-            got = sample_weights(tw, d, nval, qde, count, seed=3)
+            got = sample_weights(tw, d, nval, count, seed=3)
             want = sample_weights_unblocked(tw, d, nval, qde, count, seed=3)
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, want, err_msg=f"{budget} B")
@@ -578,10 +590,10 @@ class TestBlockedSampling:
         # 1e6 draws on 2^20: the int64 output and the doubled power table
         # (8 MB each) plus a few SWEEP_BYTES of block temporaries; the
         # unblocked kernel peaks at about 93 MB here
-        tw, d, nval, qde = _sampling_inputs(SAMPLED_LADDER[-1])
+        tw, d, nval, _ = _sampling_inputs(SAMPLED_LADDER[-1])
         tracemalloc.start()
         try:
-            ws = sample_weights(tw, d, nval, qde, 10 ** 6, seed=0)
+            ws = sample_weights(tw, d, nval, 10 ** 6, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -601,8 +613,7 @@ class TestTypedChecks:
         # q = 2, delta = 1, e = 7: 7 * 63 is not a multiple of 14
         tw, d = setup_for(S5)
         with pytest.raises(NonIntegralWeight):
-            sample_weights(tw, d, np.zeros(tw.r, dtype=np.int64),
-                           (tw.q, d.delta, d.e), 10, seed=0)
+            sample_weights(tw, d, np.zeros(tw.r, dtype=np.int64), 10, seed=0)
 
     def test_six_weight_claim_needs_square_r(self):
         tw, d = setup_for(S1)  # r = 27
@@ -610,7 +621,7 @@ class TestTypedChecks:
                                  classification=CaseClassification(TAG_E3T2N2),
                                  n=d.n, kappa=d.t * tw.m)
         with pytest.raises(UnsupportedCase):
-            _check_invariants(rep, tw, S1, d, True)
+            _check_invariants(rep, tw, d, True)
 
     def test_fast_criterion_mismatch(self, monkeypatch):
         # golden 1 has N = 1, so the sqrt-bound criterion claims iii; cosets
