@@ -52,6 +52,16 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative int: {text!r}")
+    return seed
+
+
 def _add_field_flags(sub, with_code: bool) -> None:
     sub.add_argument("--p", type=int, required=True, help="characteristic")
     sub.add_argument("--s", type=int, default=1, help="GF(q) degree over GF(p)")
@@ -78,7 +88,10 @@ def _caps_from_args(args) -> Caps:
     cap = getattr(args, "max_enum", None)
     if cap is None:
         env = os.environ.get(ENV_MAX_ENUM)
-        cap = int(env) if env else None
+        try:
+            cap = int(env) if env else None
+        except ValueError:
+            raise CyclotomeError(f"{ENV_MAX_ENUM} is not an int: {env!r}")
     kwargs = {}
     if cap is not None:
         kwargs["naive"] = cap
@@ -312,20 +325,20 @@ def build_parser() -> argparse.ArgumentParser:
                     default="auto")
     sp.add_argument("--max-enum", type=int, default=None,
                     help=f"enumeration cap (also env {ENV_MAX_ENUM})")
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_seed, default=None)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_weights)
 
     sp = subs.add_parser("verify", help="run all feasible methods and compare")
     _add_field_flags(sp, with_code=True)
     sp.add_argument("--max-enum", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_seed, default=None)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_verify)
 
     sp = subs.add_parser("corpus", help="run the six golden examples")
     sp.add_argument("--max-enum", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_seed, default=None)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_corpus)
 

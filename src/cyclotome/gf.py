@@ -11,7 +11,10 @@ Construction builds the full power table exp[k] = gamma^k and its inverse
 dlog, so multiplication, inversion, and subgroup/coset questions are table
 lookups.  That caps the usable field size (default r <= 2^21), which is
 ample for desk-scale work; everything downstream indexes cyclotomic
-structure through dlog.
+structure through dlog.  The power table and the trace vectors come from
+tables of GF(p)-linear maps (multiplication by gamma^B, Tr_{r/p} and
+Tr_{r/q}), which one primitive, FieldTower._linear_map, builds digit by
+digit.
 
 A FieldTower is immutable once built (its numpy tables are marked
 read-only), so concurrent readers are safe.
@@ -21,7 +24,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from math import isqrt
 
 import numpy as np
 
@@ -37,9 +41,6 @@ from .errors import (
 Element = int
 
 DEFAULT_TABLE_CAP = 1 << 21
-# elements per step of the power-table build: bounds its (n, d) int64
-# temporaries at a few MB whatever the field size
-TABLE_CHUNK = 1 << 15
 
 
 def is_prime(n: int) -> bool:
@@ -254,45 +255,42 @@ class FieldTower:
         self.gamma: Element = gamma
         self._build_tables()
 
-    def _apply_linear(self, images: list[int], a: np.ndarray) -> np.ndarray:
-        """Apply the GF(p)-linear map sending x^i to images[i] to an array
-        of packed elements."""
-        if self.p == 2:
-            out = np.zeros_like(a)
-            for i, img in enumerate(images):
-                out ^= ((a >> i) & 1) * img
-            return out
-        matrix = np.array([self.coeffs(v) for v in images], dtype=np.int64)
-        digits = np.empty((len(a), self.degree), dtype=np.int64)
-        rest = a
-        for i in range(self.degree):
-            rest, digits[:, i] = np.divmod(rest, self.p)
-        return ((digits @ matrix) % self.p) @ self._packing_weights
+    def _linear_map(self, images) -> np.ndarray:
+        """The image of every element, in element order, under the
+        GF(p)-linear map sending x^i to images[i].  Digit by digit, least
+        significant first: each step outer-adds the p multiples of one image
+        to the table of the digits so far."""
+        p, table = self.p, np.zeros(1, dtype=np.int64)
+        k = np.arange(p, dtype=np.int64)[:, None]
+        for img in images:
+            multiples = (k * self.coeffs(img)) % p @ self._packing_weights
+            table = self.add_arrays(multiples[:, None], table).ravel()
+        return table
 
     def _build_tables(self) -> None:
-        """exp[k] = gamma^k by doubling: multiplication by gamma^B is
-        GF(p)-linear, so with exp[0:B] known, exp[B:2B] is that map applied
-        to exp[0:B], and the map for gamma^(2B) is the map for gamma^B
-        applied to its own images."""
+        """exp[k] = gamma^k in blocks of B = isqrt(r).  The first B + d
+        powers come one at a time from the x gamma table; multiplication by
+        gamma^B is GF(p)-linear, with x^i = gamma^i sent to gamma^(B+i), so
+        every later block is the block before it looked up in its table."""
         p, d, r = self.p, self.degree, self.r
         # multiplication by gamma sends x^i to x^(i+1), and x^(d-1) to
         # x^d = -(c_0 + ... + c_{d-1} x^(d-1))
         by_gamma = [p ** (i + 1) for i in range(d - 1)]
         by_gamma.append(self.from_coeffs(-c for c in self.modulus[:d]))
+        times_gamma = self._linear_map(by_gamma)
+        B = isqrt(r)
+        head = [1]
+        while len(head) < B + d:
+            head.append(int(times_gamma[head[-1]]))
+        times_block = self._linear_map(head[B:])
         exp = np.empty(r - 1, dtype=np.int64)
-        exp[0] = 1
-        images, filled = by_gamma, 1  # the map for gamma^filled
-        while filled < r - 1:
-            n = min(filled, r - 1 - filled)
-            for lo in range(0, n, TABLE_CHUNK):
-                hi = min(lo + TABLE_CHUNK, n)
-                exp[filled + lo:filled + hi] = self._apply_linear(
-                    images, exp[lo:hi])
-            images = [int(v) for v in self._apply_linear(
-                images, np.array(images, dtype=np.int64))]
-            filled += n
-        if self._apply_linear(by_gamma, exp[-1:])[0] != 1:
+        exp[:B] = head[:B]
+        for lo in range(B, r - 1, B):
+            hi = min(lo + B, r - 1)
+            exp[lo:hi] = times_block[exp[lo - B:hi - B]]
+        if times_gamma[exp[-1]] != 1:
             raise GammaNotPrimitive("gamma^(r-1) != 1 in the power table")
+        del times_gamma, times_block  # two r-entry tables off the peak
         dlog = np.full(r, -1, dtype=np.int64)
         dlog[exp] = np.arange(r - 1, dtype=np.int64)
         if dlog[0] != -1 or np.any(dlog[1:] < 0):
@@ -341,14 +339,7 @@ class FieldTower:
         return out
 
     def neg(self, a: Element) -> Element:
-        if self.p == 2:
-            return a
-        p, out, w = self.p, 0, 1
-        for _ in range(self.degree):
-            a, c = divmod(a, p)
-            out += ((-c) % p) * w
-            w *= p
-        return out
+        return self.mul(a, self.p - 1)
 
     def sub(self, a: Element, b: Element) -> Element:
         return self.add(a, self.neg(b))
@@ -373,78 +364,49 @@ class FieldTower:
 
     # -- traces and subfields -----------------------------------------------
 
-    @cached_property
-    def _trace_basis(self) -> tuple[int, ...]:
-        """Tr_{r/p}(x^i) for i < d, via Newton's identities on the modulus."""
-        p, d = self.p, self.degree
-        a = self.modulus  # a[i] is the coefficient of x^i, a[d] = 1
-        s = [0] * d
-        s[0] = d % p
-        for k in range(1, d):
-            acc = (k * a[d - k]) % p
-            for i in range(1, k):
-                acc = (acc + a[d - i] * s[k - i]) % p
-            s[k] = (-acc) % p
-        return tuple(s)
-
     def in_subfield_q(self, a: Element) -> bool:
         return a == 0 or self.pow(a, self.q) == a
 
     # -- bulk tables used by the enumeration and cyclotomy layers ------------
 
-    @cached_property
-    def _chunks(self) -> tuple[tuple[int, int], ...]:
-        """(first digit, digit count) of each radix-P chunk of an element,
-        least significant first.  P = p^j with j = d // 2 the largest j for
-        which P^2 <= r (j = 1 when d = 1), so a table of P^2 entries is no
-        larger than the field; the last chunk may hold fewer digits."""
-        d = self.degree
-        j = max(1, d // 2)
-        return tuple((lo, min(j, d - lo)) for lo in range(0, d, j))
+    def _trace_vector(self, k: int) -> np.ndarray:
+        """sum_{j < d/k} x^(p^(kj)) of every element, shape (r,), dtype
+        int64, read-only.  The map is GF(p)-linear, so it is the linear map
+        sending x^i = gamma^i to sum_j gamma^(i p^(kj))."""
+        images = [reduce(self.add, (self.gamma_pow(i * self.p ** (k * j))
+                                    for j in range(self.degree // k)))
+                  for i in range(self.degree)]
+        out = self._linear_map(images).astype(np.int64, copy=False)
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def trace_p_vector(self) -> np.ndarray:
-        """Tr_{r/p} of every element as an int in [0, p), shape (r,), dtype
-        int64.  Trace is GF(p)-linear, so it is the sum over chunks of a
-        partial trace; each chunk's partial trace is a table of p^digits
-        entries, and their outer sum, most significant chunk first, is the
-        trace in element order."""
-        p, basis = self.p, self._trace_basis
-        v = np.zeros(1, dtype=np.int64)
-        for lo, count in reversed(self._chunks):
-            u = np.arange(p ** count, dtype=np.int64)
-            part = sum(basis[lo + i] * (u // p ** i % p) for i in range(count))
-            v = (v[:, None] + part % p).ravel()
-        v %= p
-        v.setflags(write=False)
-        return v
+        """Tr_{r/p} of every element, an int in [0, p)."""
+        return self._trace_vector(1)
 
     @cached_property
     def trace_q_vector(self) -> np.ndarray:
-        """Tr_{r/q}(x) = sum_{i<m} x^(q^i) of every element (packed GF(q)
-        subfield values), shape (r,)."""
-        r1 = self.r - 1
-        ks = np.arange(r1, dtype=np.int64)
-        v = np.zeros(self.r, dtype=np.int64)
-        for i in range(self.m):
-            powmap = np.zeros(self.r, dtype=np.int64)
-            powmap[self.exp] = self.exp[(ks * (self.q ** i)) % r1]
-            v = self.add_arrays(v, powmap)
-        v.setflags(write=False)
-        return v
+        """Tr_{r/q}(x) = sum_{i<m} x^(q^i) of every element, a packed GF(q)
+        subfield value."""
+        return self._trace_vector(self.s)
 
     @cached_property
     def _add_tables(self) -> tuple[tuple[np.ndarray, int, np.ndarray], ...]:
-        """(col, n, tab) per radix-P chunk: col[x] is the chunk of element x
-        (r entries), and tab[u * n + v] is the digit-wise sum of chunks u and
-        v, shifted into place (n^2 <= r entries)."""
-        p, dtype = self.p, self._packing_weights.dtype
+        """(col, n, tab) per radix-P chunk of an element, least significant
+        first.  P = p^j with j = d // 2 the largest j for which P^2 <= r
+        (j = 1 when d = 1), and the last chunk may hold fewer digits.
+        col[x] is the chunk of element x (r entries), and tab[u * n + v] is
+        the digit-wise sum of chunks u and v, shifted into place (n^2 <= r
+        entries)."""
+        p, d, dtype = self.p, self.degree, self._packing_weights.dtype
+        j = max(1, d // 2)
         digit = np.arange(p, dtype=dtype)
         one = (digit[:, None] + digit) % p
         out = []
-        for lo, count in self._chunks:
+        for lo in range(0, d, j):
             s = one
-            for _ in range(count - 1):
+            for _ in range(min(j, d - lo) - 1):
                 # prepend a more significant digit to both chunks
                 n = len(s)
                 s = (one[:, None, :, None] * n + s[None, :, None, :]

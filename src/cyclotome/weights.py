@@ -40,10 +40,9 @@ merged before anything is compared.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb, factorial, isqrt, prod
+from math import comb, exp, isqrt, log, log1p
 
 import numpy as np
 
@@ -75,6 +74,8 @@ from .gf import FieldTower
 DEFAULT_NAIVE_CAP = 10 ** 7
 DEFAULT_TSUM_CAP = 10 ** 8
 DEFAULT_SAMPLE_COUNT = 10 ** 6
+# chance that the sampling check fails a correct table
+SAMPLING_ALPHA = 1e-6
 
 
 @dataclass(frozen=True)
@@ -292,26 +293,22 @@ def _from_period_sums(tower: FieldTower, derived: DerivedParams,
 # Method 3: closed-form tables.
 # ----------------------------------------------------------------------
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _closed_te_n2(tower, derived, periods: tuple[int, ...]) -> dict[int, int]:
-    r, e, N = tower.r, derived.e, derived.N
-    groups = sorted(Counter(periods).items())  # (eta_j, tau_j)
-    out: dict[int, int] = {}
-    for u in _compositions(e, len(groups) + 1):
-        u0, us = u[0], u[1:]
-        X = sum(uj * ((r - 1) - N * eta) for uj, (eta, _) in zip(us, groups))
-        freq = (factorial(e) // prod(factorial(x) for x in u)
-                * ((r - 1) // N) ** (e - u0)
-                * prod(tau ** uj for (_, tau), uj in zip(groups, us)))
-        out[X] = out.get(X, 0) + freq
+    """The t = e table as the e-th power of one period argument's
+    distribution over X: 0 once, and (r-1) - N eta_j for the (r-1)/N
+    members of class j, expanded by e sparse convolutions."""
+    r, N = tower.r, derived.N
+    one = {0: 1}
+    for eta in periods:
+        X = (r - 1) - N * eta
+        one[X] = one.get(X, 0) + (r - 1) // N
+    out = {0: 1}
+    for _ in range(derived.e):
+        nxt: dict[int, int] = {}
+        for x, c in out.items():
+            for y, k in one.items():
+                nxt[x + y] = nxt.get(x + y, 0) + c * k
+        out = nxt
     return out
 
 
@@ -504,11 +501,26 @@ def cross_verify(spec: CodeSpec, caps: Caps = Caps()) -> VerificationReport:
     return rep
 
 
+def _chernoff_bound(k: int, m: int, p: float) -> float:
+    """exp(-m KL(k/m || p)): a bound on the chance that a Binomial(m, p)
+    count lies at least as far from m p as k does, on k's side."""
+    a = k / m
+    if (a > 0 and p == 0) or (a < 1 and p == 1):
+        return 0.0  # p = c / r^t can round to 0 once r^t passes 1e308
+    kl = a * log(a / p) if a > 0 else 0.0
+    if a < 1:
+        kl += (1 - a) * (log1p(-a) - log1p(-p))
+    return exp(-m * kl)
+
+
 def _sampling_check(tower, derived, closed: WeightDistribution,
                     caps: Caps) -> dict:
     """Seeded spot check against a closed-form distribution: every sampled
-    weight must lie in its support, and each weight class's observed count
-    must sit within 3 sigma of the binomial expectation."""
+    weight must lie in its support, and no weight class's count may be too
+    unlikely.  A class fails when its Chernoff bound is at most
+    SAMPLING_ALPHA / (2K) for K classes; each bound covers one tail, so a
+    correct table fails with probability at most SAMPLING_ALPHA.  The rows
+    report each class's deviation in binomial sigmas."""
     periods = integer_periods(gaussian_periods(tower, derived.N))
     ws = _engine.sample_weights(
         tower, derived, _nval_by_elem(tower, derived.N, periods),
@@ -518,7 +530,7 @@ def _sampling_check(tower, derived, closed: WeightDistribution,
     outside = [int(w) for w in np.nonzero(observed)[0] if int(w) not in support]
     total = tower.r ** derived.t
     m = caps.sample_count
-    worst = 0.0
+    worst, least = 0.0, 1.0
     rows = []
     for w, c in closed.entries:
         pw = c / total
@@ -526,9 +538,10 @@ def _sampling_check(tower, derived, closed: WeightDistribution,
         sigma = (m * pw * (1 - pw)) ** 0.5
         dev = abs(int(observed[w]) - mu) / sigma if sigma > 0 else 0.0
         worst = max(worst, dev)
+        least = min(least, _chernoff_bound(int(observed[w]), m, pw))
         rows.append({"w": w, "observed": int(observed[w]),
                      "expected": mu, "sigma_dev": dev})
-    ok = not outside and worst <= 3.0
+    ok = not outside and least > SAMPLING_ALPHA / (2 * len(closed.entries))
     return {"ok": ok, "count": m, "seed": caps.seed,
             "weights_outside_support": outside,
             "max_sigma_dev": worst, "rows": rows}

@@ -1,8 +1,9 @@
 """Shared test utilities: cached towers, independent float oracles, the
 unpruned modulus scan and scalar power table, the unreduced and unchunked
 enumeration kernels (with their own digit-by-digit field additions), the
-unblocked sampling kernel, scalar traces, scalar codewords and the scalar
-period-sum weight, class tables, vanishing-pattern counts, and the
+unblocked sampling kernel, the trace basis and scalar traces, scalar
+codewords and the scalar period-sum weight, the t = e closed table summed
+over compositions, class tables, vanishing-pattern counts, and the
 deterministic spec grid used by the method-agreement and invariant tests."""
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import functools
 import random
 from collections import Counter
 from dataclasses import dataclass
+from math import factorial, prod
 
 import numpy as np
 
@@ -51,10 +53,25 @@ def digit_matrix(tower):
     return out.T
 
 
+@functools.lru_cache(maxsize=None)
+def trace_basis(tower) -> tuple[int, ...]:
+    """Tr_{r/p}(x^i) for i < d, via Newton's identities on the modulus."""
+    p, d = tower.p, tower.degree
+    a = tower.modulus  # a[i] is the coefficient of x^i, a[d] = 1
+    s = [0] * d
+    s[0] = d % p
+    for k in range(1, d):
+        acc = (k * a[d - k]) % p
+        for i in range(1, k):
+            acc = (acc + a[d - i] * s[k - i]) % p
+        s[k] = (-acc) % p
+    return tuple(s)
+
+
 def trace_to_p(tower, a):
     """Tr_{r/p}(a) = sum of the p-power conjugates, as an int in [0, p):
     the scalar form of tower.trace_p_vector, through the trace basis."""
-    basis = tower._trace_basis
+    basis = trace_basis(tower)
     p, out = tower.p, 0
     for i in range(tower.degree):
         a, c = divmod(a, p)
@@ -430,6 +447,32 @@ def codeword_weight_from_periods(tower, derived, pset, x_vec):
     if not 0 <= w <= derived.n:
         raise NonIntegralWeight(f"weight {w} outside [0, n]")
     return w
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def closed_te_n2_compositions(tower, derived, periods):
+    """Reference for weights._closed_te_n2: one term per composition
+    u_0 + ... + u_mu = e of the e period arguments over zero and the mu
+    distinct period values, with its multinomial frequency."""
+    r, e, N = tower.r, derived.e, derived.N
+    groups = sorted(Counter(periods).items())  # (eta_j, tau_j)
+    out = {}
+    for u in _compositions(e, len(groups) + 1):
+        u0, us = u[0], u[1:]
+        X = sum(uj * ((r - 1) - N * eta) for uj, (eta, _) in zip(us, groups))
+        freq = (factorial(e) // prod(factorial(x) for x in u)
+                * ((r - 1) // N) ** (e - u0)
+                * prod(tau ** uj for (_, tau), uj in zip(groups, us)))
+        out[X] = out.get(X, 0) + freq
+    return out
 
 
 def decode_profile(code, N, e):

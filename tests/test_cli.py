@@ -228,12 +228,12 @@ def cli_env():
     return env
 
 
-def run_cli_process(*argv):
+def run_cli_process(*argv, env=None):
     """Run the CLI in a fresh interpreter, so an uncaught exception would
     show as a traceback on stderr."""
     return subprocess.run([sys.executable, "-m", "cyclotome.cli", *argv],
-                          capture_output=True, text=True, env=cli_env(),
-                          timeout=60)
+                          capture_output=True, text=True,
+                          env=env or cli_env(), timeout=60)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -249,6 +249,25 @@ def test_bad_parameters_exit_1_without_traceback(argv, message):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and message in proc.stderr
+
+
+GOLDEN_5_ARGV = ("verify", "--p", "2", "--m", "6", "--e", "7", "--t", "7",
+                  "--a", "1", "--delta", "0,1,2,3,4,5,6")
+
+
+def test_negative_seed_exit_2_without_traceback():
+    # numpy refuses a negative seed; argparse must refuse it first
+    proc = run_cli_process(*GOLDEN_5_ARGV, "--seed", "-1")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "--seed" in proc.stderr
+
+
+def test_bad_cap_env_exit_1_without_traceback():
+    proc = run_cli_process(*GOLDEN_5_ARGV,
+                           env=dict(cli_env(), CYCLOTOME_MAX_ENUM="abc"))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: CYCLOTOME_MAX_ENUM")
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

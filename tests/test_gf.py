@@ -1,6 +1,7 @@
 """Field tower construction, traces, minimal polynomials, cosets."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from helpers import (
     eval_poly,
     power_table_scalar,
     tower,
+    trace_basis,
     trace_to_p,
     trace_to_q,
     trace_to_subfield,
@@ -97,7 +99,7 @@ SMALL_FIELDS = tuple(
 
 
 class TestFieldConstruction:
-    """The pruned modulus search and the doubling power table against the
+    """The pruned modulus search and the blocked power table against the
     unpruned lexicographic scan and the scalar shift-and-reduce loop."""
 
     @pytest.mark.parametrize("p,d", SMALL_FIELDS)
@@ -115,7 +117,8 @@ class TestFieldConstruction:
     def test_pinned_moduli(self, p, d, modulus):
         assert default_modulus(p, d) == modulus
 
-    # 2^17 and 7^6 have doubling steps longer than one TABLE_CHUNK
+    # prime fields have one digit per linear-map step; 2^17 and 7^6 end on
+    # a partial block of B = isqrt(r) powers
     @pytest.mark.parametrize("p,s,m", (
         [(p, 1, 1) for p in (2, 3, 5, 7, 13, 101)] + list(GRID_TOWERS)
         + [(2, 1, 16), (17, 1, 4), (2, 1, 17), (7, 1, 6)]))
@@ -222,7 +225,8 @@ class TestTraces:
                     == tw.mul(c, trace_to_q(tw, x)))
 
     def test_trace_vectors_match_scalars(self):
-        for tw in (T27, T64, T81S2):
+        # (2, 2, 5) and (3, 2, 3) are s > 1 towers: Tr_{r/q} steps by q = p^2
+        for tw in (T27, T64, T81S2, tower(2, 2, 5), tower(3, 2, 3)):
             assert [trace_to_p(tw, x) for x in range(tw.r)] == \
                 list(tw.trace_p_vector)
             assert [trace_to_q(tw, x) for x in range(tw.r)] == \
@@ -234,12 +238,27 @@ class TestTraces:
         # the former digit_matrix @ basis form, in row blocks so the test
         # holds no (r, d) int64 copy either
         tw = tower(*field)
-        basis = np.array(tw._trace_basis, dtype=np.int64)
+        basis = np.array(trace_basis(tw), dtype=np.int64)
         dm = digit_matrix(tw)
         got = tw.trace_p_vector
         for lo in range(0, tw.r, 1 << 16):
             want = (dm[lo:lo + (1 << 16)].astype(np.int64) @ basis) % tw.p
             np.testing.assert_array_equal(got[lo:lo + (1 << 16)], want)
+
+    @pytest.mark.parametrize("p,d,modulus", [
+        (2, 20, None), (3, 12, (2, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 1))])
+    def test_table_and_trace_peak_memory(self, p, d, modulus):
+        # the power table, dlog and both trace vectors are 8 MB each here;
+        # an (r, d) int64 digit matrix alone would be 168 MB on 2^20
+        modulus = modulus or default_modulus(p, d)
+        tracemalloc.start()
+        try:
+            tw = build_field(p, 1, d, modulus=modulus)
+            tw.trace_p_vector, tw.trace_q_vector
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2 ** 20, f"traced peak {peak / 2**20:.1f} MB"
 
     def test_dispatcher(self):
         assert trace_to_subfield(T27, 5, "p") == trace_to_p(T27, 5)

@@ -26,6 +26,7 @@ from cyclotome.codes import (
     derive_params,
     validate_assumptions,
 )
+from cyclotome.corpus import golden_examples
 from cyclotome.cyclotomy import gaussian_periods
 from cyclotome.errors import (
     CapExceeded,
@@ -48,10 +49,13 @@ from cyclotome.weights import (
     VerificationReport,
     WeightDistribution,
     _check_invariants,
+    _chernoff_bound,
+    _closed_te_n2,
     _nval_by_elem,
     _sampling_check,
     classify,
     cross_verify,
+    integer_periods,
     periods_for_classification,
     wd_closed,
     wd_naive,
@@ -59,6 +63,7 @@ from cyclotome.weights import (
 )
 from helpers import (
     GRID_TOWERS,
+    closed_te_n2_compositions,
     codeword_weight_from_periods,
     count_vanishing_patterns,
     criterion_grid,
@@ -121,6 +126,10 @@ class TestClassify:
         assert d.N == 31 and (cl.tag, cl.period_source) == (TAG_TE_N2, "exact")
         pset = periods_for_classification(tw, d, cl)
         assert pset.values == gaussian_periods(tw, 31).values
+        # the full table: r^t = 2^465 inputs, first moment n r^t (q-1)/q
+        dist = wd_closed(tw, sp, d, cl)
+        assert dist.total == tw.r ** 31
+        assert dist.first_moment() == d.n * tw.r ** 31 // 2
 
     def test_unsupported_cases(self):
         # t < e with N >= 2 outside the six-weight case
@@ -262,6 +271,21 @@ class TestClosed:
         term_201 = 3 * 8 * 2
         assert at8 == term_120 + term_201 == 240
 
+    def test_te_table_matches_composition_oracle(self):
+        # the convolution power equals the parent's loop over compositions,
+        # dict for dict, on every t = e grid spec and on goldens 1-5
+        cases = [(sp, d, cl) for sp, d, cl in criterion_grid()
+                 if sp.t == sp.e]
+        for ex in golden_examples()[:5]:
+            tw, d = setup_for(ex.spec)
+            cases.append((ex.spec, d, classify(tw, ex.spec, d)))
+        for sp, d, cl in cases:
+            tw = tower_for(sp)
+            periods = ((-1,) if cl.tag == TAG_TE_N1 else integer_periods(
+                periods_for_classification(tw, d, cl)))
+            assert _closed_te_n2(tw, d, periods) == \
+                closed_te_n2_compositions(tw, d, periods), sp
+
     def test_sparse_column_table(self):
         tw, d = setup_for(STHM3)
         dist = wd_closed(tw, STHM3, d)
@@ -371,6 +395,40 @@ class TestCrossVerify:
         for row, w in zip(codes, ws):
             x = tuple(int(eoc[c]) for c in row)
             assert codeword_weight_from_periods(tw, d, ps, x) == int(w)
+
+
+class TestSamplingVerdict:
+    """The Chernoff verdict of the sampling check on golden 5: 64^7
+    inputs, 22 weight classes, 10^6 draws."""
+
+    def test_correct_table_passes_every_seed(self):
+        # a 3-sigma rule failed seeds 7, 9, 13, 18 and 34; seed 7 draws once
+        # from a class whose expected count is 0.008 (10.98 sigma)
+        tw, d = setup_for(S5)
+        closed = wd_closed(tw, S5, d)
+        failing = [seed for seed in range(40) if not _sampling_check(
+            tw, d, closed, Caps(seed=seed))["ok"]]
+        assert failing == []
+
+    def test_moved_mass_fails(self):
+        # 1% of the largest class moved to the next weight keeps the total
+        tw, d = setup_for(S5)
+        counts = dict(wd_closed(tw, S5, d).entries)
+        top = max(counts, key=counts.get)
+        counts[top + 2] += counts[top] // 100
+        counts[top] -= counts[top] // 100
+        bad = WeightDistribution.from_counts(d.n, d.t * tw.m, counts)
+        assert bad.total == tw.r ** d.t
+        assert not _sampling_check(tw, d, bad, Caps(seed=0))["ok"]
+
+    def test_chernoff_bound_edges(self):
+        assert _chernoff_bound(0, 10, 0.5) == pytest.approx(0.5 ** 10)
+        assert _chernoff_bound(10, 10, 0.5) == pytest.approx(0.5 ** 10)
+        assert _chernoff_bound(5, 10, 0.5) == 1.0
+        assert _chernoff_bound(10, 10, 1.0) == 1.0
+        assert _chernoff_bound(9, 10, 1.0) == 0.0
+        assert _chernoff_bound(0, 10, 0.0) == 1.0
+        assert _chernoff_bound(1, 10, 0.0) == 0.0
 
 
 class TestFuzzAgreement:
