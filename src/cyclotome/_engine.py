@@ -8,18 +8,19 @@ of (x_1, ..., x_t) code tuples.
 Everything here works on packed element ints (see gf).  Additions ride on
 FieldTower.add_arrays (radix-p^j addition tables, XOR when p = 2),
 multiplications on the power table through logs, so a pass over a grid is
-a handful of numpy gathers.  Folding an axis into a grid is one translation table and one row
-gather (_vadd_outer).
+a handful of numpy gathers.  Folding an axis into a grid is one
+translation table and one row gather (_vadd_outer).
 
 The naive and period-sum kernels sweep slabs of fixed x_1 over the grid of
 (x_2, ..., x_t), one x_1 per orbit of the code's automorphisms
 (x1_orbit_representatives), and count each slab with its orbit size.  So
 (d_1 + 1) r^(t-1) inputs stand for all r^t, and every count stays exact.
 
-Period sums and class profiles are one sweep (_sweep) with two sets of
-per-h tables.  Its memory is bounded by the byte budget SWEEP_BYTES, not
-by r^t: it keeps only the folds of the trailing axes resident and walks
-the leading codes in blocks.
+Memory is bounded by the byte budget SWEEP_BYTES, not by r^t.  The naive
+kernel takes the codeword coordinates in blocks of SWEEP_BYTES of int32
+symbols over the (x_2, ..., x_t) grid.  Period sums and class profiles are
+one sweep (_sweep) with two sets of per-h tables: it keeps only the folds
+of the trailing axes resident and walks the leading codes in blocks.
 """
 
 from __future__ import annotations
@@ -27,14 +28,11 @@ from __future__ import annotations
 from math import gcd
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .codes import DerivedParams
 from .errors import CapExceeded, NegativePeriodSum, NonIntegralWeight
 from .gf import FieldTower
-
-
-def elem_of_code(tower: FieldTower) -> np.ndarray:
-    return np.concatenate(([0], tower.exp))
 
 
 def _vadd_outer(tower: FieldTower, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -84,47 +82,46 @@ def x1_orbit_representatives(tower: FieldTower, derived: DerivedParams
 def naive_weight_counts(tower: FieldTower, derived: DerivedParams) -> np.ndarray:
     """counts[w] = number of inputs whose codeword has Hamming weight w.
 
-    Walks the n coordinates once over the grid of (x_2, ..., x_t), holding
-    U_i = sum_{j>=2} x_j gamma^(a_j i).  Trace is additive, so symbol i of
-    the input (rho, x_2, ..., x_t) is nonzero exactly when
-    Tr(U_i) != Tr(-rho gamma^(a_1 i)): one trace gather per coordinate
-    serves every representative rho.  Moving from coordinate i to i+1
-    multiplies x_j by gamma^(a_j), which on the grid is a fixed permutation
-    (a rotation of each axis's nonzero codes), applied as one flat gather
-    per step.  Only code automorphisms enter, no period theory.
+    Trace is additive, so symbol i of the input (rho, x_2, ..., x_t) is
+    zero exactly when S_i = sum_{j>=2} Tr(x_j gamma^(a_j i)) equals
+    Tr(-rho gamma^(a_1 i)), and one S_i over the grid of (x_2, ..., x_t)
+    serves every representative rho.  Code 1 + k of axis j gives
+    Tr(gamma^(k + a_j i)), so over the codes of one axis S_i is a window of
+    the trace of the power table written out twice, with code 0 set to 0.
+    Coordinates go in blocks of SWEEP_BYTES at 4 bytes a symbol (symbols
+    take the narrowest dtype that holds an element, at most int32): per
+    block and axis one window gather, per further axis one outer field
+    addition, and per representative one compare summed over the block.
+    Only code automorphisms enter, no period theory.
     """
     r, t, n = tower.r, derived.t, derived.n
+    r1 = r - 1
     reps = x1_orbit_representatives(tower, derived)
     size = r ** (t - 1)
-    U = fold_sum(tower, [elem_of_code(tower)] * (t - 1))
-
-    P = np.zeros((r,) * (t - 1), dtype=np.int32 if size < 2**31 else np.int64)
-    for j, a in enumerate(derived.a_list[1:]):
-        pi = np.empty(r, dtype=np.int64)
-        pi[0] = 0
-        pi[1:] = 1 + (np.arange(r - 1) + a) % (r - 1)
-        stride = r ** (t - 2 - j)
-        shape = (1,) * j + (r,) + (1,) * (t - 2 - j)
-        P += (pi * stride).astype(P.dtype).reshape(shape)
-    P = P.ravel()
-
-    # target[i, k] = Tr(-rho_k gamma^(a_1 i)), with Tr(0) = 0 for rho_0 = 0
-    trace = tower.trace_q_vector
-    ks = np.array([c - 1 for c, _ in reps[1:]], dtype=np.int64)
+    trace = tower.trace_q_vector[tower.exp].astype(np.min_scalar_type(r1))
+    windows = sliding_window_view(np.tile(trace, 2), r)
     minus_one = tower.dlog_of(tower.neg(1))
-    steps = derived.a_list[0] * np.arange(n, dtype=np.int64) + minus_one
-    target = np.zeros((n, len(reps)), dtype=trace.dtype)
-    target[:, 1:] = trace[tower.exp[(steps[:, None] + ks) % (r - 1)]]
+    a_1, a_rest = derived.a_list[0], derived.a_list[1:]
 
     wdtype = np.uint16 if n < 2**16 else np.uint32
-    wacc = np.zeros((len(reps), size), dtype=wdtype)
-    for i in range(n):
-        wacc += trace[U] != target[i][:, None]
-        if i + 1 < n:
-            U = U[P]
+    zeros = np.zeros((len(reps), size), dtype=wdtype)
+    block = max(1, SWEEP_BYTES // (4 * size))
+    for lo in range(0, n, block):
+        i = np.arange(lo, min(lo + block, n), dtype=np.int64)
+        S = None
+        for a in a_rest:
+            # row[:, 1 + k] = Tr(gamma^(k + a i)): window a i - 1
+            row = windows[(a * i - 1) % r1]
+            row[:, 0] = 0
+            S = row if S is None else tower.add_arrays(
+                S[:, :, None], row[:, None, :]).reshape(i.size, -1)
+        for z, (code, _) in zip(zeros, reps):
+            target = trace[(a_1 * i + minus_one + code - 1) % r1] if code \
+                else np.zeros(i.size, dtype=trace.dtype)
+            z += (S == target[:, None]).sum(axis=0, dtype=wdtype)
     counts = np.zeros(n + 1, dtype=np.int64)
-    for row, (_, mult) in zip(wacc, reps):
-        counts += mult * np.bincount(row, minlength=n + 1)
+    for z, (_, mult) in zip(zeros, reps):
+        counts += mult * np.bincount(n - z, minlength=n + 1)
     return counts
 
 

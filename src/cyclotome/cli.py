@@ -52,14 +52,14 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 
 
-def _seed(text: str) -> int:
+def _non_negative_int(text: str) -> int:
     try:
-        seed = int(text)
+        value = int(text)
     except ValueError:
-        seed = -1
-    if seed < 0:
+        value = -1
+    if value < 0:
         raise argparse.ArgumentTypeError(f"not a non-negative int: {text!r}")
-    return seed
+    return value
 
 
 def _add_field_flags(sub, with_code: bool) -> None:
@@ -92,6 +92,8 @@ def _caps_from_args(args) -> Caps:
             cap = int(env) if env else None
         except ValueError:
             raise CyclotomeError(f"{ENV_MAX_ENUM} is not an int: {env!r}")
+        if cap is not None and cap < 0:
+            raise CyclotomeError(f"{ENV_MAX_ENUM} is negative: {env!r}")
     kwargs = {}
     if cap is not None:
         kwargs["naive"] = cap
@@ -323,22 +325,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_flags(sp, with_code=True)
     sp.add_argument("--method", choices=("auto", "naive", "tsum", "closed"),
                     default="auto")
-    sp.add_argument("--max-enum", type=int, default=None,
+    sp.add_argument("--max-enum", type=_non_negative_int, default=None,
                     help=f"enumeration cap (also env {ENV_MAX_ENUM})")
-    sp.add_argument("--seed", type=_seed, default=None)
+    sp.add_argument("--seed", type=_non_negative_int, default=None)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_weights)
 
     sp = subs.add_parser("verify", help="run all feasible methods and compare")
     _add_field_flags(sp, with_code=True)
-    sp.add_argument("--max-enum", type=int, default=None)
-    sp.add_argument("--seed", type=_seed, default=None)
+    sp.add_argument("--max-enum", type=_non_negative_int, default=None)
+    sp.add_argument("--seed", type=_non_negative_int, default=None)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_verify)
 
     sp = subs.add_parser("corpus", help="run the six golden examples")
-    sp.add_argument("--max-enum", type=int, default=None)
-    sp.add_argument("--seed", type=_seed, default=None)
+    sp.add_argument("--max-enum", type=_non_negative_int, default=None)
+    sp.add_argument("--seed", type=_non_negative_int, default=None)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_corpus)
 

@@ -214,13 +214,29 @@ def validate_assumptions(tower: FieldTower, spec: CodeSpec,
 
 def independent_power_rows(tower: FieldTower, derived: DerivedParams) -> bool:
     """Whether every t x t minor of the e x t matrix with rows
-    (beta_1^h, ..., beta_t^h), h = 0..e-1, is invertible over GF(r)."""
+    (beta_1^h, ..., beta_t^h), h = 0..e-1, is invertible over GF(r).
+
+    beta_tau = omega^(D_tau) with omega = gamma^((r-1)/e) of order e.  When
+    the D_tau are D_0 + k j mod e (j < t) with gcd(k, e) = 1, every minor is
+    a row-scaled Vandermonde matrix in the distinct omega^(k h), so none is
+    singular and no minor is tested."""
+    if _unit_step_progression(tower, derived):
+        return True
     rows = [[tower.pow(b, h) for b in derived.betas] for h in range(derived.e)]
     for pick in combinations(range(derived.e), derived.t):
         mat = [list(rows[h]) for h in pick]
         if _det_is_zero(tower, mat):
             return False
     return True
+
+
+def _unit_step_progression(tower: FieldTower, derived: DerivedParams) -> bool:
+    """Whether the offsets D_tau = dlog(beta_tau) / ((r-1)/e) are
+    D_0 + k j mod e, j < t, for some D_0 and some k coprime to e."""
+    e, step = derived.e, (tower.r - 1) // derived.e
+    offsets = {tower.dlog_of(b) // step for b in derived.betas}
+    return any(offsets == {(d0 + k * j) % e for j in range(derived.t)}
+               for k in range(1, e) if gcd(k, e) == 1 for d0 in offsets)
 
 
 def _det_is_zero(tower: FieldTower, mat: list[list[Element]]) -> bool:

@@ -16,12 +16,11 @@
 
 The closed tables, keyed by the case classification:
 
-* t = e: for the mu distinct period values eta_j (tau_j classes each) and
-  every composition u_0 + ... + u_mu = e,
-      weight    (q-1)/(delta e q) * sum_j u_j (r - 1 - N eta_j),
-      frequency e!/(u_0! ... u_mu!) ((r-1)/N)^(e-u_0) prod_j tau_j^(u_j).
-  At N = 1 the one period is -1, so weight (q-1) r u / (delta e q) occurs
-  C(e,u) (r-1)^u times.
+* t = e: the e period arguments run independently over GF(r), so the
+  scaled sum X is the e-th power of one argument's distribution: X = 0
+  once, and X = r - 1 - N eta_j for each of the (r-1)/N members of class
+  j.  It is expanded by e sparse convolutions.  At N = 1 the one period is
+  -1, so weight (q-1) r u / (delta e q) occurs C(e,u) (r-1)^u times.
 * t < e, N = 1 (needs every t x t minor of the column-root power matrix
   invertible): weight (q-1) r (e-t+u)/(delta e q), u = 1..t, with frequency
       C(e, t-u) sum_{k=0}^{u-1} (-1)^k C(e-t+u, k) (r^(u-k) - 1).

@@ -18,7 +18,7 @@ from math import factorial, prod
 import numpy as np
 
 from cyclotome import _engine
-from cyclotome._engine import elem_of_code, weights_of_period_sums
+from cyclotome._engine import weights_of_period_sums
 from cyclotome.codes import CodeSpec, derive_params, validate_assumptions
 from cyclotome.errors import (
     CapExceeded,
@@ -164,6 +164,11 @@ def power_table_scalar(tower):
                     coeffs[i] = (coeffs[i] - carry * mod[i]) % p
         assert coeffs[0] == 1 and not any(coeffs[1:])
     return exp
+
+
+def elem_of_code(tower):
+    """Element of each grid code: code 0 is zero, code 1 + k is gamma^k."""
+    return np.concatenate(([0], tower.exp))
 
 
 def _vadd_outer(tower, A, B):

@@ -270,6 +270,30 @@ def test_bad_cap_env_exit_1_without_traceback():
     assert proc.stderr.startswith("error: CYCLOTOME_MAX_ENUM")
 
 
+@pytest.mark.parametrize("argv", [
+    ("weights", "--p", "3", "--m", "3", "--e", "2", "--t", "2", "--a", "1",
+     "--delta", "0,1"),
+    ("verify", "--p", "3", "--m", "3", "--e", "2", "--t", "2", "--a", "1",
+     "--delta", "0,1"),
+    ("corpus",),
+], ids=lambda argv: argv[0])
+def test_negative_max_enum_is_a_usage_error(argv, capsys):
+    # a negative cap would skip every enumeration and still exit 0
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--max-enum", "-5"])
+    assert exc.value.code == 2
+    assert "--max-enum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [GOLDEN_5_ARGV, ("corpus",)],
+                         ids=lambda argv: argv[0])
+def test_negative_cap_env_exit_1(argv, capsys, monkeypatch):
+    monkeypatch.setenv("CYCLOTOME_MAX_ENUM", "-3")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: CYCLOTOME_MAX_ENUM")
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_closed_stdout_exit_1_without_traceback(unbuffered):
     # the reader of stdout goes away before the CLI prints, as with

@@ -1,11 +1,14 @@
 """Parameter derivation, validity conditions, polynomials, codewords."""
 
 import random
+import time
+from itertools import combinations
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cyclotome import codes
 from cyclotome.codes import (
     CodeSpec,
     build_polynomials,
@@ -15,7 +18,9 @@ from cyclotome.codes import (
 )
 from cyclotome.cyclotomy import gaussian_periods
 from cyclotome.errors import AssumptionViolated, EDoesNotDivide
+from cyclotome.weights import TAG_TLT_N1, classify
 from helpers import (
+    GRID_TOWERS,
     codeword,
     codeword_weight_from_periods,
     tower,
@@ -110,6 +115,47 @@ class TestIndependence:
         tw, d = setup_for(sp)
         assert validate_assumptions(tw, sp, d).all_hold
         assert not independent_power_rows(tw, d)
+
+    def test_progression_criterion_never_skips_a_singular_minor(
+            self, monkeypatch):
+        # every t < e, N = 1 offset set over the grid towers with e <= 12
+        # (N = 1 needs gcd((r-1)/(q-1), e) = 1).  Where the unit-step
+        # criterion fires, the minors must all be invertible.  Shifting
+        # every D_tau by c scales row h by omega^(c h), so one translate
+        # per fired set is tested, with the criterion switched off
+        fired, checked = {}, 0
+        for p, s, m in GRID_TOWERS:
+            tw = tower(p, s, m)
+            r1 = tw.r - 1
+            for e in range(3, 13):
+                if r1 % e or gcd(r1 // (tw.q - 1), e) != 1:
+                    continue
+                for t in range(2, e):
+                    for D in combinations(range(e), t):
+                        sp = CodeSpec(p, s, m, e, t, 1, D)
+                        d = derive_params(tw, sp)
+                        assert d.N == 1
+                        checked += 1
+                        if codes._unit_step_progression(tw, d):
+                            least = min(tuple(sorted((x - c) % e for x in D))
+                                        for c in D)
+                            fired[(p, s, m, e, least)] = tw
+        assert checked > 2000 and len(fired) > 100
+        monkeypatch.setattr(codes, "_unit_step_progression",
+                            lambda tw, d: False)
+        for (p, s, m, e, D), tw in fired.items():
+            sp = CodeSpec(p, s, m, e, len(D), 1, D)
+            assert independent_power_rows(tw, derive_params(tw, sp)), sp
+
+    def test_wide_progression_classifies_at_once(self):
+        # GF(2^20) over GF(2^10), e = 31, t = 15: C(31, 15) = 3.0e8 minors,
+        # which the minor test would never finish
+        sp = CodeSpec(2, 10, 2, 31, 15, 1, tuple(range(15)))
+        tw, d = setup_for(sp)
+        start = time.perf_counter()
+        cl = classify(tw, sp, d)
+        assert time.perf_counter() - start < 1.0
+        assert cl.tag == TAG_TLT_N1
 
 
 class TestPolynomials:

@@ -488,12 +488,40 @@ class TestOrbitReduction:
                 kinds.add("invalid")
         assert {"delta>1", "s>1", "invalid"} <= kinds
 
-    def test_naive_matches_unreduced(self):
-        for sp in _oracle_specs():
+    def test_naive_matches_unreduced(self, monkeypatch):
+        # at the default budget (one or a few coordinate blocks), at
+        # 1 byte (one coordinate per block) and at a budget whose blocks of
+        # n // 2 + 1 coordinates leave a shorter last block
+        specs = _oracle_specs()
+        assert len(specs) >= 100
+        for sp in specs:
             tw, d = setup_for(sp)
-            np.testing.assert_array_equal(
-                naive_weight_counts(tw, d),
-                naive_weight_counts_unreduced(tw, d), err_msg=str(sp))
+            want = naive_weight_counts_unreduced(tw, d)
+            symbols = 4 * tw.r ** (d.t - 1)
+            for budget in (_engine.SWEEP_BYTES, 1,
+                           symbols * (d.n // 2 + 1)):
+                monkeypatch.setattr(_engine, "SWEEP_BYTES", budget)
+                got = naive_weight_counts(tw, d)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(
+                    got, want, err_msg=f"{sp} at {budget} B")
+
+    @pytest.mark.parametrize("sp", [CodeSpec(3, 1, 7, 2, 2, 1, (0, 1)),
+                                    CodeSpec(2, 1, 7, 127, 3, 1, (0, 1, 2))],
+                             ids=["3^7,t=2", "2^7,t=3"])
+    def test_naive_peak_memory(self, sp):
+        # r^t near the naive cap: the symbols of one block (at most
+        # SWEEP_BYTES) and the temporaries of its field additions
+        tw, d = setup_for(sp)
+        tw.trace_q_vector
+        tracemalloc.start()
+        try:
+            counts = naive_weight_counts(tw, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(counts.sum()) == tw.r ** sp.t
+        assert peak <= 32 * 2 ** 20, f"traced peak {peak / 2**20:.1f} MB"
 
     def test_period_sum_tally_matches_unreduced(self):
         checked = 0
