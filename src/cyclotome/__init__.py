@@ -21,7 +21,6 @@ from .codes import (
 from .corpus import GoldenExample, golden_examples, run_corpus
 from .cyclotomy import (
     ClosedFormParams,
-    CyclotomicInteger,
     GaussianPeriodSet,
     applicable_closed_form,
     cyclotomic_numbers,

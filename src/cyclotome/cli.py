@@ -165,25 +165,24 @@ def cmd_periods(args) -> int:
         closed = {"variant": variant, "params": params.to_json_dict(),
                   "matches_exact": cset.values == pset.values}
     if args.json:
-        values = [v.rational_value() if v.is_rational()
-                  else {"zeta_counts": list(v.counts)} for v in pset.values]
+        values = [v if isinstance(v, int) else {"zeta_counts": list(row)}
+                  for v, row in zip(pset.values, pset.rows)]
         obj = {"L": args.L, "values": values,
                "modified_zero": pset.eta_bar_zero,
                "closed_form": ({"variant": closed["variant"],
                                 "params": closed["params"]}
                                if closed else None)}
         if args.tallies:
-            obj["tallies"] = [list(t) for t in pset.tallies()]
+            obj["tallies"] = [list(t) for t in pset.rows]
         print(canonical_json(obj))
         return 0
     print(f"order-{args.L} Gaussian periods of GF({tower.r}), "
           f"classes of size {(tower.r - 1) // args.L}")
-    for i, v in enumerate(pset.values):
-        shown = v.rational_value() if v.is_rational() else f"counts{v.counts}"
-        print(f"  eta_{i} = {shown}")
+    for i, (v, row) in enumerate(zip(pset.values, pset.rows)):
+        print(f"  eta_{i} = {v if isinstance(v, int) else f'counts{row}'}")
     print(f"  modified value at 0: {pset.eta_bar_zero}")
     if args.tallies:
-        for i, t in enumerate(pset.tallies()):
+        for i, t in enumerate(pset.rows):
             print(f"  tally_{i} = {t}")
     if closed:
         print(f"closed form: {closed['variant']} {closed['params']}, "

@@ -2,10 +2,12 @@
 
 The canonical additive character of GF(r) sends x to zeta^Tr(x) with zeta a
 primitive p-th root of unity and Tr the trace down to GF(p).  Sums of
-character values therefore live in the ring Z[zeta], which we represent
-exactly: a CyclotomicInteger is the vector of integer multiplicities of
-zeta^0, ..., zeta^(p-1).  Since 1 + zeta + ... + zeta^(p-1) = 0, the value
-is a rational integer exactly when all multiplicities above index 0 agree.
+character values therefore live in the ring Z[zeta], and a period is kept
+exactly as its count row: the multiplicities of zeta^0, ..., zeta^(p-1),
+which for the oracle are the numbers of class elements of each trace.
+Since 1 + zeta + ... + zeta^(p-1) = 0, adding a constant to a row keeps its
+value, and the value is a rational integer exactly when all counts above
+index 0 agree.
 
 The Gaussian period of class i is the character sum over the coset
 C_i = gamma^i <gamma^L>, computed here by tallying trace values (the exact
@@ -57,70 +59,6 @@ def legendre(a: int, p: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Exact elements of Z[zeta_p].
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CyclotomicInteger:
-    """sum_c counts[c] * zeta_p^c with integer counts (possibly negative).
-
-    Adding the same constant to every count leaves the value unchanged;
-    equality and hashing go through that normalization.  The value is a
-    rational integer iff counts[1] = ... = counts[p-1], and then equals
-    counts[0] - counts[1].
-    """
-
-    p: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.counts) != self.p:
-            raise ValueError("counts must have length p")
-
-    @classmethod
-    def from_int(cls, p: int, n: int) -> "CyclotomicInteger":
-        return cls(p, (n,) + (0,) * (p - 1))
-
-    def _canon(self) -> tuple[int, ...]:
-        k = self.counts[-1]
-        return tuple(c - k for c in self.counts)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CyclotomicInteger):
-            if isinstance(other, int):
-                return self.is_rational() and self.rational_value() == other
-            return NotImplemented
-        return self.p == other.p and self._canon() == other._canon()
-
-    def __hash__(self) -> int:
-        return hash((self.p, self._canon()))
-
-    def __add__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
-        return CyclotomicInteger(
-            self.p, tuple(a + b for a, b in zip(self.counts, other.counts)))
-
-    def __neg__(self) -> "CyclotomicInteger":
-        return CyclotomicInteger(self.p, tuple(-c for c in self.counts))
-
-    def __sub__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
-        return self + (-other)
-
-    def is_rational(self) -> bool:
-        return all(c == self.counts[1] for c in self.counts[2:]) \
-            if self.p > 1 else True
-
-    def rational_value(self) -> int:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self.counts[0] - self.counts[1]
-
-    def __repr__(self) -> str:
-        if self.is_rational():
-            return f"CyclotomicInteger({self.rational_value()})"
-        return f"CyclotomicInteger(p={self.p}, counts={self.counts})"
-
-
-# ----------------------------------------------------------------------
 # Cyclotomic numbers.
 # ----------------------------------------------------------------------
 
@@ -149,11 +87,17 @@ def cyclotomic_numbers(tower: FieldTower, L: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianPeriodSet:
-    """Exact order-L Gaussian periods of GF(r), indexed by class."""
+    """Exact order-L Gaussian periods of GF(r), indexed by class.
+
+    rows[i][c] is the multiplicity of zeta^c in eta_i.  values[i] is the
+    int rows[i][0] - rows[i][1] when the counts past index 0 agree, and
+    otherwise the row shifted to end in 0, so that equal periods have equal
+    values.
+    """
 
     tower: FieldTower
     L: int
-    values: tuple[CyclotomicInteger, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     @property
     def eta_bar_zero(self) -> int:
@@ -161,19 +105,26 @@ class GaussianPeriodSet:
         return (self.tower.r - 1) // self.L
 
     @property
+    def values(self) -> tuple:
+        return tuple(row[0] - row[1] if len(set(row[1:])) == 1
+                     else tuple(c - row[-1] for c in row)
+                     for row in self.rows)
+
+    @property
     def rational_values(self) -> tuple:
-        return tuple(v.rational_value() if v.is_rational() else None
-                     for v in self.values)
-
-    def tallies(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(v.counts for v in self.values)
+        return tuple(v if isinstance(v, int) else None for v in self.values)
 
 
-def _check_period_sum(values) -> None:
-    total = sum(values[1:], values[0])
-    if not (total.is_rational() and total.rational_value() == -1):
+def _check_period_sum(rows) -> None:
+    total = [sum(col) for col in zip(*rows)]
+    if len(set(total[1:])) != 1 or total[0] - total[1] != -1:
         raise InconsistentPeriods(
             "period sum must be -1 (character orthogonality)")
+
+
+def _int_rows(p: int, values) -> tuple[tuple[int, ...], ...]:
+    """The count rows (v, 0, ..., 0) of integer periods v."""
+    return tuple((v,) + (0,) * (p - 1) for v in values)
 
 
 def gaussian_periods(tower: FieldTower, L: int) -> GaussianPeriodSet:
@@ -184,10 +135,9 @@ def gaussian_periods(tower: FieldTower, L: int) -> GaussianPeriodSet:
     cls = np.arange(tower.r - 1, dtype=np.int64) % L
     tr = tower.trace_p_vector[tower.exp]
     tall = np.bincount(cls * p + tr, minlength=L * p).reshape(L, p)
-    values = tuple(CyclotomicInteger(p, tuple(int(c) for c in row))
-                   for row in tall)
-    _check_period_sum(values)
-    return GaussianPeriodSet(tower, L, values)
+    rows = tuple(tuple(row) for row in tall.tolist())
+    _check_period_sum(rows)
+    return GaussianPeriodSet(tower, L, rows)
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +217,6 @@ def solve_index2_form(L: int, p: int, h_L: int) -> tuple[int, int]:
 def _closed_order2(tower: FieldTower):
     sm = tower.s * tower.m
     p = tower.p
-    minus_one = CyclotomicInteger(p, (0,) + (1,) * (p - 1))  # value -1
     if sm % 2 == 0:
         # eta_0 = (-1 + sign * sqrt(r)) / 2 with an integer sqrt(r)
         sqrt_r = p ** (sm // 2)
@@ -275,8 +224,7 @@ def _closed_order2(tower: FieldTower):
         eta0, rem = divmod(-1 + sign * sqrt_r, 2)
         if rem:
             raise InconsistentPeriods(f"order-2 period {-1 + sign * sqrt_r}/2")
-        vals = (CyclotomicInteger.from_int(p, eta0),
-                CyclotomicInteger.from_int(p, -1 - eta0))
+        rows = _int_rows(p, (eta0, -1 - eta0))
         branch = "even"
     else:
         # eta_0 = (-1 + K g)/2 with g the quadratic Gauss sum over GF(p)
@@ -284,10 +232,10 @@ def _closed_order2(tower: FieldTower):
         K = (legendre(-1, p) * p) ** ((sm - 1) // 2)
         counts = tuple((1 + K * legendre(c, p)) // 2 if c else 0
                        for c in range(p))
-        eta0 = CyclotomicInteger(p, counts)
-        vals = (eta0, minus_one - eta0)
+        # eta_1 = -1 - eta_0, with -1 = zeta + ... + zeta^(p-1)
+        rows = (counts, (-counts[0],) + tuple(1 - c for c in counts[1:]))
         branch = "odd"
-    return vals, ClosedFormParams(variant="order2", branch=branch)
+    return rows, ClosedFormParams(variant="order2", branch=branch)
 
 
 def _closed_order3(tower: FieldTower, exact: GaussianPeriodSet):
@@ -304,7 +252,6 @@ def _closed_order3(tower: FieldTower, exact: GaussianPeriodSet):
         d += 1
     if not candidates:
         raise NoDiophantineSolution(f"4*{R} = c^2 + 27 d^2 has no p-coprime solution")
-    exact_vals = exact.values
     for c_abs, d_abs in candidates:
         c = c_abs if c_abs % 3 == 2 else -c_abs  # integrality: c R = -1 mod 3
         for d in (d_abs, -d_abs):
@@ -313,10 +260,10 @@ def _closed_order3(tower: FieldTower, exact: GaussianPeriodSet):
             eta2, rem2 = divmod(-2 + (c - 9 * d) * R, 6)
             if rem0 or rem1 or rem2:
                 continue
-            vals = tuple(CyclotomicInteger.from_int(p, e)
-                         for e in (eta0, eta1, eta2))
-            if vals == exact_vals:
-                return vals, ClosedFormParams(variant="order3", c1=c, d1=d)
+            vals = (eta0, eta1, eta2)
+            if vals == exact.values:
+                return _int_rows(p, vals), ClosedFormParams(
+                    variant="order3", c1=c, d1=d)
     raise NoDiophantineSolution(
         "no sign choice reproduces the exact order-3 periods")
 
@@ -344,11 +291,9 @@ def _closed_semiprimitive(tower: FieldTower, L: int):
         branch = "general"
     if rs or rc:
         raise InconsistentPeriods(f"non-integral semiprimitive periods, L = {L}")
-    vals = tuple(
-        CyclotomicInteger.from_int(p, special if i == special_index else common)
-        for i in range(L))
-    return vals, ClosedFormParams(variant="semiprimitive", branch=branch,
-                                  j=j, v=v)
+    vals = tuple(special if i == special_index else common for i in range(L))
+    return _int_rows(p, vals), ClosedFormParams(
+        variant="semiprimitive", branch=branch, j=j, v=v)
 
 
 def _closed_index2(tower: FieldTower, L: int, exact: GaussianPeriodSet):
@@ -374,12 +319,10 @@ def _closed_index2(tower: FieldTower, L: int, exact: GaussianPeriodSet):
     eta0, eta_plus, eta_minus = (int(f) for f in fvals)
     # the +/- labeling depends on gamma; try both against the exact oracle
     for ep, em in ((eta_plus, eta_minus), (eta_minus, eta_plus)):
-        vals = tuple(
-            CyclotomicInteger.from_int(
-                p, eta0 if i == 0 else (ep if legendre(i, L) == 1 else em))
-            for i in range(L))
+        vals = tuple(eta0 if i == 0 else (ep if legendre(i, L) == 1 else em)
+                     for i in range(L))
         if vals == exact.values:
-            return vals, ClosedFormParams(
+            return _int_rows(p, vals), ClosedFormParams(
                 variant="index2", h_L=h_L, a_qf=a, b_qf=b, k=k,
                 P_k=P, A_k=A, B_k=B)
     raise NoDiophantineSolution(
@@ -426,12 +369,12 @@ def gaussian_periods_closed_form(
         raise HypothesisNotMet(
             f"the {variant} hypotheses fail for L = {L} over GF({tower.r})")
     if variant == "order2":
-        vals, params = _closed_order2(tower)
+        rows, params = _closed_order2(tower)
     elif variant == "order3":
-        vals, params = _closed_order3(tower, gaussian_periods(tower, 3))
+        rows, params = _closed_order3(tower, gaussian_periods(tower, 3))
     elif variant == "semiprimitive":
-        vals, params = _closed_semiprimitive(tower, L)
+        rows, params = _closed_semiprimitive(tower, L)
     else:
-        vals, params = _closed_index2(tower, L, gaussian_periods(tower, L))
-    _check_period_sum(vals)
-    return GaussianPeriodSet(tower, L, vals), params
+        rows, params = _closed_index2(tower, L, gaussian_periods(tower, L))
+    _check_period_sum(rows)
+    return GaussianPeriodSet(tower, L, rows), params

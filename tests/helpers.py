@@ -97,9 +97,10 @@ def float_periods(tw, L):
     return [complex(round(v.real, 6), round(v.imag, 6)) for v in vals]
 
 
-def cyclo_to_complex(ci):
-    z = cmath.exp(2j * cmath.pi / ci.p)
-    return sum(c * z ** i for i, c in enumerate(ci.counts))
+def cyclo_to_complex(p, row):
+    """The complex value of sum_c row[c] zeta_p^c."""
+    z = cmath.exp(2j * cmath.pi / p)
+    return sum(c * z ** i for i, c in enumerate(row))
 
 
 def default_modulus_unpruned(p, d):
@@ -389,12 +390,11 @@ def cyclotomic_classes(tower, L):
 
 
 def modified_period(pset, v):
-    """(r-1)/L at v = 0, otherwise the period of v's class.  Returns a plain
-    int whenever the value is rational."""
+    """(r-1)/L at v = 0, otherwise the period of v's class: a plain int
+    whenever the value is rational, else its normalized count row."""
     if v == 0:
         return pset.eta_bar_zero
-    val = pset.values[pset.tower.dlog_of(v) % pset.L]
-    return val.rational_value() if val.is_rational() else val
+    return pset.values[pset.tower.dlog_of(v) % pset.L]
 
 
 def eval_poly(poly, x):

@@ -1,12 +1,16 @@
 """Command-line interface: output formats, exit codes, JSON canonicality."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import cyclotome
 from cyclotome.cli import main
@@ -312,3 +316,67 @@ def test_closed_stdout_exit_1_without_traceback(unbuffered):
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 1
     assert err == ""
+
+
+@st.composite
+def code_argvs(draw):
+    """argv for the five code subcommands over fields of at most 3^6
+    elements.  Each value comes from its valid range, or one time in eight
+    from a wider range that holds invalid values too."""
+    def pick(valid, wide):
+        return draw(wide if draw(st.integers(0, 7)) == 0 else valid)
+
+    def commas(values):
+        return ",".join(map(str, values))
+
+    command = draw(st.sampled_from(
+        ("params", "periods", "cyclonum", "weights", "verify")))
+    p = pick(st.sampled_from((2, 3, 5, 7)),
+             st.sampled_from((0, 1, 2, 3, 4, 5, 7)))
+    s = pick(st.integers(1, 4), st.integers(-1, 4))
+    m = pick(st.integers(1, 4), st.integers(-1, 4))
+    assume(s * m <= 0 or p ** (s * m) <= 3 ** 6)
+    r1 = max(p ** (s * m) - 1, 1) if s * m > 0 else 1
+    divisors = [d for d in range(1, r1 + 1) if r1 % d == 0]
+    argv = [command, "--p", str(p), "--s", str(s), "--m", str(m)]
+    if pick(st.just(False), st.booleans()):
+        argv += ["--modulus",
+                 commas(draw(st.lists(st.integers(-1, 8), max_size=8)))]
+    if command in ("periods", "cyclonum"):
+        L = pick(st.sampled_from(divisors), st.integers(-2, 3 ** 6))
+        argv += ["--L", str(L)]
+    else:
+        e = pick(st.sampled_from([d for d in divisors if 2 <= d <= 8] or [1]),
+                 st.integers(-1, 8))
+        t = pick(st.integers(2, max(2, min(e, 4))), st.integers(-1, 4))
+        a = pick(st.integers(0, 30), st.integers(-2, 30))
+        delta = pick(st.lists(st.integers(0, max(e - 1, 0)),
+                              min_size=max(t, 0), max_size=max(t, 0),
+                              unique=0 <= t <= e),
+                     st.lists(st.integers(-2, 9), max_size=5))
+        argv += ["--e", str(e), "--t", str(t), "--a", str(a),
+                 "--delta", commas(delta)]
+    if command in ("weights", "verify"):
+        argv += ["--max-enum", str(pick(st.integers(0, 10 ** 4),
+                                        st.integers(-1, 10 ** 4)))]
+    if command == "weights":
+        argv += ["--method", pick(
+            st.sampled_from(("auto", "naive", "tsum", "closed")),
+            st.sampled_from(("auto", "naive", "tsum", "closed", "dual")))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=10))
+@given(code_argvs())
+def test_fuzzed_argv_ends_without_traceback(argv):
+    # every input ends in exit 0 or 1 from main, or in argparse's exit 2
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("usage", exc.code)
+    assert code in (0, 1, ("usage", 2)), argv
+    assert "Traceback" not in err.getvalue(), argv

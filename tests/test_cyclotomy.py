@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cyclotome.cyclotomy import (
-    CyclotomicInteger,
+    GaussianPeriodSet,
+    _check_period_sum,
     applicable_closed_form,
     cyclotomic_numbers,
     gaussian_periods,
@@ -17,7 +18,12 @@ from cyclotome.cyclotomy import (
     legendre,
     solve_index2_form,
 )
-from cyclotome.errors import BadL, HypothesisNotMet, NotADivisor
+from cyclotome.errors import (
+    BadL,
+    HypothesisNotMet,
+    InconsistentPeriods,
+    NotADivisor,
+)
 from cyclotome.gf import is_prime
 from helpers import (
     GRID_TOWERS,
@@ -28,6 +34,7 @@ from helpers import (
     tower,
 )
 
+T25 = tower(5, 1, 2, (2, 4, 1))
 T27 = tower(3, 1, 3, (1, 2, 0, 1))
 T49 = tower(7, 1, 2, (3, 6, 1))
 T64 = tower(2, 1, 6, (1, 1, 0, 1, 1, 0, 1))
@@ -36,34 +43,29 @@ T343 = tower(7, 1, 3, (4, 0, 6, 1))
 VARIANTS = ("order2", "order3", "semiprimitive", "index2")
 
 
-class TestCyclotomicInteger:
+class TestPeriodRows:
+    # GaussianPeriodSet.values on hand-made count rows; the tower only
+    # supplies eta_bar_zero, which these tests do not read
     @given(st.lists(st.integers(-9, 9), min_size=5, max_size=5),
            st.integers(-5, 5))
     def test_constant_shift_preserves_value(self, counts, k):
-        a = CyclotomicInteger(5, tuple(counts))
-        b = CyclotomicInteger(5, tuple(c + k for c in counts))
+        shifted = tuple(c + k for c in counts)
+        a, b = GaussianPeriodSet(T25, 1, (tuple(counts), shifted)).values
         assert a == b
         assert hash(a) == hash(b)
-        assert abs(cyclo_to_complex(a) - cyclo_to_complex(b)) < 1e-9
-
-    @given(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
-           st.lists(st.integers(-9, 9), min_size=3, max_size=3))
-    def test_ring_ops_match_complex(self, ca, cb):
-        a = CyclotomicInteger(3, tuple(ca))
-        b = CyclotomicInteger(3, tuple(cb))
-        za, zb = cyclo_to_complex(a), cyclo_to_complex(b)
-        assert abs(cyclo_to_complex(a + b) - (za + zb)) < 1e-9
-        assert abs(cyclo_to_complex(a - b) - (za - zb)) < 1e-9
+        assert abs(cyclo_to_complex(5, counts)
+                   - cyclo_to_complex(5, shifted)) < 1e-9
 
     def test_rationality_rule(self):
-        assert CyclotomicInteger(5, (7, 2, 2, 2, 2)).rational_value() == 5
-        assert not CyclotomicInteger(5, (7, 2, 2, 2, 3)).is_rational()
-        assert CyclotomicInteger.from_int(7, -4).rational_value() == -4
-        with pytest.raises(ValueError):
-            CyclotomicInteger(3, (0, 1, 2)).rational_value()
+        ps = GaussianPeriodSet(T25, 3, ((7, 2, 2, 2, 2), (7, 2, 2, 2, 3),
+                                        (-4, 0, 0, 0, 0)))
+        assert ps.values == (5, (4, -1, -1, -1, 0), -4)
+        assert ps.rational_values == (5, None, -4)
+        assert GaussianPeriodSet(T27, 1, ((0, 1, 2),)).rational_values == \
+            (None,)
 
     def test_int_comparison(self):
-        assert CyclotomicInteger(3, (1, 2, 2)) == -1
+        assert GaussianPeriodSet(T27, 1, ((1, 2, 2),)).values == (-1,)
 
 
 class TestClasses:
@@ -115,15 +117,27 @@ class TestExactPeriods:
         for tw, L in ((T27, 2), (T49, 2), (T49, 3), (T64, 7), (T343, 3),
                       (tower(3, 1, 4), 16)):
             fl = float_periods(tw, L)
-            for v, z in zip(gaussian_periods(tw, L).values, fl):
-                assert abs(cyclo_to_complex(v) - z) < 1e-6
+            for row, z in zip(gaussian_periods(tw, L).rows, fl):
+                assert abs(cyclo_to_complex(tw.p, row) - z) < 1e-6
 
     def test_sum_is_minus_one(self):
         for tw in (T27, T49, T64, tower(3, 1, 4), tower(5, 1, 2, (2, 4, 1))):
             for L in range(1, 20):
                 if (tw.r - 1) % L == 0:
-                    vals = gaussian_periods(tw, L).values
-                    assert sum(vals[1:], vals[0]) == -1
+                    total = [sum(col) for col in
+                             zip(*gaussian_periods(tw, L).rows)]
+                    assert total[1:] == [total[1]] * (tw.p - 1)
+                    assert total[0] - total[1] == -1
+
+    def test_period_sum_check_catches_one_bumped_count(self):
+        for tw, L in ((T27, 2), (T49, 3), (T64, 7), (tower(3, 1, 4), 16)):
+            rows = [list(row) for row in gaussian_periods(tw, L).rows]
+            for i, c in np.ndindex(len(rows), tw.p):
+                rows[i][c] += 1
+                with pytest.raises(InconsistentPeriods):
+                    _check_period_sum(rows)
+                rows[i][c] -= 1
+            _check_period_sum(rows)
 
     def test_multiset_invariant_under_primitive_change(self):
         alt = tower(7, 1, 3)  # auto modulus differs from the pinned one
@@ -163,11 +177,12 @@ class TestDistinctValues:
     def test_pairwise_distinct(self):
         # irrational values group by their normalized counts exactly as
         # their complex values do
-        values = gaussian_periods(tower(3, 1, 4), 16).values
-        groups = Counter(values)
+        ps = gaussian_periods(tower(3, 1, 4), 16)
+        groups = Counter(ps.values)
         assert sum(groups.values()) == 16
+        assert None in ps.rational_values
         points = {complex(round(z.real, 6), round(z.imag, 6))
-                  for z in map(cyclo_to_complex, values)}
+                  for z in (cyclo_to_complex(3, row) for row in ps.rows)}
         assert len(groups) == len(points)
 
 
