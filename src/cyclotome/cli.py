@@ -277,6 +277,9 @@ def cmd_verify(args) -> int:
         dist = rep.reference_distribution()
         if dist is not None:
             print("enumerator: " + dist.enumerator_str())
+    if not rep.distributions:
+        reasons = "; ".join(f"{k}: {v}" for k, v in rep.skipped.items())
+        print(f"error: no method ran ({reasons})", file=sys.stderr)
     return 0 if rep.passed else 1
 
 

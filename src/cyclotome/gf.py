@@ -17,14 +17,17 @@ Tr_{r/q}), which one primitive, FieldTower._linear_map, builds digit by
 digit.
 
 A FieldTower is immutable once built (its numpy tables are marked
-read-only), so concurrent readers are safe.
+read-only), so concurrent readers are safe.  build_field keeps the tower of
+its last successful call and returns it again for equal arguments, so
+consecutive builds of one field share one tower, with its lazily built trace
+vectors and addition tables; at most one tower is held between calls.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from math import isqrt
 
 import numpy as np
@@ -477,8 +480,19 @@ def build_field(p: int, s: int, m: int, modulus=None,
     """Construct the tower GF(p) <= GF(p^s) <= GF(p^(s*m)).
 
     If modulus is omitted, a deterministic primitive modulus is selected
-    (see default_modulus), so repeated builds agree.
+    (see default_modulus), so repeated builds agree.  A call with the same
+    arguments as the last successful one (a list or tuple modulus alike)
+    returns the same tower; a failed build is not kept.
     """
+    return _build_field(p, s, m, None if modulus is None else tuple(modulus),
+                        table_cap)
+
+
+# One entry: the tower must not refer back to itself, so that the tower it
+# replaces is freed by reference counting as soon as the next one is kept.
+@lru_cache(maxsize=1)
+def _build_field(p: int, s: int, m: int, modulus: tuple[int, ...] | None,
+                 table_cap: int) -> FieldTower:
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
     if s < 1 or m < 1:
@@ -488,7 +502,7 @@ def build_field(p: int, s: int, m: int, modulus=None,
         raise TowerTooLarge(f"r = {p**d} exceeds the table cap {table_cap}")
     if modulus is None:
         modulus = default_modulus(p, d)
-    return FieldTower(p, s, m, tuple(modulus))
+    return FieldTower(p, s, m, modulus)
 
 
 # ----------------------------------------------------------------------

@@ -156,6 +156,26 @@ def test_verify_json_is_canonical(capsys):
     assert obj["passed"] is True and obj["methods_agreed"] is True
 
 
+# r^t = 8^4 is over both enumeration caps and the power matrix has a
+# singular minor, so no method runs
+NO_METHOD_ARGV = ("verify", "--p", "2", "--s", "3", "--m", "1", "--e", "7",
+                  "--t", "4", "--a", "29", "--delta", "1,4,0,2",
+                  "--max-enum", "312")
+
+
+def test_verify_with_no_method_says_why(capsys):
+    code, out, err = run_cli(capsys, *NO_METHOD_ARGV)
+    assert code == 1
+    assert "methods run: []" in out and "error" not in out
+    assert err == ("error: no method ran (naive: r^t = 4096 > cap 312; "
+                   "tsum: r^t = 4096 > cap 312; closed: a t x t minor of "
+                   "the power matrix is singular)\n")
+    code, out, err_json = run_cli(capsys, *NO_METHOD_ARGV, "--json")
+    obj = json.loads(out)
+    assert code == 1 and obj["methods_run"] == [] and obj["passed"] is False
+    assert err_json == err
+
+
 def test_computation_error_exit_1(capsys):
     # e does not divide r - 1
     code, _, err = run_cli(

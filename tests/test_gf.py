@@ -1,7 +1,9 @@
 """Field tower construction, traces, minimal polynomials, cosets."""
 
+import gc
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +15,10 @@ from cyclotome.errors import (
     NotPrime,
     TowerTooLarge,
 )
+from cyclotome import gf
 from cyclotome.gf import (
+    DEFAULT_TABLE_CAP,
+    _build_field,
     build_field,
     cyclotomic_coset,
     default_modulus,
@@ -56,7 +61,9 @@ class TestBuildField:
 
     def test_auto_modulus_deterministic(self):
         a = build_field(3, 1, 3)
+        _build_field.cache_clear()  # else b would be a itself
         b = build_field(3, 1, 3)
+        assert b is not a
         assert a.modulus == b.modulus
         assert np.array_equal(a.exp, b.exp)
         # degree >= 2: lexicographically least primitive polynomial
@@ -90,6 +97,58 @@ class TestBuildField:
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             build_field(3, 1, 3, modulus=(1, 1))
+
+
+class TestBuildFieldMemo:
+    """build_field returns the tower of its last successful call again for
+    equal arguments, and holds no other tower."""
+
+    def test_equal_arguments_share_one_tower(self, monkeypatch):
+        _build_field.cache_clear()
+        searches = []
+        search = gf.default_modulus
+        monkeypatch.setattr(gf, "default_modulus",
+                            lambda p, d: searches.append((p, d))
+                            or search(p, d))
+        a = build_field(3, 1, 3)
+        assert build_field(3, 1, 3, modulus=None) is a
+        assert build_field(3, 1, 3, None, DEFAULT_TABLE_CAP) is a
+        assert searches == [(3, 3)]
+        b = build_field(3, 1, 3, modulus=[1, 2, 0, 1])
+        assert b is not a
+        assert build_field(3, 1, 3, modulus=(1, 2, 0, 1)) is b
+        assert build_field(3, 1, 3, modulus=[1, 2, 0, 1]) is b
+        assert build_field(3, 1, 3, modulus=(1, 2, 0, 1),
+                           table_cap=27) is not b
+
+    def test_replaced_tower_is_freed_by_refcount(self):
+        _build_field.cache_clear()  # a fresh tower that no test cache holds
+        tw = build_field(3, 1, 4)
+        # fill every lazily built table, so none of them may point back
+        tw.trace_p_vector, tw.trace_q_vector
+        ref = weakref.ref(tw)
+        del tw
+        enabled = gc.isenabled()
+        gc.disable()  # only reference counting may free it
+        try:
+            assert ref() is not None  # the memo holds it
+            assert build_field(3, 1, 4) is ref()
+            build_field(5, 1, 2)
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_failed_build_is_not_kept(self):
+        _build_field.cache_clear()
+        good = build_field(3, 1, 2)
+        for _ in range(2):
+            with pytest.raises(ModulusNotIrreducible):
+                build_field(3, 1, 2, modulus=(2, 0, 1))  # x^2 - 1
+        assert build_field(3, 1, 2) is good
+        other = build_field(3, 1, 2, modulus=(2, 1, 1))
+        assert other is not good and other.r == 9
+        assert np.array_equal(other.dlog[other.exp], np.arange(8))
 
 
 # every field with d >= 2 and p^d <= 5^6
@@ -251,6 +310,7 @@ class TestTraces:
         # the power table, dlog and both trace vectors are 8 MB each here;
         # an (r, d) int64 digit matrix alone would be 168 MB on 2^20
         modulus = modulus or default_modulus(p, d)
+        _build_field.cache_clear()  # a held tower would measure about 0 B
         tracemalloc.start()
         try:
             tw = build_field(p, 1, d, modulus=modulus)
