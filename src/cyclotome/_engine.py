@@ -20,7 +20,11 @@ Memory is bounded by the byte budget SWEEP_BYTES, not by r^t.  The naive
 kernel takes the codeword coordinates in blocks of SWEEP_BYTES of int32
 symbols over the (x_2, ..., x_t) grid.  Period sums and class profiles are
 one sweep (_sweep) with two sets of per-h tables: it keeps only the folds
-of the trailing axes resident and walks the leading codes in blocks.
+of the trailing axes resident and walks the leading codes in blocks.  Where
+the folds are large, runs of g period arguments share one composed table
+and one gather per input.  The sampler at t = 2 adds in the log domain
+through Zech's logarithms (Lidl & Niederreiter, Finite Fields), one table
+lookup per period argument.
 """
 
 from __future__ import annotations
@@ -152,6 +156,15 @@ def _per_h_luts(tower: FieldTower, derived: DerivedParams
     return out
 
 
+def _run_width(r: int, e: int, size: int) -> int:
+    """The largest g <= e whose r^g-entry composed rows are at most 1/8 of
+    a fold of `size` entries, and 1 if none is."""
+    g = 1
+    while g < e and 8 * r ** (g + 1) <= size:
+        g += 1
+    return g
+
+
 def _sweep(tower: FieldTower, luts: list[list[np.ndarray]],
            tables: list[np.ndarray], slabs: list[tuple[int, int]],
            size: int) -> np.ndarray:
@@ -161,25 +174,46 @@ def _sweep(tower: FieldTower, luts: list[list[np.ndarray]],
 
     Only the folds of x_(k+2)..x_t stay resident, k the least for which the
     e int32 folds fit SWEEP_BYTES.  A head fixes x_1..x_(k+1), so there
-    v_h = head_h + fold_h: one field addition composes the r-entry table
-    tables[h][head_h + .], gathered through the fold.  Heads go in blocks
-    of about SWEEP_BYTES / 4 entries.  The accumulator holds e times the
-    largest |table entry| in the narrowest signed dtype, so it never wraps.
+    v_h = head_h + fold_h: one field addition composes the r-entry row
+    tables[h][head_h + .], gathered through the fold.  The h go in runs of
+    g, the largest g with 8 r^g <= fold size: a run's g rows are outer-added
+    into one r^g-entry row, gathered once through the run index
+    sum_j fold_(h_j) r^j (intp, in place of the run's folds), so an
+    input costs e/g gathers, not e.  At g = 1 the folds are the indexes.
+    Heads go in blocks of SWEEP_BYTES: per head the e r-entry sums, the
+    composed rows, and over the fold the accumulator, one gathered term and
+    bincount's intp copy.  The accumulator holds e times the largest
+    |table entry| in the narrowest signed dtype, so it never wraps.  A block
+    of int8 sums larger than 2^16 is counted two sums per key: the int16
+    view of a pair (a, b) in [0, 128) is a + 256 b (or 256 a + b), and the
+    row and column sums of the 2^15 key counts together count every sum.
     """
     r, e, t = tower.r, len(luts), len(luts[0])
-    points = SWEEP_BYTES // 4
-    k = next((k for k in range(t - 2) if e * r ** (t - 1 - k) <= points),
-             t - 2)
+    k = next((k for k in range(t - 2)
+              if 4 * e * r ** (t - 1 - k) <= SWEEP_BYTES), t - 2)
     codes = [c for c, _ in slabs]
     heads = np.array([fold_sum(tower, [row[0][codes]] + row[1:k + 1])
                       for row in luts])
     folds = [fold_sum(tower, row[k + 1:]) for row in luts]
+    size_f = folds[0].size
+    g = _run_width(r, e, size_f)
+    runs = [range(h, min(h + g, e)) for h in range(0, e, g)]
+    if g > 1:  # each run's intp index replaces its folds
+        index = []
+        for run in runs:
+            idx = folds[run[-1]].astype(np.intp)
+            for h in reversed(run[:-1]):
+                idx = idx * r + folds[h]
+            index.append(idx)
+        folds = index
     bound = e * max(int(np.abs(tab).max()) for tab in tables)
     acc_dtype = next(dt for dt in (np.int8, np.int16, np.int32, np.int64)
                      if bound <= np.iinfo(dt).max)
     tables = [tab.astype(acc_dtype) for tab in tables]
+    item = np.dtype(acc_dtype).itemsize
     mults = np.repeat([mult for _, mult in slabs], r ** k)
-    step = max(1, points // (e * max(r, folds[0].size)))
+    per_head = 4 * e * r + 2 * item * (r ** g + size_f) + 8 * size_f
+    step = max(1, SWEEP_BYTES // per_head)
     cuts = set(range(0, mults.size, step))
     cuts.update(np.flatnonzero(np.diff(mults)) + 1)
     bounds = sorted(cuts) + [mults.size]
@@ -187,12 +221,27 @@ def _sweep(tower: FieldTower, luts: list[list[np.ndarray]],
     tally = np.zeros(size, dtype=np.int64)
     for lo, hi in zip(bounds, bounds[1:]):
         v = tower.add_arrays(elems, heads[:, lo:hi, None])
-        acc = tables[0].take(v[0]).take(folds[0], axis=1)
-        for h in range(1, e):
-            acc += tables[h].take(v[h]).take(folds[h], axis=1)
+        acc = None
+        for run, idx in zip(runs, folds):
+            row = tables[run[0]].take(v[run[0]])
+            for h in run[1:]:
+                row = (tables[h].take(v[h])[:, :, None] + row[:, None, :]
+                       ).reshape(hi - lo, -1)
+            if acc is None:
+                acc = row.take(idx, axis=1)
+            else:
+                acc += row.take(idx, axis=1)
         if acc.min() < 0:
             raise NegativePeriodSum("negative scaled period sum")
-        counts = np.bincount(acc.ravel())
+        flat = acc.ravel()
+        if flat.dtype == np.int8 and flat.size > 1 << 16:
+            even = flat.size & ~1
+            pairs = np.bincount(flat[:even].view(np.int16),
+                                minlength=1 << 15).reshape(128, 256)
+            counts = (pairs.sum(axis=0)[:128] + pairs.sum(axis=1))[:size]
+            counts[flat[even:]] += 1
+        else:
+            counts = np.bincount(flat)
         tally[:counts.size] += mults[lo] * counts
     return tally
 
@@ -251,6 +300,27 @@ def weights_of_period_sums(X: np.ndarray, q: int, delta: int,
     return num // den
 
 
+def _zech_tables(tower: FieldTower, N: int, nval_by_elem: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(cls3, vals) for log-domain addition of two nonzero elements.
+
+    gamma^a + gamma^b = gamma^a (1 + gamma^(b-a)), so its class is
+    a + C[b - a] mod N, with C[j] the class of 1 + gamma^j (Zech's
+    logarithm mod N), or the code Z = 3N - 1 where 1 + gamma^j = 0.
+    cls3 is C written out three times, in the narrowest unsigned dtype that
+    holds Z.  vals[i] is nval of class i mod N for i < Z and nval[0] from Z
+    on, so vals[s + A + c] is the value for every shift s, A < N."""
+    one_plus = tower.add_arrays(tower.exp, np.ones(1, dtype=tower.exp.dtype))
+    logs = tower.dlog.take(one_plus)
+    cls = (logs % N).astype(np.min_scalar_type(3 * N - 1))
+    cls[logs < 0] = 3 * N - 1
+    cls3 = np.tile(cls, 3)
+    by_class = nval_by_elem.take(tower.exp[:N])
+    vals = np.concatenate([np.tile(by_class, 3)[:3 * N - 1],
+                           np.full(2 * N - 1, nval_by_elem[0])])
+    return cls3, vals
+
+
 def sample_weights(tower: FieldTower, derived: DerivedParams,
                    nval_by_elem: np.ndarray, count: int,
                    seed: int) -> np.ndarray:
@@ -264,14 +334,21 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
     of one (count, t) call, so the weights do not depend on the block size.
     Products go through logs: code c >= 1 is gamma^(c-1), so its product
     with gamma^k is exp2[c - 1 + k] in the power table written out twice,
-    and a zero code contributes zero.
+    and a zero code contributes zero.  At t = 2 the sum is never formed:
+    v_h = gamma^a + gamma^b with a = l_1 + k_h1, b = l_2 + k_h2 has class
+    a + C[b - a] mod N (_zech_tables), one narrow gather and one value
+    gather per h.  Draws with a zero code take the value of the other
+    summand (or of 0), patched by index.  At t >= 3 each v_h is summed as
+    an element with add_arrays.
     """
-    r, t, e = tower.r, derived.t, derived.e
+    r, t, e, N = tower.r, derived.t, derived.e, derived.N
     r1 = r - 1
     dtype = np.int32 if r <= 2 ** 31 else np.int64
     exp2 = np.tile(tower.exp.astype(dtype), 2)
     logs = [[h * tower.dlog_of(tower.mul(derived.g, b)) % r1
              for b in derived.betas] for h in range(e)]
+    if t == 2:
+        cls3, vals = _zech_tables(tower, N, nval_by_elem)
     rng = np.random.default_rng(seed)
     rows = max(1, SWEEP_BYTES // (8 * t))
     out = np.empty(count, dtype=np.int64)
@@ -283,13 +360,27 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
         for row, z in zip(lg, zeros):
             row[z] = 0
         acc = np.zeros(size, dtype=np.int64)
-        for ks in logs:
-            v = None
-            for row, z, k in zip(lg, zeros, ks):
-                term = exp2.take(row + k)
-                term[z] = 0
-                v = term if v is None else tower.add_arrays(v, term)
-            acc += nval_by_elem.take(v)
+        if t == 2:
+            l1, l2 = lg
+            diff = np.subtract(l2, l1, dtype=np.intp)
+            diff += r1
+            base = np.remainder(l1, N, dtype=np.intp)
+            both = np.intersect1d(*zeros, assume_unique=True)
+            for k1, k2 in logs:
+                c = cls3[(k2 - k1) % r1:].take(diff)
+                val = vals[k1 % N:].take(base + c)
+                for z, row, k in ((zeros[0], l2, k2), (zeros[1], l1, k1)):
+                    val[z] = nval_by_elem.take(exp2.take(row[z] + k))
+                val[both] = nval_by_elem[0]
+                acc += val
+        else:
+            for ks in logs:
+                v = None
+                for row, z, k in zip(lg, zeros, ks):
+                    term = exp2.take(row + k)
+                    term[z] = 0
+                    v = term if v is None else tower.add_arrays(v, term)
+                acc += nval_by_elem.take(v)
         out[lo:lo + size] = weights_of_period_sums(
             e * r1 - acc, tower.q, derived.delta, e)
     return out

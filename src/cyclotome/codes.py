@@ -212,18 +212,28 @@ def validate_assumptions(tower: FieldTower, spec: CodeSpec,
     return AssumptionReport(cond_i, cond_ii, cond_iii, method, witnesses)
 
 
-def independent_power_rows(tower: FieldTower, derived: DerivedParams) -> bool:
+# Gaussian-elimination steps independent_power_rows may spend, t^3 a minor
+MINOR_BUDGET = 500_000
+
+
+def independent_power_rows(tower: FieldTower, derived: DerivedParams
+                           ) -> bool | None:
     """Whether every t x t minor of the e x t matrix with rows
     (beta_1^h, ..., beta_t^h), h = 0..e-1, is invertible over GF(r).
 
     beta_tau = omega^(D_tau) with omega = gamma^((r-1)/e) of order e.  When
     the D_tau are D_0 + k j mod e (j < t) with gcd(k, e) = 1, every minor is
     a row-scaled Vandermonde matrix in the distinct omega^(k h), so none is
-    singular and no minor is tested."""
+    singular and no minor is tested.  Otherwise the minors are tested in
+    turn, and None (undecided) is returned once MINOR_BUDGET / t^3 of them
+    are invertible and more remain."""
     if _unit_step_progression(tower, derived):
         return True
+    limit = MINOR_BUDGET // derived.t ** 3
     rows = [[tower.pow(b, h) for b in derived.betas] for h in range(derived.e)]
-    for pick in combinations(range(derived.e), derived.t):
+    for i, pick in enumerate(combinations(range(derived.e), derived.t)):
+        if i == limit:
+            return None
         mat = [list(rows[h]) for h in pick]
         if _det_is_zero(tower, mat):
             return False

@@ -20,14 +20,15 @@ A FieldTower is immutable once built (its numpy tables are marked
 read-only), so concurrent readers are safe.  build_field keeps the tower of
 its last successful call and returns it again for equal arguments, so
 consecutive builds of one field share one tower, with its lazily built trace
-vectors and addition tables; at most one tower is held between calls.
+vectors and addition tables.  At most one tower is held: a new field drops
+it once its modulus passes the checks, before the new tables are built.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from math import isqrt
 
 import numpy as np
@@ -232,18 +233,13 @@ def cyclotomic_coset(a: int, q: int, r: int) -> set[int]:
 
 class FieldTower:
     """GF(p) <= GF(q = p^s) <= GF(r = q^m) with a primitive gamma and full
-    discrete-log table.  Use build_field() to construct: it checks p, s, m
-    and the table cap, and the constructor takes them as given.  A modulus
-    whose x is not primitive fails in _build_tables."""
+    discrete-log table.  Use build_field() to construct: it checks p, s, m,
+    the table cap and that the modulus is monic, of degree s*m and
+    irreducible, and the constructor takes them as given.  A modulus whose x
+    is not primitive fails in _build_tables."""
 
     def __init__(self, p: int, s: int, m: int, modulus: tuple[int, ...]):
         d = s * m
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != d + 1 or modulus[-1] != 1:
-            raise InvalidParameters(
-                f"modulus must be monic of degree {d}, got {modulus}")
-        if not is_irreducible(modulus, p):
-            raise ModulusNotIrreducible(f"{modulus} factors over GF({p})")
         self.p, self.s, self.m = p, s, m
         self.q = p ** s
         self.r = p ** d
@@ -488,11 +484,18 @@ def build_field(p: int, s: int, m: int, modulus=None,
                         table_cap)
 
 
-# One entry: the tower must not refer back to itself, so that the tower it
-# replaces is freed by reference counting as soon as the next one is kept.
-@lru_cache(maxsize=1)
+# The tower of the last successful build, keyed by its arguments.  It is
+# dropped before a miss builds the next tables, so two towers are never
+# resident at once; the tower must not refer back to itself, so that
+# reference counting frees it there.
+_last: dict = {}
+
+
 def _build_field(p: int, s: int, m: int, modulus: tuple[int, ...] | None,
                  table_cap: int) -> FieldTower:
+    key = (p, s, m, modulus, table_cap)
+    if key in _last:
+        return _last[key]
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
     if s < 1 or m < 1:
@@ -502,7 +505,19 @@ def _build_field(p: int, s: int, m: int, modulus: tuple[int, ...] | None,
         raise TowerTooLarge(f"r = {p**d} exceeds the table cap {table_cap}")
     if modulus is None:
         modulus = default_modulus(p, d)
-    return FieldTower(p, s, m, modulus)
+    modulus = tuple(c % p for c in modulus)
+    if len(modulus) != d + 1 or modulus[-1] != 1:
+        raise InvalidParameters(
+            f"modulus must be monic of degree {d}, got {modulus}")
+    if not is_irreducible(modulus, p):
+        raise ModulusNotIrreducible(f"{modulus} factors over GF({p})")
+    _last.clear()
+    tower = FieldTower(p, s, m, modulus)
+    _last[key] = tower
+    return tower
+
+
+_build_field.cache_clear = _last.clear
 
 
 # ----------------------------------------------------------------------

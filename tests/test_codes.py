@@ -18,7 +18,7 @@ from cyclotome.codes import (
 )
 from cyclotome.cyclotomy import gaussian_periods
 from cyclotome.errors import AssumptionViolated, EDoesNotDivide
-from cyclotome.weights import TAG_TLT_N1, classify
+from cyclotome.weights import TAG_TLT_N1, TAG_UNSUPPORTED, classify
 from helpers import (
     GRID_TOWERS,
     codeword,
@@ -156,6 +156,29 @@ class TestIndependence:
         cl = classify(tw, sp, d)
         assert time.perf_counter() - start < 1.0
         assert cl.tag == TAG_TLT_N1
+
+    def test_minor_budget_bounds_classify(self, monkeypatch):
+        # the same field and (e, t) with offsets 0, 2, ..., 15, which are
+        # no unit-step progression mod 31: classify ends at once
+        tw = tower(2, 10, 2)
+        sp = CodeSpec(2, 10, 2, 31, 15, 1, (0,) + tuple(range(2, 16)))
+        d = derive_params(tw, sp)
+        assert not codes._unit_step_progression(tw, d)
+        start = time.perf_counter()
+        assert classify(tw, sp, d).tag == TAG_UNSUPPORTED
+        assert time.perf_counter() - start < 1.0
+        # with the criterion off, no minor of the progression 0, 2, ..., 28
+        # is singular, so only the budget stops the test of C(31, 15)
+        monkeypatch.setattr(codes, "_unit_step_progression",
+                            lambda tw, d: False)
+        sp = CodeSpec(2, 10, 2, 31, 15, 1, tuple(range(0, 30, 2)))
+        d = derive_params(tw, sp)
+        start = time.perf_counter()
+        cl = classify(tw, sp, d)
+        assert time.perf_counter() - start < 1.0
+        assert independent_power_rows(tw, d) is None
+        assert cl.tag == TAG_UNSUPPORTED
+        assert f"budget of {codes.MINOR_BUDGET}" in cl.reason
 
 
 class TestPolynomials:

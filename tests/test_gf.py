@@ -139,6 +139,31 @@ class TestBuildFieldMemo:
             if enabled:
                 gc.enable()
 
+    def test_held_tower_is_dropped_before_the_next_tables(self, monkeypatch):
+        # a miss must not build its tables while the previous tower is
+        # still held, or both fields' tables are resident at once
+        _build_field.cache_clear()
+        tw = build_field(3, 1, 4)
+        ref = weakref.ref(tw)
+        del tw
+        seen = []
+        build_tables = gf.FieldTower._build_tables
+
+        def spy(tower):
+            seen.append(ref() is None)
+            build_tables(tower)
+
+        monkeypatch.setattr(gf.FieldTower, "_build_tables", spy)
+        enabled = gc.isenabled()
+        gc.disable()  # only reference counting may free it
+        try:
+            assert build_field(3, 1, 4) is ref()
+            build_field(5, 1, 2)
+        finally:
+            if enabled:
+                gc.enable()
+        assert seen == [True]
+
     def test_failed_build_is_not_kept(self):
         _build_field.cache_clear()
         good = build_field(3, 1, 2)

@@ -574,9 +574,15 @@ class TestChunkedSweep:
         # three byte budgets: the default; one that holds the folds of
         # x_3..x_t only (k = 1 leading axis; several heads per block once
         # t >= 4); and 1 byte (k = t - 2, one head per block) on the specs
-        # with r^t <= 5000
-        checked = {"tsum": 0, "profile": 0, "mask": 0, "k1": 0, "1byte": 0}
+        # with r^t <= 5000.  Then at the default budget with the run width
+        # forced to 2, 3 and e (composed rows of at most 2^16 entries), so
+        # runs of several h, and a last run shorter than the others, occur
+        # on every kind of spec
+        checked = {"tsum": 0, "profile": 0, "mask": 0, "k1": 0, "1byte": 0,
+                   "g=2": 0, "g=e": 0, "g!|e": 0}
+        natural = 0  # specs whose default run width is already above 1
         default = _engine.SWEEP_BYTES
+        run_width = _engine._run_width
         for sp in _oracle_specs():
             tw, d = setup_for(sp)
             pset = gaussian_periods(tw, d.N)
@@ -598,8 +604,16 @@ class TestChunkedSweep:
             if sp.r ** sp.t <= 5000:
                 budgets.append(1)
                 checked["1byte"] += 1
-            for budget in budgets:
+            natural += run_width(tw.r, d.e, tw.r ** (d.t - 1)) > 1
+            widths = sorted({w for w in (2, 3, d.e) if w <= d.e
+                             and tw.r ** w <= 1 << 16})
+            runs = [(b, None) for b in budgets] + [
+                (default, w) for w in widths]
+            for budget, width in runs:
                 monkeypatch.setattr(_engine, "SWEEP_BYTES", budget)
+                monkeypatch.setattr(
+                    _engine, "_run_width", run_width if width is None
+                    else lambda r, e, size, w=width: w)
                 for name, (kernel, want) in cases.items():
                     # a tiny budget means one bincount over the profile
                     # space per head, slow beyond 2^16 codes
@@ -607,11 +621,17 @@ class TestChunkedSweep:
                             and (d.N + 1) ** d.e > 1 << 16):
                         continue
                     np.testing.assert_array_equal(
-                        kernel(tw, d), want, err_msg=f"{sp} at {budget} B")
+                        kernel(tw, d), want,
+                        err_msg=f"{sp} at {budget} B, width {width}")
+            for w in widths:
+                checked["g=2"] += w == 2
+                checked["g=e"] += w == d.e
+                checked["g!|e"] += d.e % w != 0
             for name in cases:
                 checked[name] += 1
         assert checked["mask"] == len(_oracle_specs())
         assert min(checked.values()) >= 20, checked
+        assert natural >= 10
 
     def test_open_case_peak_memory(self):
         # (3,1,2) with e = t = 8 fails validity condition iii, so tsum is
@@ -639,6 +659,23 @@ SAMPLED_LADDER = (
 )
 
 
+# t = 2 over small fields, where zero codes and the zero sums
+# 1 + gamma^j = 0 of the log-domain addition are frequent among the draws
+SAMPLED_T2_SMALL = (
+    CodeSpec(3, 1, 4, 2, 2, 1, (0, 1)),
+    CodeSpec(7, 1, 2, 3, 2, 2, (0, 1)),
+    CodeSpec(5, 1, 2, 2, 2, 1, (1, 0)),
+    CodeSpec(2, 2, 2, 5, 2, 1, (0, 3)),
+    CodeSpec(13, 1, 2, 4, 2, 3, (1, 3)),
+    CodeSpec(2, 1, 8, 5, 2, 3, (0, 2)),
+    CodeSpec(3, 1, 5, 2, 2, 11, (0, 1)),
+)
+
+
+def _field_id(sp):
+    return f"{sp.p}^{sp.s * sp.m}"
+
+
 def _sampling_inputs(sp):
     tw, d = setup_for(sp)
     nval = _nval_by_elem(tw, d.N, gaussian_periods(tw, d.N).rational_values)
@@ -655,9 +692,12 @@ class TestBlockedSampling:
         parts = [rng.integers(0, r, size=(n, t)) for n in (1, 333, 7, 659)]
         np.testing.assert_array_equal(np.concatenate(parts), whole)
 
-    @pytest.mark.parametrize("sp", (S5,) + SAMPLED_LADDER,
-                             ids=lambda sp: f"{sp.p}^{sp.s * sp.m}")
-    def test_matches_unblocked_oracle(self, sp, monkeypatch):
+    @pytest.mark.parametrize("sp, seeds", [
+        pytest.param(sp, (3,), id=_field_id(sp))
+        for sp in (S5,) + SAMPLED_LADDER] + [
+        pytest.param(sp, (3, 0, 7, 19), id=_field_id(sp))
+        for sp in SAMPLED_T2_SMALL])
+    def test_matches_unblocked_oracle(self, sp, seeds, monkeypatch):
         # a count that is not a multiple of the block size, at the default
         # budget (one full block and a partial one) and at 1 KB (rows of
         # 18 to 64 samples)
@@ -667,10 +707,13 @@ class TestBlockedSampling:
                               (1 << 10, 1001)):
             monkeypatch.setattr(_engine, "SWEEP_BYTES", budget)
             assert count % (budget // (8 * d.t)) != 0
-            got = sample_weights(tw, d, nval, count, seed=3)
-            want = sample_weights_unblocked(tw, d, nval, qde, count, seed=3)
-            assert got.dtype == np.int64
-            np.testing.assert_array_equal(got, want, err_msg=f"{budget} B")
+            for seed in seeds:
+                got = sample_weights(tw, d, nval, count, seed=seed)
+                want = sample_weights_unblocked(tw, d, nval, qde, count,
+                                                seed=seed)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(
+                    got, want, err_msg=f"{budget} B, seed {seed}")
 
     def test_peak_memory(self):
         # 1e6 draws on 2^20: the int64 output and the doubled power table
