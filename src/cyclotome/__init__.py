@@ -43,6 +43,7 @@ from .errors import (
     InconsistentPeriods,
     IndependenceFails,
     InvalidParameters,
+    MinorBudgetExceeded,
     ModulusNotIrreducible,
     NegativePeriodSum,
     NoDiophantineSolution,

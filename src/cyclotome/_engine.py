@@ -178,15 +178,13 @@ def _sweep(tower: FieldTower, luts: list[list[np.ndarray]],
     tables[h][head_h + .], gathered through the fold.  The h go in runs of
     g, the largest g with 8 r^g <= fold size: a run's g rows are outer-added
     into one r^g-entry row, gathered once through the run index
-    sum_j fold_(h_j) r^j (intp, in place of the run's folds), so an
-    input costs e/g gathers, not e.  At g = 1 the folds are the indexes.
-    Heads go in blocks of SWEEP_BYTES: per head the e r-entry sums, the
-    composed rows, and over the fold the accumulator, one gathered term and
-    bincount's intp copy.  The accumulator holds e times the largest
-    |table entry| in the narrowest signed dtype, so it never wraps.  A block
-    of int8 sums larger than 2^16 is counted two sums per key: the int16
-    view of a pair (a, b) in [0, 128) is a + 256 b (or 256 a + b), and the
-    row and column sums of the 2^15 key counts together count every sum.
+    sum_j fold_(h_j) r^j (intp, in place of the run's folds, which are
+    released as it is built), so an input costs e/g gathers, not e.  At
+    g = 1 the folds are the indexes.  Heads go in blocks of SWEEP_BYTES:
+    per head the e r-entry sums, the composed rows, and over the fold the
+    accumulator, one gathered term and bincount's intp copy.  The
+    accumulator holds e times the largest |table entry| in the narrowest
+    signed dtype, so it never wraps.
     """
     r, e, t = tower.r, len(luts), len(luts[0])
     k = next((k for k in range(t - 2)
@@ -203,7 +201,10 @@ def _sweep(tower: FieldTower, luts: list[list[np.ndarray]],
         for run in runs:
             idx = folds[run[-1]].astype(np.intp)
             for h in reversed(run[:-1]):
-                idx = idx * r + folds[h]
+                idx *= r
+                idx += folds[h]
+            for h in run:
+                folds[h] = None
             index.append(idx)
         folds = index
     bound = e * max(int(np.abs(tab).max()) for tab in tables)
@@ -233,15 +234,7 @@ def _sweep(tower: FieldTower, luts: list[list[np.ndarray]],
                 acc += row.take(idx, axis=1)
         if acc.min() < 0:
             raise NegativePeriodSum("negative scaled period sum")
-        flat = acc.ravel()
-        if flat.dtype == np.int8 and flat.size > 1 << 16:
-            even = flat.size & ~1
-            pairs = np.bincount(flat[:even].view(np.int16),
-                                minlength=1 << 15).reshape(128, 256)
-            counts = (pairs.sum(axis=0)[:128] + pairs.sum(axis=1))[:size]
-            counts[flat[even:]] += 1
-        else:
-            counts = np.bincount(flat)
+        counts = np.bincount(acc.ravel())
         tally[:counts.size] += mults[lo] * counts
     return tally
 

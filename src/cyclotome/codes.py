@@ -35,6 +35,7 @@ from .errors import (
     DivisionNotExact,
     EDoesNotDivide,
     InvalidParameters,
+    MinorBudgetExceeded,
 )
 from .gf import (
     Element,
@@ -216,8 +217,7 @@ def validate_assumptions(tower: FieldTower, spec: CodeSpec,
 MINOR_BUDGET = 500_000
 
 
-def independent_power_rows(tower: FieldTower, derived: DerivedParams
-                           ) -> bool | None:
+def independent_power_rows(tower: FieldTower, derived: DerivedParams) -> bool:
     """Whether every t x t minor of the e x t matrix with rows
     (beta_1^h, ..., beta_t^h), h = 0..e-1, is invertible over GF(r).
 
@@ -225,15 +225,18 @@ def independent_power_rows(tower: FieldTower, derived: DerivedParams
     the D_tau are D_0 + k j mod e (j < t) with gcd(k, e) = 1, every minor is
     a row-scaled Vandermonde matrix in the distinct omega^(k h), so none is
     singular and no minor is tested.  Otherwise the minors are tested in
-    turn, and None (undecided) is returned once MINOR_BUDGET / t^3 of them
-    are invertible and more remain."""
+    turn, MINOR_BUDGET // t^3 of them at most: MinorBudgetExceeded is raised
+    once that many are invertible and more remain, so at t^3 > MINOR_BUDGET
+    it is raised before any minor is tested."""
     if _unit_step_progression(tower, derived):
         return True
     limit = MINOR_BUDGET // derived.t ** 3
     rows = [[tower.pow(b, h) for b in derived.betas] for h in range(derived.e)]
     for i, pick in enumerate(combinations(range(derived.e), derived.t)):
         if i == limit:
-            return None
+            raise MinorBudgetExceeded(
+                f"the t x t minors of the power matrix need more than the"
+                f" budget of {MINOR_BUDGET} elimination steps (t^3 a minor)")
         mat = [list(rows[h]) for h in pick]
         if _det_is_zero(tower, mat):
             return False

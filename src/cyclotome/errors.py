@@ -95,3 +95,8 @@ class UnsupportedCase(CyclotomeError):
 
 class IndependenceFails(CyclotomeError):
     """The closed form for t < e needs independent rows, and a minor is singular."""
+
+
+class MinorBudgetExceeded(UnsupportedCase):
+    """Testing the t x t minors for independence would exceed the fixed
+    elimination budget (codes.MINOR_BUDGET)."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from math import isqrt
 
 import numpy as np
@@ -484,18 +484,12 @@ def build_field(p: int, s: int, m: int, modulus=None,
                         table_cap)
 
 
-# The tower of the last successful build, keyed by its arguments.  It is
-# dropped before a miss builds the next tables, so two towers are never
-# resident at once; the tower must not refer back to itself, so that
-# reference counting frees it there.
-_last: dict = {}
-
-
+# One entry: the tower must not refer back to itself, so that reference
+# counting frees the held tower when a miss clears the cache, before the
+# next tables are built; the new tower is kept once it is built.
+@lru_cache(maxsize=1)
 def _build_field(p: int, s: int, m: int, modulus: tuple[int, ...] | None,
                  table_cap: int) -> FieldTower:
-    key = (p, s, m, modulus, table_cap)
-    if key in _last:
-        return _last[key]
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
     if s < 1 or m < 1:
@@ -511,13 +505,8 @@ def _build_field(p: int, s: int, m: int, modulus: tuple[int, ...] | None,
             f"modulus must be monic of degree {d}, got {modulus}")
     if not is_irreducible(modulus, p):
         raise ModulusNotIrreducible(f"{modulus} factors over GF({p})")
-    _last.clear()
-    tower = FieldTower(p, s, m, modulus)
-    _last[key] = tower
-    return tower
-
-
-_build_field.cache_clear = _last.clear
+    _build_field.cache_clear()
+    return FieldTower(p, s, m, modulus)
 
 
 # ----------------------------------------------------------------------

@@ -47,7 +47,6 @@ import numpy as np
 
 from . import _engine
 from .codes import (
-    MINOR_BUDGET,
     CodeSpec,
     DerivedParams,
     build_tower,
@@ -67,6 +66,7 @@ from .errors import (
     FrequencySumMismatch,
     InconsistentPeriods,
     IndependenceFails,
+    MinorBudgetExceeded,
     UnsupportedCase,
 )
 from .gf import FieldTower
@@ -193,13 +193,11 @@ def classify(tower: FieldTower, spec: CodeSpec, derived: DerivedParams,
         return CaseClassification(
             TAG_TE_N2, applicable_closed_form(tower, N) or SOURCE_EXACT)
     if N == 1:
-        independent = independent_power_rows(tower, derived)
-        if independent:
-            return CaseClassification(TAG_TLT_N1)
-        if independent is None:
-            return CaseClassification(TAG_UNSUPPORTED, reason=(
-                f"the t x t minors of the power matrix need more than the"
-                f" budget of {MINOR_BUDGET} elimination steps (t^3 a minor)"))
+        try:
+            if independent_power_rows(tower, derived):
+                return CaseClassification(TAG_TLT_N1)
+        except MinorBudgetExceeded as exc:
+            return CaseClassification(TAG_UNSUPPORTED, reason=str(exc))
         return CaseClassification(
             TAG_UNSUPPORTED, reason="a t x t minor of the power matrix is singular",
             error=IndependenceFails)

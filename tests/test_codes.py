@@ -17,7 +17,11 @@ from cyclotome.codes import (
     validate_assumptions,
 )
 from cyclotome.cyclotomy import gaussian_periods
-from cyclotome.errors import AssumptionViolated, EDoesNotDivide
+from cyclotome.errors import (
+    AssumptionViolated,
+    EDoesNotDivide,
+    MinorBudgetExceeded,
+)
 from cyclotome.weights import TAG_TLT_N1, TAG_UNSUPPORTED, classify
 from helpers import (
     GRID_TOWERS,
@@ -158,7 +162,7 @@ class TestIndependence:
         assert cl.tag == TAG_TLT_N1
 
     def test_minor_budget_bounds_classify(self, monkeypatch):
-        # the same field and (e, t) with offsets 0, 2, ..., 15, which are
+        # the same field and (e, t) with offsets 0, 2, 3, ..., 15, which are
         # no unit-step progression mod 31: classify ends at once
         tw = tower(2, 10, 2)
         sp = CodeSpec(2, 10, 2, 31, 15, 1, (0,) + tuple(range(2, 16)))
@@ -176,9 +180,29 @@ class TestIndependence:
         start = time.perf_counter()
         cl = classify(tw, sp, d)
         assert time.perf_counter() - start < 1.0
-        assert independent_power_rows(tw, d) is None
+        with pytest.raises(MinorBudgetExceeded):
+            independent_power_rows(tw, d)
         assert cl.tag == TAG_UNSUPPORTED
         assert f"budget of {codes.MINOR_BUDGET}" in cl.reason
+
+    def test_minor_budget_below_one_minor(self, monkeypatch):
+        # t^3 > MINOR_BUDGET allows no minor, so the budget is exceeded
+        # before the first one is tested, though C(7, 3) = 35 is small; a
+        # budget of all 35 minors finds the singular one
+        sp = CodeSpec(2, 3, 2, 7, 3, 1, (0, 1, 3))
+        tw, d = setup_for(sp)
+        tested = []
+        det_is_zero = codes._det_is_zero
+        monkeypatch.setattr(codes, "_det_is_zero",
+                            lambda tw, mat: tested.append(1)
+                            or det_is_zero(tw, mat))
+        monkeypatch.setattr(codes, "MINOR_BUDGET", 3 ** 3 - 1)
+        with pytest.raises(MinorBudgetExceeded):
+            independent_power_rows(tw, d)
+        assert tested == []
+        assert classify(tw, sp, d).tag == TAG_UNSUPPORTED
+        monkeypatch.setattr(codes, "MINOR_BUDGET", 35 * 3 ** 3)
+        assert not independent_power_rows(tw, d)
 
 
 class TestPolynomials:
