@@ -280,15 +280,6 @@ class CodePolynomials:
     g: SubfieldPolynomial
 
 
-def _poly_mul_elems(tower, a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = tower.add(out[i + j], tower.mul(ai, bj))
-    return out
-
-
 def _poly_divmod_monic(tower, num, den):
     num = list(num)
     dd = len(den) - 1
@@ -317,7 +308,7 @@ def build_polynomials(tower: FieldTower, spec: CodeSpec,
                     for ai in derived.a_list)
     h_coeffs = [1]
     for f in factors:
-        h_coeffs = _poly_mul_elems(tower, h_coeffs, list(f.coeffs))
+        h_coeffs = tower.poly_mul(h_coeffs, f.coeffs)
     h = SubfieldPolynomial(tower, tuple(h_coeffs))
     xn1 = [tower.neg(1)] + [0] * (derived.n - 1) + [1]
     g_coeffs, rem = _poly_divmod_monic(tower, xn1, h_coeffs)

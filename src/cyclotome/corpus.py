@@ -3,29 +3,18 @@
 Each fixture fixes the field modulus, so the minimal polynomials and the
 parity-check polynomial are reproduced character for character, and pins
 the derived parameters, [n, kappa, d], the classification, and the full
-weight enumerator.  run_corpus() rebuilds everything from scratch and
-diffs each expectation, enumerating (naive and/or period sums) whenever
-the input space fits under the caps and always evaluating the closed form.
+weight enumerator.  run_corpus() derives the parameters and polynomials
+and diffs them against the pins, then runs one cross_verify per example
+and diffs its report: the classification, every method's enumerator,
+kappa, d, the counting invariants and the sampling verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .codes import (
-    CodeSpec,
-    build_polynomials,
-    build_tower,
-    derive_params,
-    validate_assumptions,
-)
-from .weights import (
-    Caps,
-    classify,
-    wd_closed,
-    wd_naive,
-    wd_tsum,
-)
+from .codes import CodeSpec, build_polynomials, build_tower, derive_params
+from .weights import Caps, cross_verify
 
 
 @dataclass(frozen=True)
@@ -43,10 +32,6 @@ class GoldenExample:
     classification_tag: str
     period_source: str | None
     enumerator: tuple[tuple[int, int], ...]  # (weight, frequency), ascending
-
-    @property
-    def r_t(self) -> int:
-        return self.spec.r ** self.spec.t
 
 
 def golden_examples() -> tuple[GoldenExample, ...]:
@@ -176,33 +161,30 @@ def run_example(ex: GoldenExample, caps: Caps = Caps()) -> ExampleResult:
     _diff(res.diffs, "delta", derived.delta, ex.delta)
     _diff(res.diffs, "n", derived.n, ex.n)
     _diff(res.diffs, "N", derived.N, ex.N)
-    report = validate_assumptions(tower, ex.spec, derived)
-    _diff(res.diffs, "assumptions", report.all_hold, True)
 
     polys = build_polynomials(tower, ex.spec, derived)
     _diff(res.diffs, "h factors",
           tuple(f.gfp_coeffs() for f in polys.factors), ex.h_factors)
     _diff(res.diffs, "h", polys.h.gfp_coeffs(), ex.h)
 
-    cl = classify(tower, ex.spec, derived, report)
+    rep = cross_verify(ex.spec, caps)
+    cl = rep.classification
     _diff(res.diffs, "classification", cl.tag, ex.classification_tag)
     if ex.period_source is not None:
         _diff(res.diffs, "period source", cl.period_source, ex.period_source)
 
-    dist = wd_closed(tower, ex.spec, derived, cl)
-    res.methods.append("closed")
-    _diff(res.diffs, "closed-form enumerator", dist.entries, ex.enumerator)
-    if ex.r_t <= caps.tsum:
-        ts = wd_tsum(tower, derived, cap=caps.tsum)
-        res.methods.append("tsum")
-        _diff(res.diffs, "period-sum enumerator", ts.entries, ex.enumerator)
-    if ex.r_t <= caps.naive:
-        na = wd_naive(tower, derived, cap=caps.naive)
-        res.methods.append("naive")
-        _diff(res.diffs, "naive enumerator", na.entries, ex.enumerator)
+    for method, label in (("closed", "closed-form"), ("tsum", "period-sum"),
+                          ("naive", "naive")):
+        if method in rep.distributions:
+            res.methods.append(method)
+            _diff(res.diffs, f"{label} enumerator",
+                  rep.distributions[method].entries, ex.enumerator)
 
-    _diff(res.diffs, "kappa", derived.t * tower.m, ex.kappa)
-    _diff(res.diffs, "d", dist.d, ex.d)
+    _diff(res.diffs, "kappa", rep.kappa, ex.kappa)
+    _diff(res.diffs, "d", rep.d, ex.d)
+    res.diffs.extend(rep.invariant_failures)
+    if rep.sampling is not None:
+        _diff(res.diffs, "sampling ok", rep.sampling["ok"], True)
     return res
 
 

@@ -361,6 +361,15 @@ class FieldTower:
             return 0 if k else 1
         return int(self.exp[(self.dlog[a] * k) % (self.r - 1)])
 
+    def poly_mul(self, a, b) -> list[Element]:
+        """Product of two polynomials with GF(r) coefficients, ascending."""
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] = self.add(out[i + j], self.mul(ai, bj))
+        return out
+
     # -- traces and subfields -----------------------------------------------
 
     def in_subfield_q(self, a: Element) -> bool:
@@ -573,10 +582,5 @@ def min_poly(tower: FieldTower, beta: Element) -> SubfieldPolynomial:
     # expand prod (X - c_j) with coefficients in GF(r)
     coeffs: list[Element] = [1]
     for c in conjugates:
-        nc = tower.neg(c)
-        nxt = [0] * (len(coeffs) + 1)
-        for i, a in enumerate(coeffs):
-            nxt[i] = tower.add(nxt[i], tower.mul(a, nc))
-            nxt[i + 1] = tower.add(nxt[i + 1], a)
-        coeffs = nxt
+        coeffs = tower.poly_mul(coeffs, [tower.neg(c), 1])
     return SubfieldPolynomial(tower, tuple(coeffs))

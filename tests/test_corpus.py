@@ -4,6 +4,8 @@ import dataclasses
 
 import pytest
 
+from cyclotome import _engine
+from cyclotome.cli import main
 from cyclotome.corpus import golden_examples, run_corpus, run_example
 from cyclotome.weights import Caps
 
@@ -34,10 +36,11 @@ def test_method_coverage(full_report):
 def test_fixture_checksums():
     # the pinned numbers themselves satisfy the counting identities
     for ex in golden_examples():
-        assert sum(c for _, c in ex.enumerator) == ex.r_t
+        size = ex.spec.r ** ex.spec.t
+        assert sum(c for _, c in ex.enumerator) == size
         q = ex.spec.q
         moment = sum(w * c for w, c in ex.enumerator)
-        assert moment == ex.n * ex.r_t * (q - 1) // q
+        assert moment == ex.n * size * (q - 1) // q
         assert ex.enumerator[0] == (0, 1)
         assert ex.d == min(w for w, _ in ex.enumerator if w > 0)
 
@@ -68,6 +71,47 @@ def test_closed_form_only_mode(full_report):
     assert rep.passed
     for res in rep.results:
         assert res.methods == ["closed"]
+
+
+def test_broken_sampler_fails_the_corpus(monkeypatch):
+    # golden 5 is out of enumeration reach, so only its closed table and
+    # the sampling check stand between a wrong sampler and a PASS
+    real = _engine.sample_weights
+    ex = golden_examples()[4]
+
+    def skewed(*args):
+        ws = real(*args)
+        ws[: len(ws) // 100] = ex.d
+        return ws
+
+    monkeypatch.setattr(_engine, "sample_weights", skewed)
+    res = run_example(ex)
+    assert res.methods == ["closed"]
+    assert res.diffs == ["sampling ok: got False, expected True"]
+
+
+@pytest.fixture
+def sampled_seeds(monkeypatch):
+    seeds = []
+    real = _engine.sample_weights
+
+    def spy(tower, derived, nval_by_elem, count, seed):
+        seeds.append(seed)
+        return real(tower, derived, nval_by_elem, count, seed)
+
+    monkeypatch.setattr(_engine, "sample_weights", spy)
+    return seeds
+
+
+def test_seed_reaches_the_sampler(sampled_seeds):
+    assert run_corpus(Caps(naive=0, tsum=0, seed=7)).passed
+    assert sampled_seeds == [7] * 6
+
+
+def test_cli_seed_reaches_the_sampler(sampled_seeds, capsys):
+    assert main(["corpus", "--max-enum", "0", "--seed", "7"]) == 0
+    assert sampled_seeds == [7] * 6
+    assert "all passed" in capsys.readouterr().out
 
 
 def test_json_report_shape(full_report):
