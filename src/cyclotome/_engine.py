@@ -25,10 +25,26 @@ the folds are large, runs of g period arguments share one composed table
 and one gather per input.  The sampler at t = 2 adds in the log domain
 through Zech's logarithms (Lidl & Niederreiter, Finite Fields), one table
 lookup per period argument.
+
+A sweep or a sample that needs more than one block at the full budget runs
+its blocks on WORKERS threads, one per CPU this process may use
+(_in_order); numpy's gathers, ufuncs and bincount release the GIL.  The
+calling thread makes every block's inputs, the head rows or the
+generator's draws, in order, and the workers weigh them.  One budget covers
+all threads: a threaded sweep cuts its heads into blocks of SWEEP_BYTES /
+WORKERS, and a threaded sample draws rows of SWEEP_BYTES / (4 WORKERS),
+since a block's temporaries take two to five times its draws and each
+thread's malloc arena keeps what it freed.  Tallies are exact integer sums
+and every weight has its own slot, so no result depends on the thread
+count.  Smaller work, the naive kernel included, stays on the calling
+thread.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from itertools import chain
 from math import gcd
 
 import numpy as np
@@ -136,6 +152,47 @@ def naive_weight_counts(tower: FieldTower, derived: DerivedParams) -> np.ndarray
 # bytes of the e resident trailing-axis folds the sweep may hold
 SWEEP_BYTES = 1 << 22
 
+# threads that weigh the blocks of a sweep or a sample past one full block
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+
+
+def _in_order(work, blocks, threaded: bool):
+    """work(block) for each block, yielded in block order.  Threaded, block
+    i runs on lane i % WORKERS of a pool once that lane has handed back
+    block i - WORKERS, so at most WORKERS blocks are in flight and the
+    iterator runs on this thread.  A worker's exception is raised here in
+    its block's turn, and every thread is joined before this returns."""
+    if not threaded:
+        yield from map(work, blocks)
+        return
+    from queue import SimpleQueue
+
+    def serve(inbox, outbox):
+        for block in iter(inbox.get, None):
+            try:
+                outbox.put(work(block))
+            except BaseException as exc:  # re-raised on the calling thread
+                outbox.put(exc)
+
+    lanes = [(SimpleQueue(), SimpleQueue()) for _ in range(WORKERS)]
+    pool = [threading.Thread(target=serve, args=lane) for lane in lanes]
+    for thread in pool:
+        thread.start()
+    try:
+        for i, block in enumerate(chain(blocks, [None] * WORKERS)):
+            inbox, outbox = lanes[i % WORKERS]
+            if i >= WORKERS:
+                value = outbox.get()
+                if isinstance(value, BaseException):
+                    raise value
+                yield value
+            inbox.put(block)
+    finally:
+        for (inbox, _), thread in zip(lanes, pool):
+            inbox.put(None)
+            thread.join()
+
 
 def _per_h_luts(tower: FieldTower, derived: DerivedParams
                 ) -> list[list[np.ndarray]]:
@@ -182,8 +239,8 @@ def _sweep(tower: FieldTower, luts: list[list[np.ndarray]],
     released as it is built), so an input costs e/g gathers, not e.  At
     g = 1 the folds are the indexes.  Heads go in blocks of SWEEP_BYTES:
     per head the e r-entry sums, the composed rows, and over the fold the
-    accumulator, one gathered term and bincount's intp copy.  The
-    accumulator holds e times the largest |table entry| in the narrowest
+    accumulator, one gathered term and bincount's intp copy (blocks of
+    SWEEP_BYTES / WORKERS when threaded).  The accumulator holds e times the largest |table entry| in the narrowest
     signed dtype, so it never wraps.
     """
     r, e, t = tower.r, len(luts), len(luts[0])
@@ -215,27 +272,35 @@ def _sweep(tower: FieldTower, luts: list[list[np.ndarray]],
     mults = np.repeat([mult for _, mult in slabs], r ** k)
     per_head = 4 * e * r + 2 * item * (r ** g + size_f) + 8 * size_f
     step = max(1, SWEEP_BYTES // per_head)
+    threaded = WORKERS > 1 and mults.size > step
+    if threaded:
+        step = max(1, step // WORKERS)
     cuts = set(range(0, mults.size, step))
     cuts.update(np.flatnonzero(np.diff(mults)) + 1)
     bounds = sorted(cuts) + [mults.size]
     elems = np.arange(r, dtype=np.int32)
-    tally = np.zeros(size, dtype=np.int64)
-    for lo, hi in zip(bounds, bounds[1:]):
-        v = tower.add_arrays(elems, heads[:, lo:hi, None])
+
+    def block_counts(block):
+        lo, v = block
         acc = None
         for run, idx in zip(runs, folds):
             row = tables[run[0]].take(v[run[0]])
             for h in run[1:]:
                 row = (tables[h].take(v[h])[:, :, None] + row[:, None, :]
-                       ).reshape(hi - lo, -1)
+                       ).reshape(len(row), -1)
             if acc is None:
                 acc = row.take(idx, axis=1)
             else:
                 acc += row.take(idx, axis=1)
         if acc.min() < 0:
             raise NegativePeriodSum("negative scaled period sum")
-        counts = np.bincount(acc.ravel())
-        tally[:counts.size] += mults[lo] * counts
+        return mults[lo] * np.bincount(acc.ravel())
+
+    blocks = ((lo, tower.add_arrays(elems, heads[:, lo:hi, None]))
+              for lo, hi in zip(bounds, bounds[1:]))
+    tally = np.zeros(size, dtype=np.int64)
+    for counts in _in_order(block_counts, blocks, threaded):
+        tally[:counts.size] += counts
     return tally
 
 
@@ -323,8 +388,9 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
     v = 0 (rational periods only).  Returns an int64 weight per sample.
 
     Inputs are drawn and weighed in row blocks of about SWEEP_BYTES of
-    int64 codes; consecutive blocks of one generator's draws are the draws
-    of one (count, t) call, so the weights do not depend on the block size.
+    int64 codes (threaded, a 4 WORKERS-th of that); consecutive blocks of
+    one generator's draws are the draws of one (count, t) call, so the
+    weights do not depend on the block size.
     Products go through logs: code c >= 1 is gamma^(c-1), so its product
     with gamma^k is exp2[c - 1 + k] in the power table written out twice,
     and a zero code contributes zero.  At t = 2 the sum is never formed:
@@ -344,15 +410,20 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
         cls3, vals = _zech_tables(tower, N, nval_by_elem)
     rng = np.random.default_rng(seed)
     rows = max(1, SWEEP_BYTES // (8 * t))
+    threaded = WORKERS > 1 and count > rows
+    if threaded:
+        rows = max(1, rows // (4 * WORKERS))
+        tower.add_arrays(exp2[:1], exp2[:1])  # its lazy tables, built here
     out = np.empty(count, dtype=np.int64)
-    for lo in range(0, count, rows):
-        size = min(rows, count - lo)
-        lg = rng.integers(0, r, size=(size, t)).T.astype(dtype, order="C")
+
+    def weigh(block):
+        lo, drawn = block
+        lg = drawn.T.astype(dtype, order="C")
         lg -= 1
         zeros = [np.flatnonzero(row < 0) for row in lg]
         for row, z in zip(lg, zeros):
             row[z] = 0
-        acc = np.zeros(size, dtype=np.int64)
+        acc = np.zeros(len(drawn), dtype=np.int64)
         if t == 2:
             l1, l2 = lg
             diff = np.subtract(l2, l1, dtype=np.intp)
@@ -374,6 +445,11 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
                     term[z] = 0
                     v = term if v is None else tower.add_arrays(v, term)
                 acc += nval_by_elem.take(v)
-        out[lo:lo + size] = weights_of_period_sums(
+        out[lo:lo + len(drawn)] = weights_of_period_sums(
             e * r1 - acc, tower.q, derived.delta, e)
+
+    draws = ((lo, rng.integers(0, r, size=(min(rows, count - lo), t)))
+             for lo in range(0, count, rows))
+    for _ in _in_order(weigh, draws, threaded):
+        pass
     return out

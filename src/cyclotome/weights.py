@@ -255,10 +255,9 @@ def wd_naive(tower: FieldTower, derived: DerivedParams,
 def _nval_by_elem(tower: FieldTower, N: int, periods) -> np.ndarray:
     """nval[v] = N * eta(class of v) for v != 0 and r - 1 at v = 0, so that
     the scaled period sum e(r-1) - sum_h nval[v_h] feeds the weight formula."""
-    nval = np.zeros(tower.r, dtype=np.int64)
-    nval[0] = tower.r - 1
     vals = np.array(periods, dtype=np.int64) * N
-    nval[tower.exp] = vals[np.arange(tower.r - 1) % N]
+    nval = vals.take(tower.dlog % N)
+    nval[0] = tower.r - 1
     return nval
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import random
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -728,6 +729,90 @@ class TestBlockedSampling:
             tracemalloc.stop()
         assert ws.size == 10 ** 6
         assert peak <= 32 * 2 ** 20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+def _spy_threaded(monkeypatch):
+    """Record the threaded flag of every _engine._in_order call."""
+    flags = []
+    real = _engine._in_order
+
+    def spy(work, blocks, threaded):
+        flags.append(threaded)
+        return real(work, blocks, threaded)
+
+    monkeypatch.setattr(_engine, "_in_order", spy)
+    return flags
+
+
+class TestThreadedBlocks:
+    """The sweep's and the sampler's blocks on WORKERS threads."""
+
+    def test_results_do_not_depend_on_worker_count(self, monkeypatch):
+        # small budgets give many blocks: 3000 draws in blocks of 24 to 36
+        # rows (t = 7) or 85 to 128 rows (t = 2) at 16 KB, and a sweep of
+        # 50 heads in blocks of at most 2 at 2 KB
+        flags = _spy_threaded(monkeypatch)
+        tw3, d3 = setup_for(S5)
+        tw2, d2, nval2, _ = _sampling_inputs(SAMPLED_T2_SMALL[0])
+        nval3 = _nval_by_elem(tw3, d3.N,
+                              gaussian_periods(tw3, d3.N).rational_values)
+        tw, d = setup_for(S3)
+        nval = _nval_by_elem(tw, d.N, gaussian_periods(tw, d.N).rational_values)
+        got = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_engine, "WORKERS", workers)
+            monkeypatch.setattr(_engine, "SWEEP_BYTES", 1 << 14)
+            drawn = (sample_weights(tw3, d3, nval3, 3000, seed=5),
+                     sample_weights(tw2, d2, nval2, 3000, seed=5))
+            monkeypatch.setattr(_engine, "SWEEP_BYTES", 1 << 11)
+            got[workers] = drawn + (period_sum_tally(tw, d, nval),)
+        assert flags == [False] * 3 + [True] * 6
+        for workers in (2, 3):
+            for want, arr in zip(got[1], got[workers]):
+                np.testing.assert_array_equal(arr, want)
+        np.testing.assert_array_equal(
+            got[1][2], period_sum_tally_unreduced(tw, d, nval))
+
+    def test_worker_error_keeps_its_type(self, monkeypatch):
+        # one failing block among many, raised on a worker thread: the
+        # caller sees the typed error, and every thread is joined
+        monkeypatch.setattr(_engine, "WORKERS", 3)
+        monkeypatch.setattr(_engine, "SWEEP_BYTES", 1 << 11)
+        tw, d, nval, _ = _sampling_inputs(S5)
+        real = _engine.weights_of_period_sums
+        calls = []
+
+        def fails_once(X, q, delta, e):
+            calls.append(threading.current_thread())
+            if len(calls) == 5:
+                raise NonIntegralWeight("injected")
+            return real(X, q, delta, e)
+
+        monkeypatch.setattr(_engine, "weights_of_period_sums", fails_once)
+        before = threading.active_count()
+        with pytest.raises(NonIntegralWeight, match="injected"):
+            sample_weights(tw, d, nval, 10 ** 4, seed=0)
+        assert threading.active_count() == before
+        assert threading.main_thread() not in calls
+
+        tw, d = setup_for(S3)
+        with pytest.raises(NegativePeriodSum):
+            period_sum_tally(tw, d, np.full(tw.r, 10 * tw.r, dtype=np.int64))
+        assert threading.active_count() == before
+
+    def test_grid_size_work_starts_no_thread(self, monkeypatch):
+        # work that fits one block at the full budget stays on the calling
+        # thread, whatever the worker count
+        class NoThread:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(_engine, "WORKERS", 2)
+        monkeypatch.setattr(threading, "Thread", NoThread)
+        flags = _spy_threaded(monkeypatch)
+        for sp in (S1, S3, S6, STHM3, CodeSpec(2, 1, 8, 3, 2, 1, (0, 1))):
+            assert cross_verify(sp).passed, sp
+        assert flags and not any(flags)
 
 
 class TestTypedChecks:
