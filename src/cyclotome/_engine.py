@@ -27,17 +27,14 @@ through Zech's logarithms (Lidl & Niederreiter, Finite Fields), one table
 lookup per period argument.
 
 A sweep or a sample that needs more than one block at the full budget runs
-its blocks on WORKERS threads, one per CPU this process may use
-(_in_order); numpy's gathers, ufuncs and bincount release the GIL.  The
-calling thread makes every block's inputs, the head rows or the
-generator's draws, in order, and the workers weigh them.  One budget covers
-all threads: a threaded sweep cuts its heads into blocks of SWEEP_BYTES /
-WORKERS, and a threaded sample draws rows of SWEEP_BYTES / (4 WORKERS),
-since a block's temporaries take two to five times its draws and each
-thread's malloc arena keeps what it freed.  Tallies are exact integer sums
-and every weight has its own slot, so no result depends on the thread
-count.  Smaller work, the naive kernel included, stays on the calling
-thread.
+its blocks on WORKERS threads, one per CPU the process may use (_in_order;
+numpy's gathers, ufuncs and bincount release the GIL).  The calling thread
+makes each block's inputs, head rows or draws, in block order.  One budget
+covers all threads: threaded sweep blocks take SWEEP_BYTES / WORKERS, and
+threaded sample blocks draw SWEEP_BYTES / (4 WORKERS) of codes, since their
+temporaries take two to five times the draws and each thread's malloc
+arena keeps what it freed.  Tallies are exact integer sums and each weight
+has its own slot, so no result depends on the thread count.
 """
 
 from __future__ import annotations
@@ -239,9 +236,9 @@ def _sweep(tower: FieldTower, luts: list[list[np.ndarray]],
     released as it is built), so an input costs e/g gathers, not e.  At
     g = 1 the folds are the indexes.  Heads go in blocks of SWEEP_BYTES:
     per head the e r-entry sums, the composed rows, and over the fold the
-    accumulator, one gathered term and bincount's intp copy (blocks of
-    SWEEP_BYTES / WORKERS when threaded).  The accumulator holds e times the largest |table entry| in the narrowest
-    signed dtype, so it never wraps.
+    accumulator, one gathered term and bincount's intp copy (threaded,
+    blocks of SWEEP_BYTES / WORKERS).  The accumulator holds e times the
+    largest |table entry| in the narrowest signed dtype, so it never wraps.
     """
     r, e, t = tower.r, len(luts), len(luts[0])
     k = next((k for k in range(t - 2)
@@ -413,7 +410,7 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
     threaded = WORKERS > 1 and count > rows
     if threaded:
         rows = max(1, rows // (4 * WORKERS))
-        tower.add_arrays(exp2[:1], exp2[:1])  # its lazy tables, built here
+        tower.add_arrays(exp2[:1], exp2[:1])  # lazy tables, not in a worker
     out = np.empty(count, dtype=np.int64)
 
     def weigh(block):

@@ -2,6 +2,7 @@
 
 import ast
 import random
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -759,13 +760,18 @@ class TestThreadedBlocks:
         tw, d = setup_for(S3)
         nval = _nval_by_elem(tw, d.N, gaussian_periods(tw, d.N).rational_values)
         got = {}
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(_engine, "WORKERS", workers)
-            monkeypatch.setattr(_engine, "SWEEP_BYTES", 1 << 14)
-            drawn = (sample_weights(tw3, d3, nval3, 3000, seed=5),
-                     sample_weights(tw2, d2, nval2, 3000, seed=5))
-            monkeypatch.setattr(_engine, "SWEEP_BYTES", 1 << 11)
-            got[workers] = drawn + (period_sum_tally(tw, d, nval),)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more thread switches inside each block
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(_engine, "WORKERS", workers)
+                monkeypatch.setattr(_engine, "SWEEP_BYTES", 1 << 14)
+                drawn = (sample_weights(tw3, d3, nval3, 3000, seed=5),
+                         sample_weights(tw2, d2, nval2, 3000, seed=5))
+                monkeypatch.setattr(_engine, "SWEEP_BYTES", 1 << 11)
+                got[workers] = drawn + (period_sum_tally(tw, d, nval),)
+        finally:
+            sys.setswitchinterval(interval)
         assert flags == [False] * 3 + [True] * 6
         for workers in (2, 3):
             for want, arr in zip(got[1], got[workers]):
