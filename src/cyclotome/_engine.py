@@ -385,8 +385,8 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
     v = 0 (rational periods only).  Returns an int64 weight per sample.
 
     Inputs are drawn and weighed in row blocks of about SWEEP_BYTES of
-    int64 codes (threaded, a 4 WORKERS-th of that); consecutive blocks of
-    one generator's draws are the draws of one (count, t) call, so the
+    int64 codes (threaded, SWEEP_BYTES / (4 WORKERS)); consecutive blocks
+    of one generator's draws are the draws of one (count, t) call, so the
     weights do not depend on the block size.
     Products go through logs: code c >= 1 is gamma^(c-1), so its product
     with gamma^k is exp2[c - 1 + k] in the power table written out twice,
