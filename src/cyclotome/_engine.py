@@ -8,7 +8,8 @@ of (x_1, ..., x_t) code tuples.
 Everything here works on packed element ints (see gf).  Additions ride on
 FieldTower.add_arrays (radix-p^j addition tables, XOR when p = 2),
 multiplications on the power table through logs, so a pass over a grid is
-a handful of numpy gathers.  Folding an axis into a grid is one
+a handful of numpy gathers.  Products read the tower's power table written
+out twice (FieldTower.exp2).  Folding an axis into a grid is one
 translation table and one row gather (_vadd_outer).
 
 The naive and period-sum kernels sweep slabs of fixed x_1 over the grid of
@@ -31,7 +32,7 @@ its blocks on WORKERS threads, one per CPU the process may use (_in_order;
 numpy's gathers, ufuncs and bincount release the GIL).  The calling thread
 makes each block's inputs, head rows or draws, in block order.  One budget
 covers all threads: threaded sweep blocks take SWEEP_BYTES / WORKERS, and
-threaded sample blocks draw SWEEP_BYTES / (4 WORKERS) of codes, since their
+threaded sample blocks 1/(4 WORKERS) of a serial block's rows, since their
 temporaries take two to five times the draws and each thread's malloc
 arena keeps what it freed.  Tallies are exact integer sums and each weight
 has its own slot, so no result depends on the thread count.
@@ -115,8 +116,8 @@ def naive_weight_counts(tower: FieldTower, derived: DerivedParams) -> np.ndarray
     r1 = r - 1
     reps = x1_orbit_representatives(tower, derived)
     size = r ** (t - 1)
-    trace = tower.trace_q_vector[tower.exp].astype(np.min_scalar_type(r1))
-    windows = sliding_window_view(np.tile(trace, 2), r)
+    trace = tower.trace_q_vector[tower.exp2]
+    windows = sliding_window_view(trace, r)
     minus_one = tower.dlog_of(tower.neg(1))
     a_1, a_rest = derived.a_list[0], derived.a_list[1:]
 
@@ -195,16 +196,15 @@ def _per_h_luts(tower: FieldTower, derived: DerivedParams
                 ) -> list[list[np.ndarray]]:
     """luts[h][tau][code] = K * elem(code) with K = (g b_tau)^h.
     Code 1 + i is gamma^i, so past code 0 a lut is the power table rotated
-    by log K: a slice of the table written out twice."""
+    by log K: a slice of the tower's table written out twice."""
     r1 = tower.r - 1
-    exp2 = np.tile(tower.exp.astype(np.int32), 2)
     out = []
     for h in range(derived.e):
         row = []
         for b in derived.betas:
             k = h * tower.dlog_of(tower.mul(derived.g, b)) % r1
-            lut = np.zeros(tower.r, dtype=np.int32)
-            lut[1:] = exp2[k:k + r1]
+            lut = np.zeros(tower.r, dtype=tower.exp2.dtype)
+            lut[1:] = tower.exp2[k:k + r1]
             row.append(lut)
         out.append(row)
     return out
@@ -384,13 +384,13 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
     nval_by_elem[v] must hold N * eta(class of v) for v != 0 and r - 1 at
     v = 0 (rational periods only).  Returns an int64 weight per sample.
 
-    Inputs are drawn and weighed in row blocks of about SWEEP_BYTES of
-    int64 codes (threaded, SWEEP_BYTES / (4 WORKERS)); consecutive blocks
-    of one generator's draws are the draws of one (count, t) call, so the
-    weights do not depend on the block size.
+    Inputs are drawn as int32 codes (an int64 draw's numbers, r <= 2^31)
+    and weighed in row blocks of SWEEP_BYTES // (8 t) codes (threaded,
+    1/(4 WORKERS) of that); consecutive blocks of one generator's draws are
+    the draws of one (count, t) call, so weights ignore the block size.
     Products go through logs: code c >= 1 is gamma^(c-1), so its product
-    with gamma^k is exp2[c - 1 + k] in the power table written out twice,
-    and a zero code contributes zero.  At t = 2 the sum is never formed:
+    with gamma^k is exp2[c - 1 + k] in the tower's power table, and a zero
+    code contributes zero.  At t = 2 the sum is never formed:
     v_h = gamma^a + gamma^b with a = l_1 + k_h1, b = l_2 + k_h2 has class
     a + C[b - a] mod N (_zech_tables), one narrow gather and one value
     gather per h.  Draws with a zero code take the value of the other
@@ -398,9 +398,7 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
     an element with add_arrays.
     """
     r, t, e, N = tower.r, derived.t, derived.e, derived.N
-    r1 = r - 1
-    dtype = np.int32 if r <= 2 ** 31 else np.int64
-    exp2 = np.tile(tower.exp.astype(dtype), 2)
+    r1, exp2 = r - 1, tower.exp2
     logs = [[h * tower.dlog_of(tower.mul(derived.g, b)) % r1
              for b in derived.betas] for h in range(e)]
     if t == 2:
@@ -415,7 +413,7 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
 
     def weigh(block):
         lo, drawn = block
-        lg = drawn.T.astype(dtype, order="C")
+        lg = np.ascontiguousarray(drawn.T)
         lg -= 1
         zeros = [np.flatnonzero(row < 0) for row in lg]
         for row, z in zip(lg, zeros):
@@ -445,7 +443,8 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
         out[lo:lo + len(drawn)] = weights_of_period_sums(
             e * r1 - acc, tower.q, derived.delta, e)
 
-    draws = ((lo, rng.integers(0, r, size=(min(rows, count - lo), t)))
+    draws = ((lo, rng.integers(0, r, size=(min(rows, count - lo), t),
+                               dtype=exp2.dtype))
              for lo in range(0, count, rows))
     for _ in _in_order(weigh, draws, threaded):
         pass

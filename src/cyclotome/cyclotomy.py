@@ -128,14 +128,16 @@ def _int_rows(p: int, values) -> tuple[tuple[int, ...], ...]:
 
 
 def gaussian_periods(tower: FieldTower, L: int) -> GaussianPeriodSet:
-    """Exact periods by tallying trace values over each class (the oracle)."""
+    """Exact periods by tallying trace values over each class (the oracle):
+    gamma^k is in class k mod L, so the power table's traces, as rows of L,
+    hold class i in column i, tallied in chunks of 2^16 traces."""
     if L < 1 or (tower.r - 1) % L:
         raise NotADivisor(f"L = {L} does not divide r - 1 = {tower.r - 1}")
-    p = tower.p
-    cls = np.arange(tower.r - 1, dtype=np.int64) % L
-    tr = tower.trace_p_vector[tower.exp]
-    tall = np.bincount(cls * p + tr, minlength=L * p).reshape(L, p)
-    rows = tuple(tuple(row) for row in tall.tolist())
+    p, tr = tower.p, tower.trace_p_vector[tower.exp].reshape(-1, L)
+    shift, step = np.arange(0, L * p, p), max(1, 2 ** 16 // L)
+    tall = sum(np.bincount((tr[lo:lo + step] + shift).ravel(),
+                           minlength=L * p) for lo in range(0, len(tr), step))
+    rows = tuple(tuple(row) for row in tall.reshape(L, p).tolist())
     _check_period_sum(rows)
     return GaussianPeriodSet(tower, L, rows)
 

@@ -16,6 +16,11 @@ tables of GF(p)-linear maps (multiplication by gamma^B, Tr_{r/p} and
 Tr_{r/q}), which one primitive, FieldTower._linear_map, builds digit by
 digit.
 
+Each r-entry table has the least dtype for its values, set by r and p:
+exp2 (the power table written out twice; exp views its first r - 1), dlog
+and the linear maps are int32 while r <= 2^31, Tr_{r/p} fits p - 1 and
+Tr_{r/q} r - 1.  Scalar reads go through int(): int32 * int wraps.
+
 A FieldTower is immutable once built (its numpy tables are marked
 read-only), so concurrent readers are safe.  build_field keeps the tower of
 its last successful call and returns it again for equal arguments, so
@@ -259,10 +264,11 @@ class FieldTower:
         GF(p)-linear map sending x^i to images[i].  Digit by digit, least
         significant first: each step outer-adds the p multiples of one image
         to the table of the digits so far."""
-        p, table = self.p, np.zeros(1, dtype=np.int64)
-        k = np.arange(p, dtype=np.int64)[:, None]
+        p, table = self.p, np.zeros(1, dtype=self._packing_weights.dtype)
+        k = np.arange(p, dtype=np.int64)[:, None]  # k c reaches (p - 1)^2
         for img in images:
-            multiples = (k * self.coeffs(img)) % p @ self._packing_weights
+            multiples = ((k * self.coeffs(img)) % p @ self._packing_weights
+                         ).astype(table.dtype)
             table = self.add_arrays(multiples[:, None], table).ravel()
         return table
 
@@ -282,7 +288,8 @@ class FieldTower:
         while len(head) < B + d:
             head.append(int(times_gamma[head[-1]]))
         times_block = self._linear_map(head[B:])
-        exp = np.empty(r - 1, dtype=np.int64)
+        exp2 = np.empty(2 * (r - 1), dtype=self._packing_weights.dtype)
+        exp = exp2[:r - 1]
         exp[:B] = head[:B]
         for lo in range(B, r - 1, B):
             hi = min(lo + B, r - 1)
@@ -290,15 +297,15 @@ class FieldTower:
         if times_gamma[exp[-1]] != 1:
             raise GammaNotPrimitive("gamma^(r-1) != 1 in the power table")
         del times_gamma, times_block  # two r-entry tables off the peak
-        dlog = np.full(r, -1, dtype=np.int64)
-        dlog[exp] = np.arange(r - 1, dtype=np.int64)
+        exp2[r - 1:] = exp
+        dlog = np.full(r, -1, dtype=exp.dtype)
+        dlog[exp] = np.arange(r - 1, dtype=exp.dtype)
         if dlog[0] != -1 or np.any(dlog[1:] < 0):
             raise GammaNotPrimitive(
                 f"x has order < r-1 modulo {self.modulus} over GF({p})")
-        exp.setflags(write=False)
+        exp2.setflags(write=False)
         dlog.setflags(write=False)
-        self.exp = exp
-        self.dlog = dlog
+        self.exp2, self.exp, self.dlog = exp2, exp, dlog
 
     # -- element accessors -------------------------------------------------
 
@@ -346,20 +353,20 @@ class FieldTower:
     def mul(self, a: Element, b: Element) -> Element:
         if a == 0 or b == 0:
             return 0
-        k = self.dlog[a] + self.dlog[b]
+        k = int(self.dlog[a]) + int(self.dlog[b])
         return int(self.exp[k % (self.r - 1)])
 
     def inv(self, a: Element) -> Element:
         if a == 0:
             raise ZeroDivisionError("0 is not invertible")
-        return int(self.exp[(-self.dlog[a]) % (self.r - 1)])
+        return int(self.exp[-int(self.dlog[a]) % (self.r - 1)])
 
     def pow(self, a: Element, k: int) -> Element:
         if a == 0:
             if k < 0:
                 raise ZeroDivisionError("0 is not invertible")
             return 0 if k else 1
-        return int(self.exp[(self.dlog[a] * k) % (self.r - 1)])
+        return int(self.exp[int(self.dlog[a]) * k % (self.r - 1)])
 
     def poly_mul(self, a, b) -> list[Element]:
         """Product of two polynomials with GF(r) coefficients, ascending."""
@@ -377,27 +384,27 @@ class FieldTower:
 
     # -- bulk tables used by the enumeration and cyclotomy layers ------------
 
-    def _trace_vector(self, k: int) -> np.ndarray:
-        """sum_{j < d/k} x^(p^(kj)) of every element, shape (r,), dtype
-        int64, read-only.  The map is GF(p)-linear, so it is the linear map
-        sending x^i = gamma^i to sum_j gamma^(i p^(kj))."""
+    def _trace_vector(self, k: int, top: int) -> np.ndarray:
+        """sum_{j < d/k} x^(p^(kj)) of every element, shape (r,), read-only,
+        in the least dtype that holds top.  The map is GF(p)-linear, so it is
+        the linear map sending x^i = gamma^i to sum_j gamma^(i p^(kj))."""
         images = [reduce(self.add, (self.gamma_pow(i * self.p ** (k * j))
                                     for j in range(self.degree // k)))
                   for i in range(self.degree)]
-        out = self._linear_map(images).astype(np.int64, copy=False)
+        out = self._linear_map(images).astype(np.min_scalar_type(top))
         out.setflags(write=False)
         return out
 
     @cached_property
     def trace_p_vector(self) -> np.ndarray:
         """Tr_{r/p} of every element, an int in [0, p)."""
-        return self._trace_vector(1)
+        return self._trace_vector(1, self.p - 1)
 
     @cached_property
     def trace_q_vector(self) -> np.ndarray:
         """Tr_{r/q}(x) = sum_{i<m} x^(q^i) of every element, a packed GF(q)
-        subfield value."""
-        return self._trace_vector(self.s)
+        subfield value: an element of GF(r), not an int below q."""
+        return self._trace_vector(self.s, self.r - 1)
 
     @cached_property
     def _add_tables(self) -> tuple[tuple[np.ndarray, int, np.ndarray], ...]:

@@ -254,9 +254,10 @@ def wd_naive(tower: FieldTower, derived: DerivedParams,
 
 def _nval_by_elem(tower: FieldTower, N: int, periods) -> np.ndarray:
     """nval[v] = N * eta(class of v) for v != 0 and r - 1 at v = 0, so that
-    the scaled period sum e(r-1) - sum_h nval[v_h] feeds the weight formula."""
-    vals = np.array(periods, dtype=np.int64) * N
-    nval = vals.take(tower.dlog % N)
+    the scaled period sum e(r-1) - sum_h nval[v_h] feeds the weight formula.
+    |N eta| <= r - 1 fits the tables' dtype; [] skips take's intp copy."""
+    vals = np.array([N * v for v in periods], dtype=tower.dlog.dtype)
+    nval = vals[tower.dlog % N]
     nval[0] = tower.r - 1
     return nval
 

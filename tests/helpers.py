@@ -128,9 +128,9 @@ def default_modulus_unpruned(p, d):
 
 def power_table_scalar(tower):
     """Reference for FieldTower.exp: gamma^k for k < r-1, one element at a
-    time by shift-and-reduce."""
+    time by shift-and-reduce, in the dtype of the tower's tables."""
     p, d, r = tower.p, tower.degree, tower.r
-    exp = np.empty(r - 1, dtype=np.int64)
+    exp = np.empty(r - 1, dtype=tower.dlog.dtype)
     if d == 1:
         g = tower.gamma
         v = 1
