@@ -336,8 +336,8 @@ class TestTraces:
         # on 2^20: the int32 power table written out twice (8 MB), the int32
         # dlog and Tr_{r/q} (4 MB each), the byte-wide Tr_{r/p}, and the
         # build's int32 linear maps; then the order-3 periods, counted from
-        # the byte-wide traces.  With int64 tables and class arrays this
-        # read 56 MB; an (r, d) int64 digit matrix alone would be 168 MB
+        # the byte-wide traces.  An (r, d) int64 digit matrix alone would be
+        # 168 MB
         modulus = modulus or default_modulus(p, d)
         _build_field.cache_clear()  # a held tower would measure about 0 B
         tracemalloc.start()
