@@ -130,13 +130,15 @@ def _int_rows(p: int, values) -> tuple[tuple[int, ...], ...]:
 def gaussian_periods(tower: FieldTower, L: int) -> GaussianPeriodSet:
     """Exact periods by tallying trace values over each class (the oracle):
     gamma^k is in class k mod L, so the power table's traces, as rows of L,
-    hold class i in column i, tallied in chunks of 2^16 traces."""
+    hold class i in column i, counted about max(2^16, L p) at a time."""
     if L < 1 or (tower.r - 1) % L:
         raise NotADivisor(f"L = {L} does not divide r - 1 = {tower.r - 1}")
     p, tr = tower.p, tower.trace_p_vector[tower.exp].reshape(-1, L)
-    shift, step = np.arange(0, L * p, p), max(1, 2 ** 16 // L)
-    tall = sum(np.bincount((tr[lo:lo + step] + shift).ravel(),
-                           minlength=L * p) for lo in range(0, len(tr), step))
+    shift, step = np.arange(0, L * p, p), max(2 ** 16 // L, p)
+    tall = np.bincount((tr[:step] + shift).ravel(), minlength=L * p)
+    for lo in range(step, len(tr), step):
+        tall += np.bincount((tr[lo:lo + step] + shift).ravel(),
+                            minlength=L * p)
     rows = tuple(tuple(row) for row in tall.reshape(L, p).tolist())
     _check_period_sum(rows)
     return GaussianPeriodSet(tower, L, rows)

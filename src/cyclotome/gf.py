@@ -14,11 +14,9 @@ ample for desk-scale work; everything downstream indexes cyclotomic
 structure through dlog.  The power table and the trace vectors come from
 tables of GF(p)-linear maps (multiplication by gamma^B, Tr_{r/p} and
 Tr_{r/q}), which one primitive, FieldTower._linear_map, builds digit by
-digit.
-
-Each r-entry table has the least dtype for its values, set by r and p:
-exp2 (the power table written out twice; exp views its first r - 1), dlog
-and the linear maps are int32 while r <= 2^31, Tr_{r/p} fits p - 1 and
+digit.  Each r-entry table has the least dtype for its values, set by r and
+p: exp2 (the power table written out twice; exp views its first r - 1),
+dlog and the linear maps are int32 while r <= 2^31, Tr_{r/p} fits p - 1 and
 Tr_{r/q} r - 1.  Scalar reads go through int(): int32 * int wraps.
 
 A FieldTower is immutable once built (its numpy tables are marked
@@ -303,9 +301,9 @@ class FieldTower:
         if dlog[0] != -1 or np.any(dlog[1:] < 0):
             raise GammaNotPrimitive(
                 f"x has order < r-1 modulo {self.modulus} over GF({p})")
-        exp2.setflags(write=False)
+        exp2.setflags(write=False)  # before the view, which copies the flag
         dlog.setflags(write=False)
-        self.exp2, self.exp, self.dlog = exp2, exp, dlog
+        self.exp2, self.exp, self.dlog = exp2, exp2[:r - 1], dlog
 
     # -- element accessors -------------------------------------------------
 

@@ -120,6 +120,18 @@ class TestExactPeriods:
             for row, z in zip(gaussian_periods(tw, L).rows, fl):
                 assert abs(cyclo_to_complex(tw.p, row) - z) < 1e-6
 
+    # 3^12 at L = 365: nine chunks of 179 rows, the last partial; at
+    # L = 40880 and on 1009^2 at L = 112, L p passes 2^16 and chunks are p
+    # rows, the last one partial
+    @pytest.mark.parametrize("p, d, L", [(3, 12, 365), (3, 12, 40880),
+                                         (1009, 2, 112)])
+    def test_chunked_tally_matches_one_bincount(self, p, d, L):
+        tw = tower(p, 1, d)
+        cls = np.arange(tw.r - 1) % L
+        want = np.bincount(cls * p + tw.trace_p_vector[tw.exp],
+                           minlength=L * p).reshape(L, p)
+        assert gaussian_periods(tw, L).rows == tuple(map(tuple, want.tolist()))
+
     def test_sum_is_minus_one(self):
         for tw in (T27, T49, T64, tower(3, 1, 4), tower(5, 1, 2, (2, 4, 1))):
             for L in range(1, 20):

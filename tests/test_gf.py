@@ -213,6 +213,17 @@ class TestFieldConstruction:
         assert tw.exp.dtype == ref.dtype
         assert np.array_equal(tw.exp, ref)
 
+    def test_tables_are_read_only(self):
+        # exp is a view of exp2: a write through it would change mul, inv
+        # and pow on the cached tower that every caller shares
+        tw = build_field(3, 2, 3)
+        for name in ("exp", "exp2", "dlog", "trace_p_vector",
+                     "trace_q_vector"):
+            table = getattr(tw, name)
+            assert not table.flags.writeable, name
+            with pytest.raises(ValueError):
+                table[1] = table[1]
+
 
 class TestArithmetic:
     def test_dlog_roundtrip_exhaustive(self):

@@ -731,19 +731,22 @@ class TestBlockedSampling:
                     got, want, err_msg=f"{budget} B, seed {seed}")
 
     def test_peak_memory(self, monkeypatch):
-        # 1e6 draws on 2^20 in serial blocks: the int64 output (8 MB) plus a
-        # few SWEEP_BYTES of block temporaries, with the tower's tables
-        # already built; the unblocked kernel peaks at about 93 MB here
-        monkeypatch.setattr(_engine, "WORKERS", 1)
+        # 1e6 draws on 2^20: the int64 output (8 MB) plus a few SWEEP_BYTES
+        # of serial block temporaries, or two lanes of blocks a quarter of
+        # SWEEP_BYTES each, with the tower's tables already built (19 and
+        # 11 MB here; the unblocked kernel peaks at about 93 MB)
         tw, d, nval, _ = _sampling_inputs(SAMPLED_LADDER[-1])
-        tracemalloc.start()
-        try:
-            ws = sample_weights(tw, d, nval, 10 ** 6, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert ws.size == 10 ** 6
-        assert peak <= 24 * 2 ** 20, f"traced peak {peak / 2**20:.1f} MB"
+        for workers, bound_mb in ((1, 24), (2, 16)):
+            monkeypatch.setattr(_engine, "WORKERS", workers)
+            tracemalloc.start()
+            try:
+                ws = sample_weights(tw, d, nval, 10 ** 6, seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert ws.size == 10 ** 6
+            assert peak <= bound_mb * 2 ** 20, (
+                f"{workers} workers: traced peak {peak / 2**20:.1f} MB")
 
 
 def _spy_threaded(monkeypatch):
