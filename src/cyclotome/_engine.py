@@ -194,15 +194,16 @@ def _in_order(work, blocks, threaded: bool):
 
 def _per_h_luts(tower: FieldTower, derived: DerivedParams
                 ) -> list[list[np.ndarray]]:
-    """luts[h][tau][code] = K * elem(code) with K = (g b_tau)^h.
-    Code 1 + i is gamma^i, so past code 0 a lut is the power table rotated
-    by log K: a slice of the tower's table written out twice."""
+    """luts[h][tau][code] = K * elem(code) with K = (g b_tau)^h, of log
+    k = h a_tau mod (r-1), since log(g b_tau) = a_tau.  Code 1 + i is
+    gamma^i, so past code 0 a lut is the power table rotated by k: a slice
+    of the tower's table written out twice."""
     r1 = tower.r - 1
     out = []
     for h in range(derived.e):
         row = []
-        for b in derived.betas:
-            k = h * tower.dlog_of(tower.mul(derived.g, b)) % r1
+        for ai in derived.a_list:
+            k = h * ai % r1
             lut = np.zeros(tower.r, dtype=tower.exp2.dtype)
             lut[1:] = tower.exp2[k:k + r1]
             row.append(lut)
@@ -389,8 +390,8 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
     1/(4 WORKERS) of that); consecutive blocks of one generator's draws are
     the draws of one (count, t) call, so weights ignore the block size.
     Products go through logs: code c >= 1 is gamma^(c-1), so its product
-    with gamma^k is exp2[c - 1 + k] in the tower's power table, and a zero
-    code contributes zero.  At t = 2 the sum is never formed:
+    with gamma^k, k = h a_tau mod (r-1), is exp2[c - 1 + k] in the power
+    table, and a zero code contributes zero.  At t = 2 the sum is not formed:
     v_h = gamma^a + gamma^b with a = l_1 + k_h1, b = l_2 + k_h2 has class
     a + C[b - a] mod N (_zech_tables), one narrow gather and one value
     gather per h.  Draws with a zero code take the value of the other
@@ -399,8 +400,7 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
     """
     r, t, e, N = tower.r, derived.t, derived.e, derived.N
     r1, exp2 = r - 1, tower.exp2
-    logs = [[h * tower.dlog_of(tower.mul(derived.g, b)) % r1
-             for b in derived.betas] for h in range(e)]
+    logs = [[h * ai % r1 for ai in derived.a_list] for h in range(e)]
     if t == 2:
         cls3, vals = _zech_tables(tower, N, nval_by_elem)
     rng = np.random.default_rng(seed)

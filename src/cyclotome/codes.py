@@ -94,9 +94,10 @@ def build_tower(spec: CodeSpec) -> FieldTower:
 
 @dataclass(frozen=True)
 class DerivedParams:
-    """Quantities derived from a spec: exponents a_i, delta = gcd(r-1, a_i),
-    length n = (r-1)/delta, N = gcd((r-1)/(q-1), a e), the step g = gamma^a,
-    and the column roots beta_tau = gamma^((r-1) D_tau / e)."""
+    """Integers derived from a spec: exponents a_i, delta = gcd(r-1, a_i),
+    length n = (r-1)/delta and N = gcd((r-1)/(q-1), a e).  The step
+    g = gamma^a and the column roots beta_tau = gamma^((r-1) D_tau / e)
+    enter as logs: log(g beta_tau) = a_tau and log(beta_tau) = a_tau - a."""
 
     e: int
     t: int
@@ -105,23 +106,18 @@ class DerivedParams:
     delta: int
     n: int
     N: int
-    g: Element
-    betas: tuple[Element, ...]
 
 
 def derive_params(tower: FieldTower, spec: CodeSpec) -> DerivedParams:
     r1 = tower.r - 1
     if spec.e < 1 or r1 % spec.e:
         raise EDoesNotDivide(f"e = {spec.e} does not divide r - 1 = {r1}")
-    step = r1 // spec.e
-    a_list = tuple((spec.a + step * d) % r1 for d in spec.deltas)
+    a_list = tuple((spec.a + r1 // spec.e * d) % r1 for d in spec.deltas)
     delta = gcd(r1, *a_list)
     n = r1 // delta
     N = gcd(r1 // (tower.q - 1), spec.a * spec.e)
-    g = tower.gamma_pow(spec.a)
-    betas = tuple(tower.gamma_pow(step * d) for d in spec.deltas)
     return DerivedParams(e=spec.e, t=spec.t, a=spec.a % r1, a_list=a_list,
-                         delta=delta, n=n, N=N, g=g, betas=betas)
+                         delta=delta, n=n, N=N)
 
 
 @dataclass(frozen=True)
@@ -221,17 +217,18 @@ def independent_power_rows(tower: FieldTower, derived: DerivedParams) -> bool:
     """Whether every t x t minor of the e x t matrix with rows
     (beta_1^h, ..., beta_t^h), h = 0..e-1, is invertible over GF(r).
 
-    beta_tau = omega^(D_tau) with omega = gamma^((r-1)/e) of order e.  When
-    the D_tau are D_0 + k j mod e (j < t) with gcd(k, e) = 1, every minor is
-    a row-scaled Vandermonde matrix in the distinct omega^(k h), so none is
-    singular and no minor is tested.  Otherwise the minors are tested in
+    beta_tau^h = gamma^(h (a_tau - a)) = omega^(h D_tau), omega =
+    gamma^((r-1)/e) of order e.  When the D_tau are D_0 + k j mod e (j < t)
+    with gcd(k, e) = 1, every minor is a row-scaled Vandermonde matrix in
+    the distinct omega^(k h), so none is singular and no minor is tested.  Otherwise the minors are tested in
     turn, MINOR_BUDGET // t^3 of them at most: MinorBudgetExceeded is raised
     once that many are invertible and more remain, so at t^3 > MINOR_BUDGET
     it is raised before any minor is tested."""
     if _unit_step_progression(tower, derived):
         return True
     limit = MINOR_BUDGET // derived.t ** 3
-    rows = [[tower.pow(b, h) for b in derived.betas] for h in range(derived.e)]
+    rows = [[tower.gamma_pow(h * (ai - derived.a)) for ai in derived.a_list]
+            for h in range(derived.e)]
     for i, pick in enumerate(combinations(range(derived.e), derived.t)):
         if i == limit:
             raise MinorBudgetExceeded(
@@ -244,10 +241,10 @@ def independent_power_rows(tower: FieldTower, derived: DerivedParams) -> bool:
 
 
 def _unit_step_progression(tower: FieldTower, derived: DerivedParams) -> bool:
-    """Whether the offsets D_tau = dlog(beta_tau) / ((r-1)/e) are
+    """Whether the offsets D_tau = ((a_tau - a) mod (r-1)) / ((r-1)/e) are
     D_0 + k j mod e, j < t, for some D_0 and some k coprime to e."""
-    e, step = derived.e, (tower.r - 1) // derived.e
-    offsets = {tower.dlog_of(b) // step for b in derived.betas}
+    r1, e = tower.r - 1, derived.e
+    offsets = {(ai - derived.a) % r1 // (r1 // e) for ai in derived.a_list}
     return any(offsets == {(d0 + k * j) % e for j in range(derived.t)}
                for k in range(1, e) if gcd(k, e) == 1 for d0 in offsets)
 

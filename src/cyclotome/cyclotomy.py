@@ -65,20 +65,21 @@ def legendre(a: int, p: int) -> int:
 def cyclotomic_numbers(tower: FieldTower, L: int) -> np.ndarray:
     """The L x L matrix whose (i, j) entry counts x in C_i with x + 1 in C_j.
 
-    One vectorized pass over GF(r)* minus {-1}: adding 1 to a packed element
-    only changes its constant digit, so x + 1 is a pure index rewrite.
+    Adding 1 to a packed element only changes its constant digit.  As in
+    gaussian_periods, the power table as rows of L holds class i in column
+    i; the class of x + 1 is tallied max(2^16 // L, L + 1) rows at a time,
+    with x = -1 (x + 1 = 0) in a spare column L.
     """
     if L < 1 or (tower.r - 1) % L:
         raise NotADivisor(f"L = {L} does not divide r - 1 = {tower.r - 1}")
-    p = tower.p
-    xs = tower.exp
-    low = xs % p
-    ys = xs - low + (low + 1) % p
-    i_cls = np.arange(tower.r - 1, dtype=np.int64) % L
-    mask = ys != 0
-    j_cls = tower.dlog[ys[mask]] % L
-    flat = np.bincount(i_cls[mask] * L + j_cls, minlength=L * L)
-    return flat.reshape(L, L)
+    p, xs = tower.p, tower.exp.reshape(-1, L)
+    shift, step = np.arange(0, L * (L + 1), L + 1), max(2 ** 16 // L, L + 1)
+    tall = np.zeros(L * (L + 1), dtype=np.int64)
+    for x in (xs[lo:lo + step] for lo in range(0, len(xs), step)):
+        j = tower.dlog.take(x - x % p + (x + 1) % p)
+        tall += np.bincount((np.where(j < 0, L, j % L) + shift).ravel(),
+                            minlength=L * (L + 1))
+    return tall.reshape(L, L + 1)[:, :L]
 
 
 # ----------------------------------------------------------------------
@@ -116,7 +117,7 @@ class GaussianPeriodSet:
 
 
 def _check_period_sum(rows) -> None:
-    total = [sum(col) for col in zip(*rows)]
+    total = np.sum(rows, axis=0).tolist()
     if len(set(total[1:])) != 1 or total[0] - total[1] != -1:
         raise InconsistentPeriods(
             "period sum must be -1 (character orthogonality)")
@@ -139,9 +140,9 @@ def gaussian_periods(tower: FieldTower, L: int) -> GaussianPeriodSet:
     for lo in range(step, len(tr), step):
         tall += np.bincount((tr[lo:lo + step] + shift).ravel(),
                             minlength=L * p)
-    rows = tuple(tuple(row) for row in tall.reshape(L, p).tolist())
+    rows = tall.reshape(L, p)
     _check_period_sum(rows)
-    return GaussianPeriodSet(tower, L, rows)
+    return GaussianPeriodSet(tower, L, tuple(map(tuple, rows.tolist())))
 
 
 # ----------------------------------------------------------------------

@@ -489,6 +489,8 @@ def build_field(p: int, s: int, m: int, modulus=None,
                 table_cap: int = DEFAULT_TABLE_CAP) -> FieldTower:
     """Construct the tower GF(p) <= GF(p^s) <= GF(p^(s*m)).
 
+    The table cap is checked first: is_prime's trial division to sqrt(p)
+    and p^(s m) past the cap's bit length never run for an oversized field.
     If modulus is omitted, a deterministic primitive modulus is selected
     (see default_modulus), so repeated builds agree.  A call with the same
     arguments as the last successful one (a list or tuple modulus alike)
@@ -504,13 +506,13 @@ def build_field(p: int, s: int, m: int, modulus=None,
 @lru_cache(maxsize=1)
 def _build_field(p: int, s: int, m: int, modulus: tuple[int, ...] | None,
                  table_cap: int) -> FieldTower:
-    if not is_prime(p):
-        raise NotPrime(f"p = {p} is not prime")
     if s < 1 or m < 1:
         raise InvalidParameters("s and m must be positive")
     d = s * m
-    if p ** d > table_cap:
-        raise TowerTooLarge(f"r = {p**d} exceeds the table cap {table_cap}")
+    if p > 1 and (d > table_cap.bit_length() or p ** d > table_cap):
+        raise TowerTooLarge(f"r = {p}^{d} exceeds the table cap {table_cap}")
+    if not is_prime(p):
+        raise NotPrime(f"p = {p} is not prime")
     if modulus is None:
         modulus = default_modulus(p, d)
     modulus = tuple(c % p for c in modulus)

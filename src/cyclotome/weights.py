@@ -16,14 +16,16 @@
 
 The closed tables, keyed by the case classification:
 
-* t = e: the e period arguments run independently over GF(r), so the
-  scaled sum X is the e-th power of one argument's distribution: X = 0
+* N = 1, t <= e (at t < e every t x t minor of the column-root power
+  matrix must be invertible): the one period is -1, and the code is MDS
+  with d = e - t + 1 in units of (q-1) r/(delta e q) (MacWilliams & Sloane,
+  ch. 11): weight (q-1) r (e-t+u)/(delta e q), u = 1..t, with frequency
+      C(e, t-u) sum_{k=0}^{u-1} (-1)^k C(e-t+u, k) (r^(u-k) - 1),
+  which is C(e, u) (r-1)^u at t = e.
+* t = e, N >= 2: the e period arguments run independently over GF(r), so
+  the scaled sum X is the e-th power of one argument's distribution: X = 0
   once, and X = r - 1 - N eta_j for each of the (r-1)/N members of class
-  j.  It is expanded by e sparse convolutions.  At N = 1 the one period is
-  -1, so weight (q-1) r u / (delta e q) occurs C(e,u) (r-1)^u times.
-* t < e, N = 1 (needs every t x t minor of the column-root power matrix
-  invertible): weight (q-1) r (e-t+u)/(delta e q), u = 1..t, with frequency
-      C(e, t-u) sum_{k=0}^{u-1} (-1)^k C(e-t+u, k) (r^(u-k) - 1).
+  j.  It is expanded by e sparse convolutions.
 * e = 3, t = 2, N = 2: six nonzero weights obtained by pushing the period
   sums {3 eta_0, 2 eta_0 + eta_1, eta_0 + 2 eta_1, 3 eta_1,
   (r-1)/2 + 2 eta_0, (r-1)/2 + 2 eta_1} through the weight formula; the
@@ -316,6 +318,7 @@ def _closed_te_n2(tower, derived, periods: tuple[int, ...]) -> dict[int, int]:
 
 
 def _closed_tlt_n1(tower, derived) -> dict[int, int]:
+    """The N = 1 table at every t <= e: the MDS code's, d = e - t + 1."""
     r, e, t = tower.r, derived.e, derived.t
     out = {0: 1}
     for u in range(1, t + 1):
@@ -355,9 +358,7 @@ def wd_closed(tower: FieldTower, spec: CodeSpec, derived: DerivedParams,
     if not classification.supported:
         raise classification.error(classification.reason or "unsupported case")
     tag = classification.tag
-    if tag == TAG_TE_N1:
-        table = _closed_te_n2(tower, derived, (-1,))  # the order-1 period
-    elif tag == TAG_TLT_N1:
+    if tag in (TAG_TE_N1, TAG_TLT_N1):
         table = _closed_tlt_n1(tower, derived)
     else:
         periods = integer_periods(
@@ -430,18 +431,16 @@ def _check_invariants(report: VerificationReport, tower, derived,
     r, q = tower.r, tower.q
     size = r ** derived.t
     expected_moment = derived.n * size * (q - 1) // q
-    claims = {
-        TAG_TE_N1: (q - 1) * r // (derived.delta * derived.e * q),
-        TAG_TLT_N1: (q - 1) * r * (derived.e - derived.t + 1)
-        // (derived.delta * derived.e * q),
-    }
-    if report.classification.tag == TAG_E3T2N2:
+    tag, claim = report.classification.tag, None
+    if tag in (TAG_TE_N1, TAG_TLT_N1):  # MDS, d = e - t + 1
+        claim = ((q - 1) * r * (derived.e - derived.t + 1)
+                 // (derived.delta * derived.e * q))
+    elif tag == TAG_E3T2N2:
         sqrt_r = isqrt(r)
         if sqrt_r * sqrt_r != r:
             raise UnsupportedCase(
                 f"the six-weight case needs r to be a square, got r = {r}")
-        claims[TAG_E3T2N2] = (2 * (q - 1) * (r - sqrt_r)
-                              // (3 * q * derived.delta))
+        claim = 2 * (q - 1) * (r - sqrt_r) // (3 * q * derived.delta)
     for name, dist in report.distributions.items():
         if dist.total != size:
             report.invariant_failures.append(
@@ -452,7 +451,6 @@ def _check_invariants(report: VerificationReport, tower, derived,
         if cond_iii and dist.frequency_at_zero != 1:
             report.invariant_failures.append(
                 f"{name}: frequency at weight 0 is {dist.frequency_at_zero}")
-        claim = claims.get(report.classification.tag)
         if claim is not None and dist.d != claim:
             report.invariant_failures.append(
                 f"{name}: d = {dist.d} but the table claims {claim}")

@@ -207,15 +207,23 @@ def mul_constant_table(tower, c):
     return out
 
 
+def step_and_roots(tower, derived):
+    """The step g = gamma^a and the column roots beta_tau = gamma^(a_tau - a)
+    as field elements, for references that multiply by them."""
+    return (tower.gamma_pow(derived.a),
+            [tower.gamma_pow(ai - derived.a) for ai in derived.a_list])
+
+
 def _per_h_luts(tower, derived, with_g):
     """luts[h][tau][code] = K * elem(code) with K = (g b_tau)^h (or b_tau^h),
     through one multiplication table per constant."""
     eoc = elem_of_code(tower)
+    g, betas = step_and_roots(tower, derived)
     out = []
     for h in range(derived.e):
         row = []
-        for b in derived.betas:
-            base = tower.mul(derived.g, b) if with_g else b
+        for b in betas:
+            base = tower.mul(g, b) if with_g else b
             row.append(mul_constant_table(
                 tower, tower.pow(base, h))[eoc].astype(np.int32))
         out.append(row)
@@ -341,11 +349,12 @@ def sample_weights_unblocked(tower, derived, nval_by_elem, q_delta_e,
     rng = np.random.default_rng(seed)
     codes = rng.integers(0, r, size=(count, t))
     elems = elem_of_code(tower)[codes]
+    g, betas = step_and_roots(tower, derived)
     acc = np.zeros(count, dtype=np.int64)
     for h in range(e):
         v = None
         for tau in range(t):
-            k = tower.pow(tower.mul(derived.g, derived.betas[tau]), h)
+            k = tower.pow(tower.mul(g, betas[tau]), h)
             term = mul_constant_table(tower, k)[elems[:, tau]]
             v = term if v is None else tower.add_arrays(v, term)
         acc += nval_by_elem[v]
@@ -422,12 +431,13 @@ def codeword(tower, derived, x_vec):
 
 def period_arguments(tower, derived, x_vec):
     """The e period arguments g^h sum_tau x_tau beta_tau^h, one at a time."""
+    g, betas = step_and_roots(tower, derived)
     out = []
     for h in range(derived.e):
         v = 0
-        for x, b in zip(x_vec, derived.betas):
+        for x, b in zip(x_vec, betas):
             v = tower.add(v, tower.mul(x, tower.pow(b, h)))
-        out.append(tower.mul(tower.pow(derived.g, h), v))
+        out.append(tower.mul(tower.pow(g, h), v))
     return out
 
 

@@ -234,8 +234,8 @@ def test_internal_inconsistency_exit_1(capsys, monkeypatch):
     # so the CLI reports it instead of printing a traceback
     from cyclotome import weights
 
-    monkeypatch.setattr(weights, "_closed_te_n2",
-                        lambda tower, derived, periods: {0: 1})
+    monkeypatch.setattr(weights, "_closed_tlt_n1",
+                        lambda tower, derived: {0: 1})
     code, out, err = run_cli(
         capsys, "weights", "--p", "3", "--s", "1", "--m", "3", "--e", "2",
         "--t", "2", "--a", "1", "--delta", "0,1", "--method", "closed")
@@ -273,6 +273,23 @@ def test_bad_parameters_exit_1_without_traceback(argv, message):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and message in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("periods", "--p", "2", "--m", "15000", "--L", "3"),  # 4516 digits
+    ("periods", "--p", "3", "--m", "30000000", "--L", "2"),
+    ("periods", "--p", "1000000000000000003", "--m", "1", "--L", "2"),
+])
+def test_oversized_field_exit_1_at_once(argv):
+    # the table cap is checked before p is tested for primality and
+    # before p^(s m) is formed, so none of these hangs or overflows int
+    # string conversion
+    proc = subprocess.run([sys.executable, "-m", "cyclotome.cli", *argv],
+                          capture_output=True, text=True, env=cli_env(),
+                          timeout=10)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and "table cap" in proc.stderr
 
 
 GOLDEN_5_ARGV = ("verify", "--p", "2", "--m", "6", "--e", "7", "--t", "7",

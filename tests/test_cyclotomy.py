@@ -1,6 +1,7 @@
 """Cyclotomic classes/numbers, exact periods, and the four closed forms."""
 
 import cmath
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -99,6 +100,34 @@ class TestCyclotomicNumbers:
     def test_total_is_r_minus_2(self):
         for tw, L in ((T49, 2), (T49, 3), (T64, 7), (T27, 13)):
             assert cyclotomic_numbers(tw, L).sum() == tw.r - 2
+
+    # 3^12 at L = 2: nine chunks of 2^15 rows, the last partial; 2^20 at
+    # L = 1023: chunks of L + 1 rows, the last one a single row; 3^4 at
+    # L = 80: one row; at p = 2, x = 1 has x + 1 = 0, the spare column
+    @pytest.mark.parametrize("p, d, L", [(3, 12, 2), (2, 20, 1023),
+                                         (3, 4, 80), (2, 10, 33)])
+    def test_chunked_tally_matches_one_bincount(self, p, d, L):
+        tw = tower(p, 1, d)
+        low = tw.exp % p
+        ys = tw.exp - low + (low + 1) % p
+        keep = ys != 0
+        cls = np.arange(tw.r - 1) % L
+        want = np.bincount(cls[keep] * L + tw.dlog[ys[keep]] % L,
+                           minlength=L * L).reshape(L, L)
+        assert cyclotomic_numbers(tw, L).tolist() == want.tolist()
+
+    def test_peak_memory(self):
+        # the tally reads the tables in chunks; r - 1 int64 class arrays
+        # took 29 MB on this field
+        tw = tower(2, 1, 20)
+        tracemalloc.start()
+        try:
+            m = cyclotomic_numbers(tw, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.sum() == tw.r - 2
+        assert peak <= 8 * 2 ** 20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 class TestExactPeriods:

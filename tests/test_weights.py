@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from cyclotome._engine import (
 from cyclotome.codes import (
     CodeSpec,
     DerivedParams,
+    _unit_step_progression,
     derive_params,
     validate_assumptions,
 )
@@ -53,6 +55,7 @@ from cyclotome.weights import (
     _check_invariants,
     _chernoff_bound,
     _closed_te_n2,
+    _closed_tlt_n1,
     _nval_by_elem,
     _sampling_check,
     classify,
@@ -244,7 +247,7 @@ class TestProfiles:
         tw = tower(3, 1, 4)
         assert any(v is None for v in gaussian_periods(tw, 16).rational_values)
         fake = DerivedParams(e=16, t=2, a=1, a_list=(1, 6), delta=1, n=80,
-                             N=16, g=tw.gamma, betas=(1, tw.gamma))
+                             N=16)
         with pytest.raises(InconsistentPeriods):
             wd_tsum(tw, fake)
         closed = WeightDistribution.from_counts(80, 8, {0: 1})
@@ -287,6 +290,37 @@ class TestClosed:
                 periods_for_classification(tw, d, cl)))
             assert _closed_te_n2(tw, d, periods) == \
                 closed_te_n2_compositions(tw, d, periods), sp
+            if cl.tag == TAG_TE_N1:  # the MDS table serves both N = 1 cases
+                assert _closed_tlt_n1(tw, d) == _closed_te_n2(tw, d, (-1,)), sp
+
+    def test_closed_route_reads_no_field_table(self):
+        # derivation, validity, classification and the closed tables of
+        # these cases read only p, s, m, q, r, the degree and the modulus,
+        # so a stand-in with no power table, dlog or trace vector gives the
+        # same parameters, classification and entries as the tower
+        cases = [golden_examples()[i].spec for i in (0, 1, 2, 5)]
+        for sp, d, cl in criterion_grid():
+            tw = tower_for(sp)
+            if (cl.tag in (TAG_TE_N1, TAG_E3T2N2)
+                    or cl.tag == TAG_TLT_N1 and _unit_step_progression(tw, d)
+                    or cl.period_source in ("order2", "semiprimitive")):
+                cases.append(sp)
+        tags = set()
+        for sp in cases:
+            tw, d = setup_for(sp)
+            bare = SimpleNamespace(p=tw.p, s=tw.s, m=tw.m, q=tw.q, r=tw.r,
+                                   degree=tw.degree, modulus=tw.modulus)
+            d_bare = derive_params(bare, sp)
+            cl_bare = classify(bare, sp, d_bare,
+                               validate_assumptions(bare, sp, d_bare))
+            cl = classify(tw, sp, d)
+            assert (d_bare, cl_bare) == (d, cl), sp
+            assert wd_closed(bare, sp, d_bare, cl_bare).entries == \
+                wd_closed(tw, sp, d, cl).entries, sp
+            tags.add((cl.tag, cl.period_source))
+        assert tags == {(TAG_TE_N1, None), (TAG_TLT_N1, None),
+                        (TAG_E3T2N2, None), (TAG_TE_N2, "order2"),
+                        (TAG_TE_N2, "semiprimitive")}
 
     def test_sparse_column_table(self):
         tw, d = setup_for(STHM3)
@@ -871,8 +905,8 @@ class TestTypedChecks:
 
     def test_closed_frequency_sum(self, monkeypatch):
         tw, d = setup_for(S1)
-        monkeypatch.setattr(cyclotome.weights, "_closed_te_n2",
-                            lambda tower, derived, periods: {0: 1, 9: 52})
+        monkeypatch.setattr(cyclotome.weights, "_closed_tlt_n1",
+                            lambda tower, derived: {0: 1, 9: 52})
         with pytest.raises(FrequencySumMismatch):
             wd_closed(tw, S1, d)
 
