@@ -9,8 +9,8 @@ Everything here works on packed element ints (see gf).  Additions ride on
 FieldTower.add_arrays (radix-p^j addition tables, XOR when p = 2),
 multiplications on the power table through logs, so a pass over a grid is
 a handful of numpy gathers.  Products read the tower's power table written
-out twice (FieldTower.exp2).  Folding an axis into a grid is one
-translation table and one row gather (_vadd_outer).
+out twice (FieldTower.exp2).  Folding an axis into a grid is one outer
+add_arrays (fold_sum).
 
 The naive and period-sum kernels sweep slabs of fixed x_1 over the grid of
 (x_2, ..., x_t), one x_1 per orbit of the code's automorphisms
@@ -53,22 +53,12 @@ from .errors import CapExceeded, NegativePeriodSum, NonIntegralWeight
 from .gf import FieldTower
 
 
-def _vadd_outer(tower: FieldTower, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """All pairwise field sums, flattened: result[i*len(B)+j] = A[i] + B[j].
-
-    One add_arrays builds the translation table shift[x, j] = x + B[j] over
-    every x in GF(r); the sums are then one row gather.  The table has r
-    rows, so it is no larger than the result once A covers a whole axis."""
-    elems = np.arange(tower.r, dtype=A.dtype)
-    shift = tower.add_arrays(elems[:, None], B[None, :])
-    return shift[A].ravel()
-
-
 def fold_sum(tower: FieldTower, luts: list[np.ndarray]) -> np.ndarray:
-    """Values of sum_tau lut_tau[code_tau] over the full grid, flat order."""
+    """Values of sum_tau lut_tau[code_tau] over the full grid, flat order:
+    each further axis is one outer field addition."""
     arr = luts[0]
     for lut in luts[1:]:
-        arr = _vadd_outer(tower, arr, lut)
+        arr = tower.add_arrays(arr[:, None], lut[None, :]).ravel()
     return arr
 
 

@@ -29,14 +29,7 @@ from .cyclotomy import (
 )
 from .errors import CyclotomeError
 from .gf import build_field
-from .weights import (
-    Caps,
-    classify,
-    cross_verify,
-    wd_closed,
-    wd_naive,
-    wd_tsum,
-)
+from .weights import Caps, classify, cross_verify, plan, run_method
 
 ENV_MAX_ENUM = "CYCLOTOME_MAX_ENUM"
 
@@ -94,10 +87,7 @@ def _caps_from_args(args) -> Caps:
             raise CyclotomeError(f"{ENV_MAX_ENUM} is not an int: {env!r}")
         if cap is not None and cap < 0:
             raise CyclotomeError(f"{ENV_MAX_ENUM} is negative: {env!r}")
-    kwargs = {}
-    if cap is not None:
-        kwargs["naive"] = cap
-        kwargs["tsum"] = cap
+    kwargs = {} if cap is None else {"naive": cap, "tsum": cap}
     if getattr(args, "seed", None) is not None:
         kwargs["seed"] = args.seed
     return Caps(**kwargs)
@@ -212,26 +202,17 @@ def cmd_weights(args) -> int:
     caps = _caps_from_args(args)
     tower = build_tower(spec)
     derived = derive_params(tower, spec)
-    report = validate_assumptions(tower, spec, derived)
-    classification = classify(tower, spec, derived, report)
-    size = tower.r ** derived.t
+    classification = classify(tower, spec, derived)
     method = args.method
-    if method == "auto":
-        if classification.supported:
-            method = "closed"
-        elif size <= caps.tsum:
-            method = "tsum"
-        else:
-            raise CyclotomeError(
-                f"no feasible method: case is {classification.tag} "
-                f"({classification.reason}) and r^t = {size} exceeds the caps; "
-                f"raise --max-enum or pick a closed-form case")
-    if method == "closed":
-        dist = wd_closed(tower, spec, derived, classification)
-    elif method == "tsum":
-        dist = wd_tsum(tower, derived, cap=caps.tsum)
-    else:
-        dist = wd_naive(tower, derived, cap=caps.naive)
+    if method == "auto":  # the closed table, else tsum, as the plan runs them
+        steps = plan(tower, derived, classification, caps)
+        tried = [(m, steps[m]) for m in ("closed", "tsum")]
+        method = next((m for m, why in tried if why is None), None)
+        if method is None:
+            reasons = "; ".join(f"{m}: {why}" for m, why in tried)
+            raise CyclotomeError(f"no feasible method ({reasons}); raise "
+                                 f"--max-enum or pick a closed-form case")
+    dist = run_method(method, tower, spec, derived, classification, caps)
     if args.json:
         print(canonical_json({
             "spec": spec.to_json_dict(),
@@ -365,8 +346,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
-        print("error: out of memory; lower --max-enum or pick a smaller "
-              "spec", file=sys.stderr)
+        hint = "lower --max-enum or " if "max_enum" in vars(args) else ""
+        print(f"error: out of memory; {hint}pick a smaller spec",
+              file=sys.stderr)
         return 1
 
 

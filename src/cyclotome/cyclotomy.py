@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import (
     BadL,
+    CapExceeded,
     HypothesisNotMet,
     InconsistentPeriods,
     NoDiophantineSolution,
@@ -58,6 +59,21 @@ def legendre(a: int, p: int) -> int:
     return 1 if t == 1 else -1
 
 
+# int64 entries of one order-L count table (L p trace counts, L (L + 1)
+# cyclotomic numbers): 32 MB, and every order at p = 2 under the table cap
+COUNT_TABLE_ENTRIES = 1 << 22
+
+
+def _check_order(tower: FieldTower, L: int, entries: int) -> None:
+    """Refuse, before any allocation, an L not dividing r - 1 or a table
+    of more than COUNT_TABLE_ENTRIES entries."""
+    if L < 1 or (tower.r - 1) % L:
+        raise NotADivisor(f"L = {L} does not divide r - 1 = {tower.r - 1}")
+    if entries > COUNT_TABLE_ENTRIES:
+        raise CapExceeded(f"the order-{L} count table has {entries} entries, "
+                          f"over the budget of {COUNT_TABLE_ENTRIES}")
+
+
 # ----------------------------------------------------------------------
 # Cyclotomic numbers.
 # ----------------------------------------------------------------------
@@ -70,8 +86,7 @@ def cyclotomic_numbers(tower: FieldTower, L: int) -> np.ndarray:
     i; the class of x + 1 is tallied max(2^16 // L, L + 1) rows at a time,
     with x = -1 (x + 1 = 0) in a spare column L.
     """
-    if L < 1 or (tower.r - 1) % L:
-        raise NotADivisor(f"L = {L} does not divide r - 1 = {tower.r - 1}")
+    _check_order(tower, L, L * (L + 1))
     p, xs = tower.p, tower.exp.reshape(-1, L)
     shift, step = np.arange(0, L * (L + 1), L + 1), max(2 ** 16 // L, L + 1)
     tall = np.zeros(L * (L + 1), dtype=np.int64)
@@ -132,8 +147,7 @@ def gaussian_periods(tower: FieldTower, L: int) -> GaussianPeriodSet:
     """Exact periods by tallying trace values over each class (the oracle):
     gamma^k is in class k mod L, so the power table's traces, as rows of L,
     hold class i in column i, counted about max(2^16, L p) at a time."""
-    if L < 1 or (tower.r - 1) % L:
-        raise NotADivisor(f"L = {L} does not divide r - 1 = {tower.r - 1}")
+    _check_order(tower, L, L * tower.p)
     p, tr = tower.p, tower.trace_p_vector[tower.exp].reshape(-1, L)
     shift, step = np.arange(0, L * p, p), max(2 ** 16 // L, p)
     tall = np.bincount((tr[:step] + shift).ravel(), minlength=L * p)

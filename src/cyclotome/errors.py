@@ -77,7 +77,7 @@ class NonIntegralWeight(CyclotomeError):
 
 # weight distribution methods
 class CapExceeded(CyclotomeError):
-    """An enumeration would exceed the configured input cap."""
+    """An enumeration or a count table would exceed its cap."""
 
 
 class NegativePeriodSum(CyclotomeError):

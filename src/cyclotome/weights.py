@@ -37,12 +37,17 @@ through the same map w = (q-1) X/(q delta e) as the enumerations
 (_engine.weights_of_period_sums).  Frequencies are arbitrary-precision
 ints throughout; equal weights arising from different compositions are
 merged before anything is compared.
+
+plan() alone decides which methods run, in the order naive, tsum, closed.
+cross_verify runs what it plans and samples when only the closed table
+ran; `cyclotome weights --method auto` takes closed, else tsum, from the
+same plan.  Both call a method through run_method.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import comb, exp, isqrt, log, log1p
 
 import numpy as np
@@ -105,10 +110,8 @@ class WeightDistribution:
 
     @classmethod
     def from_counts(cls, n: int, kappa: int, counts) -> "WeightDistribution":
-        if isinstance(counts, dict):
-            items = counts.items()
-        else:
-            items = ((w, int(c)) for w, c in enumerate(counts))
+        items = (counts.items() if isinstance(counts, dict)
+                 else enumerate(counts))
         merged: dict[int, int] = {}
         for w, c in items:
             if c:
@@ -135,12 +138,8 @@ class WeightDistribution:
         return tuple(w for w, _ in self.entries)
 
     def enumerator_str(self) -> str:
-        parts = []
-        for w, c in self.entries:
-            if w == 0:
-                parts.append(str(c))
-            else:
-                parts.append(f"{c}z^{w}" if c != 1 else f"z^{w}")
+        parts = [str(c) if w == 0 else f"{c}z^{w}" if c != 1 else f"z^{w}"
+                 for w, c in self.entries]
         return " + ".join(parts) if parts else "0"
 
     def to_json_entries(self) -> list[dict]:
@@ -403,10 +402,9 @@ class VerificationReport:
                 and (self.sampling is None or self.sampling["ok"]))
 
     def reference_distribution(self):
-        for name in ("closed", "tsum", "naive"):
-            if name in self.distributions:
-                return self.distributions[name]
-        return None
+        return next((self.distributions[name] for name in
+                     ("closed", "tsum", "naive")
+                     if name in self.distributions), None)
 
     def to_json_dict(self) -> dict:
         some = self.reference_distribution()
@@ -456,47 +454,61 @@ def _check_invariants(report: VerificationReport, tower, derived,
                 f"{name}: d = {dist.d} but the table claims {claim}")
 
 
+def plan(tower: FieldTower, derived: DerivedParams,
+         classification: CaseClassification, caps: Caps
+         ) -> dict[str, str | None]:
+    """Per method, in run order: None when it runs, else why it is skipped.
+    naive and tsum run while r^t is within their caps, closed when the case
+    is classified."""
+    size = tower.r ** derived.t
+    steps = {name: None if size <= cap else f"r^t = {size} > cap {cap}"
+             for name, cap in (("naive", caps.naive), ("tsum", caps.tsum))}
+    steps["closed"] = (None if classification.supported
+                       else classification.reason or "unsupported")
+    return steps
+
+
+def run_method(name: str, tower: FieldTower, spec: CodeSpec,
+               derived: DerivedParams, classification: CaseClassification,
+               caps: Caps) -> WeightDistribution:
+    """The distribution by one method, naive and tsum under their CapExceeded
+    guards.  The wd_* names are read when called, so a wrapped one runs."""
+    return {"naive": lambda: wd_naive(tower, derived, cap=caps.naive),
+            "tsum": lambda: wd_tsum(tower, derived, cap=caps.tsum),
+            "closed": lambda: wd_closed(tower, spec, derived, classification),
+            }[name]()
+
+
 def cross_verify(spec: CodeSpec, caps: Caps = Caps()) -> VerificationReport:
-    """Run every feasible method, compare entry lists exactly, check the
-    counting invariants, and sample when enumeration is out of reach."""
+    """Run every method the plan runs, compare entry lists exactly, check
+    the counting invariants, and sample when only the closed table ran."""
     tower = build_tower(spec)
     derived = derive_params(tower, spec)
     report_a = validate_assumptions(tower, spec, derived)
     classification = classify(tower, spec, derived, report_a)
-    rep = VerificationReport(spec=spec, classification=classification,
-                             n=derived.n, kappa=derived.t * tower.m)
-    size = tower.r ** derived.t
+    steps = plan(tower, derived, classification, caps)
+    runs = [name for name, why in steps.items() if why is None]
+    rep = VerificationReport(
+        spec=spec, classification=classification, n=derived.n,
+        kappa=derived.t * tower.m,
+        distributions={name: run_method(name, tower, spec, derived,
+                                        classification, caps)
+                       for name in runs},
+        skipped={name: why for name, why in steps.items() if why is not None})
 
-    if size <= caps.naive:
-        rep.distributions["naive"] = wd_naive(tower, derived, cap=caps.naive)
-    else:
-        rep.skipped["naive"] = f"r^t = {size} > cap {caps.naive}"
-    if size <= caps.tsum:
-        rep.distributions["tsum"] = wd_tsum(tower, derived, cap=caps.tsum)
-    else:
-        rep.skipped["tsum"] = f"r^t = {size} > cap {caps.tsum}"
-    if classification.supported:
-        rep.distributions["closed"] = wd_closed(tower, spec, derived,
-                                                classification)
-    else:
-        rep.skipped["closed"] = classification.reason or "unsupported"
-
-    names = sorted(rep.distributions)
-    for a, b in combinations(names, 2):
-        ea, eb = rep.distributions[a].entries, rep.distributions[b].entries
-        if ea != eb:
+    for a, b in combinations(sorted(rep.distributions), 2):
+        pairs = zip_longest(rep.distributions[a].entries,
+                            rep.distributions[b].entries)
+        diff = next(((i, x, y) for i, (x, y) in enumerate(pairs) if x != y),
+                    None)
+        if diff is not None:
             rep.agreed = False
-            diff = next((i for i in range(min(len(ea), len(eb)))
-                         if ea[i] != eb[i]), min(len(ea), len(eb)))
-            rep.first_diff = (f"{a} vs {b} at entry {diff}: "
-                              f"{ea[diff] if diff < len(ea) else None} != "
-                              f"{eb[diff] if diff < len(eb) else None}")
+            rep.first_diff = "%s vs %s at entry %d: %s != %s" % (a, b, *diff)
             break
 
     _check_invariants(rep, tower, derived, report_a.cond_iii)
 
-    if "closed" in rep.distributions and not any(
-            m in rep.distributions for m in ("naive", "tsum")):
+    if runs == ["closed"]:
         rep.sampling = _sampling_check(tower, derived,
                                        rep.distributions["closed"], caps)
     return rep

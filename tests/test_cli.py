@@ -197,6 +197,34 @@ def test_auto_with_no_feasible_method_gives_guidance(capsys):
         "--t", "2", "--a", "1", "--delta", "0,1", "--max-enum", "10")
     assert code == 1
     assert "no feasible method" in err and "max-enum" in err
+    # the reasons are the plan's, as verify reports them
+    assert ("(closed: t < e with N = 2 has no closed form here; "
+            "tsum: r^t = 14641 > cap 10)") in err
+
+
+@pytest.mark.parametrize("method", ["naive", "tsum"])
+def test_explicit_method_over_the_cap_is_an_error(method, capsys):
+    code, out, err = run_cli(
+        capsys, "weights", "--p", "3", "--s", "1", "--m", "3", "--e", "2",
+        "--t", "2", "--a", "1", "--delta", "0,1", "--method", method,
+        "--max-enum", "728")
+    assert code == 1 and out == ""
+    assert err.startswith("error: r^t = 729 exceeds the ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("periods", "--p", "3", "--m", "2", "--L", "4"),
+    ("cyclonum", "--p", "3", "--m", "2", "--L", "4")])
+def test_count_table_over_budget_is_an_error(argv, capsys, monkeypatch):
+    # L p = 12 trace counts, L (L + 1) = 20 cyclotomic numbers
+    from cyclotome import cyclotomy
+
+    monkeypatch.setattr(cyclotomy, "COUNT_TABLE_ENTRIES", 10)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: the order-4 count table has ")
+    assert "over the budget of 10" in err
 
 
 def test_cap_env_override(capsys, monkeypatch):
@@ -226,7 +254,21 @@ def test_out_of_memory_exit_1(capsys, monkeypatch):
         capsys, "weights", "--p", "3", "--s", "1", "--m", "3", "--e", "2",
         "--t", "2", "--a", "1", "--delta", "0,1", "--method", "tsum")
     assert code == 1 and out == ""
-    assert err.startswith("error: out of memory")
+    assert err.startswith("error: out of memory; lower --max-enum")
+
+
+def test_out_of_memory_hint_names_only_own_flags(capsys, monkeypatch):
+    # periods has no --max-enum, so its hint must not name it
+    from cyclotome import cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "gaussian_periods", exhausted)
+    code, out, err = run_cli(capsys, "periods", "--p", "3", "--m", "2",
+                             "--L", "2")
+    assert code == 1 and out == ""
+    assert err == "error: out of memory; pick a smaller spec\n"
 
 
 def test_internal_inconsistency_exit_1(capsys, monkeypatch):

@@ -62,6 +62,7 @@ from cyclotome.weights import (
     cross_verify,
     integer_periods,
     periods_for_classification,
+    plan,
     wd_closed,
     wd_naive,
     wd_tsum,
@@ -411,6 +412,40 @@ class TestCrossVerify:
         assert list(rep.distributions) == ["closed"]
         assert rep.sampling is not None and rep.sampling["ok"]
         assert rep.passed
+
+    @pytest.mark.parametrize("caps", [
+        Caps(sample_count=1000), Caps(naive=0, tsum=0, sample_count=1000)],
+        ids=["default caps", "closed only"])
+    @pytest.mark.parametrize("ex", golden_examples(), ids=lambda ex: ex.name)
+    def test_plan_is_what_cross_verify_runs(self, ex, caps):
+        # the sample count only sets the sampling check's cost, not the plan
+        tw, d = setup_for(ex.spec)
+        steps = plan(tw, d, classify(tw, ex.spec, d), caps)
+        assert list(steps) == ["naive", "tsum", "closed"]
+        rep = cross_verify(ex.spec, caps)
+        assert list(rep.distributions) == [
+            m for m, why in steps.items() if why is None]
+        assert list(rep.skipped.items()) == [
+            (m, why) for m, why in steps.items() if why is not None]
+        assert rep.to_json_dict()["methods_skipped"] == rep.skipped
+        if caps.naive == 0:
+            size = tw.r ** d.t
+            assert steps == {"naive": f"r^t = {size} > cap 0",
+                             "tsum": f"r^t = {size} > cap 0", "closed": None}
+
+    def test_first_diff_names_the_entry(self, monkeypatch):
+        # the methods are looked up when they run, so a patched (or traced)
+        # wd_tsum is the one cross_verify calls
+        real = cyclotome.weights.wd_tsum
+
+        def short(tower, derived, cap):
+            dist = real(tower, derived, cap)
+            return WeightDistribution(dist.n, dist.kappa, dist.entries[:-1])
+
+        monkeypatch.setattr(cyclotome.weights, "wd_tsum", short)
+        rep = cross_verify(S1)
+        assert not rep.agreed and not rep.passed
+        assert rep.first_diff == "closed vs tsum at entry 2: (18, 676) != None"
 
     def test_json_shape(self):
         obj = cross_verify(S1).to_json_dict()
