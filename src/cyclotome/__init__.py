@@ -20,7 +20,6 @@ from .codes import (
 )
 from .corpus import GoldenExample, golden_examples, run_corpus
 from .cyclotomy import (
-    ClosedFormParams,
     GaussianPeriodSet,
     applicable_closed_form,
     cyclotomic_numbers,

@@ -148,32 +148,34 @@ def cmd_params(args) -> int:
 def cmd_periods(args) -> int:
     tower = build_field(args.p, args.s, args.m, modulus=args.modulus)
     pset = gaussian_periods(tower, args.L)
+    rows = pset.rows.tolist()
     variant = applicable_closed_form(tower, args.L)
     closed = None
     if variant is not None:
         cset, params = gaussian_periods_closed_form(variant, tower, args.L)
-        closed = {"variant": variant, "params": params.to_json_dict(),
+        closed = {"variant": variant, "params": params,
                   "matches_exact": cset.values == pset.values}
     if args.json:
-        values = [v if isinstance(v, int) else {"zeta_counts": list(row)}
-                  for v, row in zip(pset.values, pset.rows)]
+        values = [v if isinstance(v, int) else {"zeta_counts": row}
+                  for v, row in zip(pset.values, rows)]
         obj = {"L": args.L, "values": values,
                "modified_zero": pset.eta_bar_zero,
                "closed_form": ({"variant": closed["variant"],
                                 "params": closed["params"]}
                                if closed else None)}
         if args.tallies:
-            obj["tallies"] = [list(t) for t in pset.rows]
+            obj["tallies"] = rows
         print(canonical_json(obj))
         return 0
     print(f"order-{args.L} Gaussian periods of GF({tower.r}), "
           f"classes of size {(tower.r - 1) // args.L}")
-    for i, (v, row) in enumerate(zip(pset.values, pset.rows)):
-        print(f"  eta_{i} = {v if isinstance(v, int) else f'counts{row}'}")
+    for i, (v, row) in enumerate(zip(pset.values, rows)):
+        shown = v if isinstance(v, int) else f"counts{tuple(row)}"
+        print(f"  eta_{i} = {shown}")
     print(f"  modified value at 0: {pset.eta_bar_zero}")
     if args.tallies:
-        for i, t in enumerate(pset.rows):
-            print(f"  tally_{i} = {t}")
+        for i, row in enumerate(rows):
+            print(f"  tally_{i} = {tuple(row)}")
     if closed:
         print(f"closed form: {closed['variant']} {closed['params']}, "
               f"matches exact: {closed['matches_exact']}")
@@ -310,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="auto")
     sp.add_argument("--max-enum", type=_non_negative_int, default=None,
                     help=f"enumeration cap (also env {ENV_MAX_ENUM})")
-    sp.add_argument("--seed", type=_non_negative_int, default=None)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_weights)
 

@@ -7,7 +7,10 @@ exactly as its count row: the multiplicities of zeta^0, ..., zeta^(p-1),
 which for the oracle are the numbers of class elements of each trace.
 Since 1 + zeta + ... + zeta^(p-1) = 0, adding a constant to a row keeps its
 value, and the value is a rational integer exactly when all counts above
-index 0 agree.
+index 0 agree.  The order-L periods are one read-only (L, p) int64 count
+matrix, and the oracle and every closed form build their GaussianPeriodSet
+through one checked constructor: the periods must sum to -1, and integer
+periods must satisfy Parseval's L sum eta_i^2 = 1 + (L - 1) r.
 
 The Gaussian period of class i is the character sum over the coset
 C_i = gamma^i <gamma^L>, computed here by tallying trace values (the exact
@@ -35,7 +38,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
+from operator import mul
 
 import numpy as np
 
@@ -101,46 +106,69 @@ def cyclotomic_numbers(tower: FieldTower, L: int) -> np.ndarray:
 # Gaussian periods: exact oracle.
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianPeriodSet:
     """Exact order-L Gaussian periods of GF(r), indexed by class.
 
-    rows[i][c] is the multiplicity of zeta^c in eta_i.  values[i] is the
-    int rows[i][0] - rows[i][1] when the counts past index 0 agree, and
+    rows is the (L, p) int64 count matrix, made read-only here:
+    rows[i, c] is the multiplicity of zeta^c in eta_i.  values[i] is the
+    int rows[i, 0] - rows[i, 1] when the counts past index 0 agree, and
     otherwise the row shifted to end in 0, so that equal periods have equal
-    values.
+    values.  _period_set is the checked constructor.
     """
 
     tower: FieldTower
     L: int
-    rows: tuple[tuple[int, ...], ...]
+    rows: np.ndarray
+
+    def __post_init__(self):
+        self.rows.flags.writeable = False
 
     @property
     def eta_bar_zero(self) -> int:
         """The modified period at the zero argument, (r - 1) / L."""
         return (self.tower.r - 1) // self.L
 
-    @property
+    @cached_property
     def values(self) -> tuple:
-        return tuple(row[0] - row[1] if len(set(row[1:])) == 1
-                     else tuple(c - row[-1] for c in row)
-                     for row in self.rows)
+        rows = self.rows
+        values = (rows[:, 0] - rows[:, 1]).tolist()
+        unequal = rows[:, 2:] != rows[:, 1:2]
+        if unequal.any():
+            irr = np.flatnonzero(unequal.any(axis=1))
+            shifted = (rows[irr] - rows[irr, -1:]).tolist()
+            for i, row in zip(irr.tolist(), shifted):
+                values[i] = tuple(row)
+        return tuple(values)
 
     @property
     def rational_values(self) -> tuple:
         return tuple(v if isinstance(v, int) else None for v in self.values)
 
 
-def _check_period_sum(rows) -> None:
-    total = np.sum(rows, axis=0).tolist()
+def _period_set(tower: FieldTower, L: int, rows: np.ndarray
+                ) -> GaussianPeriodSet:
+    """The period set of count matrix rows, checked two ways: the periods
+    sum to -1 (G(chi_0) = -1), and integer periods have the second moment
+    L sum eta_i^2 = 1 + (L - 1) r (Parseval, from |G(chi)|^2 = r)."""
+    total = rows.sum(axis=0).tolist()
     if len(set(total[1:])) != 1 or total[0] - total[1] != -1:
         raise InconsistentPeriods(
             "period sum must be -1 (character orthogonality)")
+    pset = GaussianPeriodSet(tower, L, rows)
+    ints = pset.rational_values
+    if (None not in ints
+            and L * sum(map(mul, ints, ints)) != 1 + (L - 1) * tower.r):
+        raise InconsistentPeriods(
+            "L sum eta_i^2 must be 1 + (L - 1) r (Parseval)")
+    return pset
 
 
-def _int_rows(p: int, values) -> tuple[tuple[int, ...], ...]:
-    """The count rows (v, 0, ..., 0) of integer periods v."""
-    return tuple((v,) + (0,) * (p - 1) for v in values)
+def _int_rows(p: int, values) -> np.ndarray:
+    """The count matrix with rows (v, 0, ..., 0) of integer periods v."""
+    rows = np.zeros((len(values), p), dtype=np.int64)
+    rows[:, 0] = values
+    return rows
 
 
 def gaussian_periods(tower: FieldTower, L: int) -> GaussianPeriodSet:
@@ -154,46 +182,12 @@ def gaussian_periods(tower: FieldTower, L: int) -> GaussianPeriodSet:
     for lo in range(step, len(tr), step):
         tall += np.bincount((tr[lo:lo + step] + shift).ravel(),
                             minlength=L * p)
-    rows = tall.reshape(L, p)
-    _check_period_sum(rows)
-    return GaussianPeriodSet(tower, L, tuple(map(tuple, rows.tolist())))
+    return _period_set(tower, L, tall.reshape(L, p))
 
 
 # ----------------------------------------------------------------------
 # Closed forms.
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ClosedFormParams:
-    """Solved constants behind a closed-form period computation."""
-
-    variant: str  # order2 | order3 | semiprimitive | index2
-    branch: str | None = None
-    c1: int | None = None          # order3: 4 p^(sm/3) = c1^2 + 27 d1^2
-    d1: int | None = None
-    j: int | None = None           # semiprimitive: least j with p^j = -1 mod L
-    v: int | None = None           # semiprimitive: r = p^(2 j v)
-    h_L: int | None = None         # index2: class number of Q(sqrt(-L))
-    a_qf: int | None = None        # index2: a^2 + L b^2 = 4 p^h_L
-    b_qf: int | None = None
-    k: int | None = None           # index2: sm = k (L-1) / 2
-    P_k: int | None = None
-    A_k: Fraction | None = None
-    B_k: Fraction | None = None
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"variant": self.variant}
-        for name in ("branch", "c1", "d1", "j", "v", "h_L",
-                     "a_qf", "b_qf", "k", "P_k"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = val
-        for name in ("A_k", "B_k"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = str(val)
-        return out
-
 
 def imaginary_quadratic_class_number(L: int) -> int:
     """Class number of Q(sqrt(-L)) for prime L = 3 mod 4, L != 3, via a
@@ -249,12 +243,13 @@ def _closed_order2(tower: FieldTower):
         # eta_0 = (-1 + K g)/2 with g the quadratic Gauss sum over GF(p)
         # and K = ((-1|p) p)^((sm-1)/2); counts stay integral because K is odd
         K = (legendre(-1, p) * p) ** ((sm - 1) // 2)
-        counts = tuple((1 + K * legendre(c, p)) // 2 if c else 0
-                       for c in range(p))
+        counts = [(1 + K * legendre(c, p)) // 2 if c else 0
+                  for c in range(p)]
         # eta_1 = -1 - eta_0, with -1 = zeta + ... + zeta^(p-1)
-        rows = (counts, (-counts[0],) + tuple(1 - c for c in counts[1:]))
+        rows = np.array([counts, [-counts[0]] + [1 - c for c in counts[1:]]],
+                        dtype=np.int64)
         branch = "odd"
-    return rows, ClosedFormParams(variant="order2", branch=branch)
+    return rows, {"variant": "order2", "branch": branch}
 
 
 def _closed_order3(tower: FieldTower, exact: GaussianPeriodSet):
@@ -281,20 +276,22 @@ def _closed_order3(tower: FieldTower, exact: GaussianPeriodSet):
                 continue
             vals = (eta0, eta1, eta2)
             if vals == exact.values:
-                return _int_rows(p, vals), ClosedFormParams(
-                    variant="order3", c1=c, d1=d)
+                return _int_rows(p, vals), {"variant": "order3",
+                                            "c1": c, "d1": d}
     raise NoDiophantineSolution(
         "no sign choice reproduces the exact order-3 periods")
 
 
-def semiprimitive_j(p: int, L: int) -> int | None:
-    """The least j with p^j = -1 mod L, or None when there is none."""
-    return next((j for j in range(1, L + 1) if pow(p, j, L) == L - 1), None)
+def semiprimitive_j(p: int, L: int, sm: int) -> int | None:
+    """The least j with p^j = -1 mod L, or None when there is none, for L
+    dividing p^sm - 1: such a j lies below ord_L(p), which divides sm."""
+    return next((j for j in range(1, sm + 1) if pow(p, j, L) == L - 1),
+                None)
 
 
 def _closed_semiprimitive(tower: FieldTower, L: int):
     p, sm = tower.p, tower.s * tower.m
-    j = semiprimitive_j(p, L)
+    j = semiprimitive_j(p, L, sm)
     v = sm // (2 * j)
     sqrt_r = p ** (j * v)
     if v % 2 and p % 2 and ((p ** j + 1) // L) % 2:
@@ -311,8 +308,8 @@ def _closed_semiprimitive(tower: FieldTower, L: int):
     if rs or rc:
         raise InconsistentPeriods(f"non-integral semiprimitive periods, L = {L}")
     vals = tuple(special if i == special_index else common for i in range(L))
-    return _int_rows(p, vals), ClosedFormParams(
-        variant="semiprimitive", branch=branch, j=j, v=v)
+    return _int_rows(p, vals), {"variant": "semiprimitive",
+                                "branch": branch, "j": j, "v": v}
 
 
 def _closed_index2(tower: FieldTower, L: int, exact: GaussianPeriodSet):
@@ -341,9 +338,9 @@ def _closed_index2(tower: FieldTower, L: int, exact: GaussianPeriodSet):
         vals = tuple(eta0 if i == 0 else (ep if legendre(i, L) == 1 else em)
                      for i in range(L))
         if vals == exact.values:
-            return _int_rows(p, vals), ClosedFormParams(
-                variant="index2", h_L=h_L, a_qf=a, b_qf=b, k=k,
-                P_k=P, A_k=A, B_k=B)
+            return _int_rows(p, vals), {
+                "variant": "index2", "h_L": h_L, "a_qf": a, "b_qf": b,
+                "k": k, "P_k": P, "A_k": str(A), "B_k": str(B)}
     raise NoDiophantineSolution(
         "index-2 closed form does not reproduce the exact periods")
 
@@ -364,7 +361,7 @@ def applicable_closed_form(tower: FieldTower, L: int) -> str | None:
         return "order2"
     if L == 3 and p % 3 == 1 and sm % 3 == 0:
         return "order3"
-    if semiprimitive_j(p, L) is not None:
+    if semiprimitive_j(p, L, sm) is not None:
         return "semiprimitive"
     half = (L - 1) // 2
     if (L % 4 == 3 and L != 3 and is_prime(L) and pow(p, half, L) == 1
@@ -375,15 +372,16 @@ def applicable_closed_form(tower: FieldTower, L: int) -> str | None:
 
 def gaussian_periods_closed_form(
         variant: str, tower: FieldTower, L: int
-) -> tuple[GaussianPeriodSet, ClosedFormParams]:
-    """Closed-form periods of order L, labeled by class.
+) -> tuple[GaussianPeriodSet, dict]:
+    """Closed-form periods of order L, labeled by class, and the solved
+    constants behind them: a dict of the variant, then the constants it
+    solved for (A_k and B_k as fraction strings).
 
     The order3 and index2 variants consult the exact oracle to resolve the
     gamma-dependent labels (signs of d1, the +/- class split); the value
     multiset itself comes from the solved closed form.
     """
-    if L < 1 or (tower.r - 1) % L:
-        raise NotADivisor(f"L = {L} does not divide r - 1 = {tower.r - 1}")
+    _check_order(tower, L, L * tower.p)
     if applicable_closed_form(tower, L) != variant:
         raise HypothesisNotMet(
             f"the {variant} hypotheses fail for L = {L} over GF({tower.r})")
@@ -395,5 +393,4 @@ def gaussian_periods_closed_form(
         rows, params = _closed_semiprimitive(tower, L)
     else:
         rows, params = _closed_index2(tower, L, gaussian_periods(tower, L))
-    _check_period_sum(rows)
-    return GaussianPeriodSet(tower, L, rows), params
+    return _period_set(tower, L, rows), params

@@ -133,7 +133,7 @@ def test_criterion_4_closed_forms_vs_oracle():
         closed, params = gaussian_periods_closed_form("order3", tw, 3)
         exact = gaussian_periods(tw, 3)
         assert closed.values == exact.values
-        assert 4 * p ** (sm // 3) == params.c1 ** 2 + 27 * params.d1 ** 2
+        assert 4 * p ** (sm // 3) == params["c1"] ** 2 + 27 * params["d1"] ** 2
         cubic_rs.append(tw.r)
     t343 = tower(7, 1, 3)
     ms = gaussian_periods_closed_form("order3", t343, 3)[0].rational_values
@@ -152,8 +152,8 @@ def test_criterion_4_closed_forms_vs_oracle():
         tw = tower(p, 1, sm)
         closed, params = gaussian_periods_closed_form("semiprimitive", tw, L)
         assert closed.values == gaussian_periods(tw, L).values, (p, L, v)
-        assert (params.j, params.v) == (j, v)
-        branches.add(params.branch)
+        assert (params["j"], params["v"]) == (j, v)
+        branches.add(params["branch"])
     assert len(triples) >= 10 and branches == {"all-odd", "general"}
 
     # index 2: the 64/7 instance plus L = 11 and L = 23 fields
@@ -165,8 +165,8 @@ def test_criterion_4_closed_forms_vs_oracle():
         tw = tower(p, 1, sm)
         closed, params = gaussian_periods_closed_form("index2", tw, L)
         assert closed.values == gaussian_periods(tw, L).values, (p, sm, L)
-        assert (params.a_qf ** 2 + L * params.b_qf ** 2
-                == 4 * p ** params.h_L)
+        assert (params["a_qf"] ** 2 + L * params["b_qf"] ** 2
+                == 4 * p ** params["h_L"])
     print(f"ACCEPTANCE 4 closed-form periods vs exact oracle "
           f"(order2 x{quad}, order3 r={cubic_rs}, semiprimitive "
           f"x{len(triples)}, index2 x3): PASS")

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, JSON canonicality."""
 
+import hashlib
 import io
 import json
 import os
@@ -86,6 +87,44 @@ def test_periods_json_schema(capsys):
     assert obj["closed_form"]["params"]["a_qf"] == -1
     assert len(obj["tallies"]) == 7
     assert all(sum(t) == 9 for t in obj["tallies"])
+
+
+# sha256 of stdout, text and --json --tallies, with the default modulus:
+# order2 even and odd, order3, semiprimitive general and all-odd, index2
+# twice, irrational with no closed form, and integer with none
+PERIODS_DIGESTS = [
+    ((7, 2, 2), "681cddf892b9be2ce609cf7744264475642050921d5782995377c6a54001e447",
+     "5a39c60e2df14236d3939743676cb3a46d25259d1b7ea706e50b51ed3e9b0558"),
+    ((3, 5, 2), "61c6cdf3e35548a9d51452a8cf09e0d595f3e83ce0d1400a15d453a454d004af",
+     "758da5acd817fe3b8a6b9d98c8c92384f2598c7a3c6ef0c834066a17138c8917"),
+    ((7, 3, 3), "a065d592aa0f99d0e5325c42e82cb69b015cc1500574cc87682ff571ef58cc17",
+     "85cbefc45d4fc55c4b26e969477dd463fa2aa1194b8b10664d8b0196b49bc31f"),
+    ((5, 2, 3), "477eae321733c05e2ed5c9ff2f69c9442906436be814d59fb6aa307edf8a3910",
+     "11d1cacbe04804d8b6bbdf57761141403c65ee64ec322c42cb156d86353e1937"),
+    ((3, 2, 4), "a52de5a87ba11abf8da4f2cc937768c6f422a1ecd0515ddfd0ba08306b9dadd2",
+     "ff443656e96e81ba94ab33c4d5b9de35e01da541ce131dc5d649da9fc4ef6d9a"),
+    ((2, 6, 7), "76286b4a02cd59126effb6dda99bff5c3f5c96ef657399f0dea11ef561a9f11e",
+     "62be9c2e5eedcd9841f35d8504c64676e528f726314b25d9f4034d5aa6e11d22"),
+    ((3, 5, 11), "2b0564af19207d340f822302aa666f5c069eccd2bb60ea32ab96b10d3589d65a",
+     "6d32520a70e440f88f209d3c41483c3ae1f5e91a18f491d1410c1836ee9a053c"),
+    ((3, 4, 16), "71c349f65849ff2045c737aaf4c9c9fbea18d3a08942e9d9f62b4547a5ddde35",
+     "a5e5113554afcf5008619b5aaf47e5132e7fdbf0c597b4b59fbd1aa50d07a22d"),
+    ((29, 3, 7), "de01bf68846a030e5707421b57b625ce0c1f6fc3dc5f12263f7d06117407cb76",
+     "60109e68ac65ab85a7f5188b93ef6f09976ed22e515a508691e41093bd58ab55"),
+]
+
+
+@pytest.mark.parametrize("pmL, text_digest, json_digest", PERIODS_DIGESTS,
+                         ids=[f"{p}^{m}-L{L}" for (p, m, L), *_ in
+                              PERIODS_DIGESTS])
+def test_periods_bytes_are_pinned(pmL, text_digest, json_digest, capsys):
+    p, m, L = map(str, pmL)
+    argv = ["periods", "--p", p, "--m", m, "--L", L]
+    for extra, want in (([], text_digest), (["--json", "--tallies"],
+                                            json_digest)):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == want, extra
 
 
 def test_periods_irrational_values_json(capsys):
@@ -186,9 +225,13 @@ def test_computation_error_exit_1(capsys):
 
 
 def test_usage_error_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["weights", "--p", "3"])
-    assert exc.value.code == 2
+    # the second: weights never samples, so it takes no --seed
+    for argv in (["weights", "--p", "3"],
+                 ["weights", "--p", "3", "--m", "3", "--e", "2", "--t", "2",
+                  "--a", "1", "--delta", "0,1", "--seed", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_auto_with_no_feasible_method_gives_guidance(capsys):

@@ -10,13 +10,14 @@ from hypothesis import given, strategies as st
 
 from cyclotome.cyclotomy import (
     GaussianPeriodSet,
-    _check_period_sum,
+    _period_set,
     applicable_closed_form,
     cyclotomic_numbers,
     gaussian_periods,
     gaussian_periods_closed_form,
     imaginary_quadratic_class_number,
     legendre,
+    semiprimitive_j,
     solve_index2_form,
 )
 from cyclotome.errors import (
@@ -51,22 +52,33 @@ class TestPeriodRows:
            st.integers(-5, 5))
     def test_constant_shift_preserves_value(self, counts, k):
         shifted = tuple(c + k for c in counts)
-        a, b = GaussianPeriodSet(T25, 1, (tuple(counts), shifted)).values
+        a, b = GaussianPeriodSet(T25, 1, np.array([counts, shifted])).values
         assert a == b
         assert hash(a) == hash(b)
         assert abs(cyclo_to_complex(5, counts)
                    - cyclo_to_complex(5, shifted)) < 1e-9
 
     def test_rationality_rule(self):
-        ps = GaussianPeriodSet(T25, 3, ((7, 2, 2, 2, 2), (7, 2, 2, 2, 3),
-                                        (-4, 0, 0, 0, 0)))
+        ps = GaussianPeriodSet(T25, 3, np.array([[7, 2, 2, 2, 2],
+                                                 [7, 2, 2, 2, 3],
+                                                 [-4, 0, 0, 0, 0]]))
         assert ps.values == (5, (4, -1, -1, -1, 0), -4)
         assert ps.rational_values == (5, None, -4)
-        assert GaussianPeriodSet(T27, 1, ((0, 1, 2),)).rational_values == \
-            (None,)
+        assert GaussianPeriodSet(T27, 1, np.array([[0, 1, 2]])) \
+            .rational_values == (None,)
 
     def test_int_comparison(self):
-        assert GaussianPeriodSet(T27, 1, ((1, 2, 2),)).values == (-1,)
+        assert GaussianPeriodSet(T27, 1, np.array([[1, 2, 2]])).values == \
+            (-1,)
+
+    def test_rows_are_a_read_only_int64_matrix(self):
+        for tw, L in ((T27, 2), (T64, 7)):
+            closed, _ = gaussian_periods_closed_form(
+                applicable_closed_form(tw, L), tw, L)
+            for rows in (gaussian_periods(tw, L).rows, closed.rows):
+                assert rows.shape == (L, tw.p) and rows.dtype == np.int64
+                with pytest.raises(ValueError):
+                    rows[0, 0] += 1
 
 
 class TestClasses:
@@ -159,7 +171,7 @@ class TestExactPeriods:
         cls = np.arange(tw.r - 1) % L
         want = np.bincount(cls * p + tw.trace_p_vector[tw.exp],
                            minlength=L * p).reshape(L, p)
-        assert gaussian_periods(tw, L).rows == tuple(map(tuple, want.tolist()))
+        assert gaussian_periods(tw, L).rows.tolist() == want.tolist()
 
     def test_sum_is_minus_one(self):
         for tw in (T27, T49, T64, tower(3, 1, 4), tower(5, 1, 2, (2, 4, 1))):
@@ -172,13 +184,33 @@ class TestExactPeriods:
 
     def test_period_sum_check_catches_one_bumped_count(self):
         for tw, L in ((T27, 2), (T49, 3), (T64, 7), (tower(3, 1, 4), 16)):
-            rows = [list(row) for row in gaussian_periods(tw, L).rows]
-            for i, c in np.ndindex(len(rows), tw.p):
-                rows[i][c] += 1
+            rows = gaussian_periods(tw, L).rows.copy()
+            for i, c in np.ndindex(rows.shape):
+                rows[i, c] += 1
                 with pytest.raises(InconsistentPeriods):
-                    _check_period_sum(rows)
-                rows[i][c] -= 1
-            _check_period_sum(rows)
+                    _period_set(tw, L, rows.copy())
+                rows[i, c] -= 1
+            _period_set(tw, L, rows)
+
+    @pytest.mark.parametrize("p, d, L", [(2, 6, 7), (7, 3, 3), (3, 4, 5),
+                                         (5, 3, 31), (2, 8, 15)])
+    def test_parseval_catches_a_move_that_keeps_the_sum(self, p, d, L):
+        # +k on one integer period and -k on another keeps the sum at -1;
+        # L sum eta_i^2 changes by 2 L k (eta_i - eta_j + k), so only the
+        # swap k = eta_j - eta_i gets past the second-moment check
+        tw = tower(p, 1, d)
+        rows = gaussian_periods(tw, L).rows
+        eta = rows[:, 0] - rows[:, 1]
+        assert L * int(eta @ eta) == 1 + (L - 1) * tw.r
+        for i, j in np.ndindex(L, L):
+            for k in range(-3, 4):
+                if i == j or k in (0, eta[j] - eta[i]):
+                    continue
+                moved = rows.copy()
+                moved[i, 0] += k
+                moved[j, 0] -= k
+                with pytest.raises(InconsistentPeriods, match="Parseval"):
+                    _period_set(tw, L, moved)
 
     def test_multiset_invariant_under_primitive_change(self):
         alt = tower(7, 1, 3)  # auto modulus differs from the pinned one
@@ -274,11 +306,11 @@ class TestClosedForms:
     def test_order2_even_power(self):
         ps, params = gaussian_periods_closed_form("order2", T49, 2)
         assert ps.rational_values == (3, -4)
-        assert params.branch == "even"
+        assert params == {"variant": "order2", "branch": "even"}
 
     def test_order2_odd_power_is_irrational_but_exact(self):
         ps, params = gaussian_periods_closed_form("order2", T27, 2)
-        assert params.branch == "odd"
+        assert params["branch"] == "odd"
         assert ps.values == gaussian_periods(T27, 2).values
         assert ps.rational_values == (None, None)
 
@@ -286,8 +318,9 @@ class TestClosedForms:
         ps, params = gaussian_periods_closed_form("order3", T343, 3)
         assert sorted(ps.rational_values) == [-12, 2, 9]
         assert ps.rational_values[0] == 2  # subgroup class, gamma-free
-        assert abs(params.c1) == 1 and abs(params.d1) == 1
-        assert params.c1 % 3 == 2
+        assert list(params) == ["variant", "c1", "d1"]
+        assert abs(params["c1"]) == 1 and abs(params["d1"]) == 1
+        assert params["c1"] % 3 == 2
         assert ps.values == gaussian_periods(T343, 3).values
 
     def test_order3_needs_hypotheses(self):
@@ -299,25 +332,27 @@ class TestClosedForms:
         ps, params = gaussian_periods_closed_form(
             "semiprimitive", tower(5, 1, 2, (2, 4, 1)), 3)
         assert ps.rational_values == (3, -2, -2)
-        assert (params.j, params.v, params.branch) == (1, 1, "general")
+        assert params == {"variant": "semiprimitive", "branch": "general",
+                          "j": 1, "v": 1}
         # all-odd branch: special value sits at class L/2
         ps2, params2 = gaussian_periods_closed_form(
             "semiprimitive", tower(3, 1, 2), 4)
         assert ps2.rational_values == (-1, -1, 2, -1)
-        assert params2.branch == "all-odd"
+        assert params2["branch"] == "all-odd"
 
     def test_index2_r64(self):
         ps, params = gaussian_periods_closed_form("index2", T64, 7)
         assert ps.values == gaussian_periods(T64, 7).values
-        assert (params.h_L, params.a_qf, params.b_qf, params.k,
-                params.P_k) == (1, -1, 1, 2, -4)
-        assert str(params.A_k) == "-3/2" and str(params.B_k) == "-1/2"
+        # key order is part of the bytes of `periods` in text mode
+        assert list(params.items()) == [
+            ("variant", "index2"), ("h_L", 1), ("a_qf", -1), ("b_qf", 1),
+            ("k", 2), ("P_k", -4), ("A_k", "-3/2"), ("B_k", "-1/2")]
 
     def test_index2_r243_L11(self):
         tw = tower(3, 1, 5)
         ps, params = gaussian_periods_closed_form("index2", tw, 11)
         assert ps.values == gaussian_periods(tw, 11).values
-        assert params.h_L == 1 and (params.a_qf, params.b_qf) == (1, 1)
+        assert (params["h_L"], params["a_qf"], params["b_qf"]) == (1, 1, 1)
 
     def test_variant_detection(self):
         assert applicable_closed_form(T49, 2) == "order2"
@@ -330,6 +365,22 @@ class TestClosedForms:
     def test_not_a_divisor(self):
         with pytest.raises(NotADivisor):
             gaussian_periods_closed_form("order2", T64, 2)
+
+    def test_semiprimitive_scan_stops_at_sm(self):
+        # for L | p^d - 1 the least j with p^j = -1 mod L is below
+        # ord_L(p), a divisor of d: the scan to d finds what a scan to L does
+        pairs = 0
+        for p in (2, 3, 5, 7, 11, 13):
+            d = 1
+            while p ** d <= 10 ** 5:
+                r1 = p ** d - 1
+                for L in (L for L in range(3, r1 + 1) if r1 % L == 0):
+                    unbounded = next((j for j in range(1, L + 1)
+                                      if pow(p, j, L) == L - 1), None)
+                    assert semiprimitive_j(p, L, d) == unbounded, (p, d, L)
+                    pairs += 1
+                d += 1
+        assert pairs == 496
 
 
 class TestApplicability:
