@@ -38,7 +38,6 @@ from .errors import (
     EDoesNotDivide,
     FrequencySumMismatch,
     GammaNotPrimitive,
-    HypothesisNotMet,
     InconsistentPeriods,
     IndependenceFails,
     InvalidParameters,

@@ -22,7 +22,6 @@ from .codes import (
     validate_assumptions,
 )
 from .cyclotomy import (
-    applicable_closed_form,
     cyclotomic_numbers,
     gaussian_periods,
     gaussian_periods_closed_form,
@@ -149,20 +148,14 @@ def cmd_periods(args) -> int:
     tower = build_field(args.p, args.s, args.m, modulus=args.modulus)
     pset = gaussian_periods(tower, args.L)
     rows = pset.rows.tolist()
-    variant = applicable_closed_form(tower, args.L)
-    closed = None
-    if variant is not None:
-        cset, params = gaussian_periods_closed_form(variant, tower, args.L)
-        closed = {"variant": variant, "params": params,
-                  "matches_exact": cset.values == pset.values}
+    cset, params = gaussian_periods_closed_form(tower, args.L) or (None, None)
     if args.json:
         values = [v if isinstance(v, int) else {"zeta_counts": row}
                   for v, row in zip(pset.values, rows)]
         obj = {"L": args.L, "values": values,
                "modified_zero": pset.eta_bar_zero,
-               "closed_form": ({"variant": closed["variant"],
-                                "params": closed["params"]}
-                               if closed else None)}
+               "closed_form": ({"variant": params["variant"],
+                                "params": params} if params else None)}
         if args.tallies:
             obj["tallies"] = rows
         print(canonical_json(obj))
@@ -176,9 +169,9 @@ def cmd_periods(args) -> int:
     if args.tallies:
         for i, row in enumerate(rows):
             print(f"  tally_{i} = {tuple(row)}")
-    if closed:
-        print(f"closed form: {closed['variant']} {closed['params']}, "
-              f"matches exact: {closed['matches_exact']}")
+    if params:
+        print(f"closed form: {params['variant']} {params}, "
+              f"matches exact: {cset.values == pset.values}")
     else:
         print("closed form: none applicable")
     return 0

@@ -9,7 +9,8 @@ this is an [n, t*m] cyclic code over GF(q) whose parity-check polynomial
 is the product of the minimal polynomials of the gamma^(-a_i).
 
 Validity conditions checked by validate_assumptions:
-  i)   a != 0 mod r-1 and e | r-1;
+  i)   a != 0 mod r-1 and e | r-1 (derive_params raises EDoesNotDivide
+       when e does not divide r-1, so the report never sees that case);
   ii)  the D_i are distinct mod e and gcd(D_2-D_1, ..., D_t-D_1, e) = 1;
   iii) each minimal polynomial has full degree m and they are pairwise
        distinct (equivalently the q-cyclotomic cosets of the a_i mod r-1
@@ -110,7 +111,7 @@ class DerivedParams:
 
 def derive_params(tower: FieldTower, spec: CodeSpec) -> DerivedParams:
     r1 = tower.r - 1
-    if spec.e < 1 or r1 % spec.e:
+    if r1 % spec.e:
         raise EDoesNotDivide(f"e = {spec.e} does not divide r - 1 = {r1}")
     a_list = tuple((spec.a + r1 // spec.e * d) % r1 for d in spec.deltas)
     delta = gcd(r1, *a_list)
@@ -152,33 +153,23 @@ class AssumptionReport:
 
 
 def validate_assumptions(tower: FieldTower, spec: CodeSpec,
-                         derived: DerivedParams | None = None) -> AssumptionReport:
+                         derived: DerivedParams) -> AssumptionReport:
     r1 = tower.r - 1
     witnesses: dict = {}
 
-    e_divides = spec.e >= 1 and r1 % spec.e == 0
-    cond_i = spec.a % r1 != 0 and e_divides
+    cond_i = spec.a % r1 != 0
     if not cond_i:
         witnesses["i"] = f"a = {spec.a} mod {r1}, e = {spec.e}"
 
     residues = [d % spec.e for d in spec.deltas]
     distinct = len(set(residues)) == spec.t
     g_all = gcd(spec.e, *[(d - spec.deltas[0]) % spec.e
-                          for d in spec.deltas[1:]]) if spec.t > 1 else spec.e
+                          for d in spec.deltas[1:]])
     cond_ii = distinct and g_all == 1
     if not distinct:
         witnesses["ii"] = f"repeated offsets mod e: {sorted(residues)}"
     elif g_all != 1:
         witnesses["ii"] = f"gcd of offset differences with e is {g_all}"
-
-    if not e_divides:
-        # the exponents a_i are undefined, so iii cannot be evaluated
-        witnesses["iii"] = "e does not divide r - 1"
-        return AssumptionReport(cond_i, cond_ii, False, "direct-only",
-                                witnesses)
-
-    if derived is None:
-        derived = derive_params(tower, spec)
 
     # fast sufficient criteria for iii (they presuppose i and ii);
     # recorded but never trusted alone

@@ -20,18 +20,20 @@ is the integer (q Z_i - |C_i|)/(q-1), Z_i the number of y in C_i with
 Tr_{r/q}(y) = 0; irrational values arise only for other L.  Closed forms
 are implemented for four classical situations:
 
-* order2:        L = 2, quadratic Gauss sums (rational when s*m is even);
+* order2:        L = 2, quadratic Gauss sums; at even s*m this is the
+                 semiprimitive form with j = 1 (p = -1 mod 2);
 * order3:        L = 3 with p = 1 mod 3 and 3 | s*m, via 4p^(sm/3) = c^2 + 27d^2;
 * semiprimitive: p^j = -1 mod L, two rational values;
 * index2:        L = 3 mod 4 prime, L != 3, with <p> of index 2 in (Z/L)*,
                  i.e. ord_L(p) = (L-1)/2, via the class number of
                  Q(sqrt(-L)) and a^2 + L b^2 = 4 p^h.
 
-applicable_closed_form is the one statement of these hypotheses.  Closed
-forms are always cross-checkable against the exact oracle; the
-order3 and index2 variants use the oracle to pin the class labels that
-genuinely depend on the choice of gamma (only the value multiset is
-canonical there).
+applicable_closed_form is the one statement of these hypotheses, and
+gaussian_periods_closed_form(tower, L) the one call that picks the form
+and builds it, or returns None.  Closed forms are always cross-checkable
+against the exact oracle; the order3 and index2 variants use the oracle to
+pin the class labels that genuinely depend on the choice of gamma (only
+the value multiset is canonical there).
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ import numpy as np
 from .errors import (
     BadL,
     CapExceeded,
-    HypothesisNotMet,
     InconsistentPeriods,
     NoDiophantineSolution,
     NotADivisor,
@@ -79,6 +80,21 @@ def _check_order(tower: FieldTower, L: int, entries: int) -> None:
                           f"over the budget of {COUNT_TABLE_ENTRIES}")
 
 
+def _class_tally(tower: FieldTower, L: int, width: int, label) -> np.ndarray:
+    """The (L, width) int64 matrix counting, per class, the x with label(x)
+    = c, for label an array map into range(width).  gamma^k is in class
+    k mod L, so the power table as rows of L holds class i in column i; it
+    is labeled and tallied max(2^16 // L, width) rows at a time."""
+    _check_order(tower, L, L * width)
+    xs = tower.exp.reshape(-1, L)
+    shift, step = np.arange(0, L * width, width), max(2 ** 16 // L, width)
+    tall = np.zeros(L * width, dtype=np.int64)
+    for lo in range(0, len(xs), step):
+        tall += np.bincount((label(xs[lo:lo + step]) + shift).ravel(),
+                            minlength=L * width)
+    return tall.reshape(L, width)
+
+
 # ----------------------------------------------------------------------
 # Cyclotomic numbers.
 # ----------------------------------------------------------------------
@@ -86,20 +102,16 @@ def _check_order(tower: FieldTower, L: int, entries: int) -> None:
 def cyclotomic_numbers(tower: FieldTower, L: int) -> np.ndarray:
     """The L x L matrix whose (i, j) entry counts x in C_i with x + 1 in C_j.
 
-    Adding 1 to a packed element only changes its constant digit.  As in
-    gaussian_periods, the power table as rows of L holds class i in column
-    i; the class of x + 1 is tallied max(2^16 // L, L + 1) rows at a time,
-    with x = -1 (x + 1 = 0) in a spare column L.
+    Adding 1 to a packed element only changes its constant digit; the
+    class of x + 1 is tallied with x = -1 (x + 1 = 0) in a spare column L.
     """
-    _check_order(tower, L, L * (L + 1))
-    p, xs = tower.p, tower.exp.reshape(-1, L)
-    shift, step = np.arange(0, L * (L + 1), L + 1), max(2 ** 16 // L, L + 1)
-    tall = np.zeros(L * (L + 1), dtype=np.int64)
-    for x in (xs[lo:lo + step] for lo in range(0, len(xs), step)):
+    p = tower.p
+
+    def class_of_next(x):
         j = tower.dlog.take(x - x % p + (x + 1) % p)
-        tall += np.bincount((np.where(j < 0, L, j % L) + shift).ravel(),
-                            minlength=L * (L + 1))
-    return tall.reshape(L, L + 1)[:, :L]
+        return np.where(j < 0, L, j % L)
+
+    return _class_tally(tower, L, L + 1, class_of_next)[:, :L]
 
 
 # ----------------------------------------------------------------------
@@ -172,17 +184,10 @@ def _int_rows(p: int, values) -> np.ndarray:
 
 
 def gaussian_periods(tower: FieldTower, L: int) -> GaussianPeriodSet:
-    """Exact periods by tallying trace values over each class (the oracle):
-    gamma^k is in class k mod L, so the power table's traces, as rows of L,
-    hold class i in column i, counted about max(2^16, L p) at a time."""
-    _check_order(tower, L, L * tower.p)
-    p, tr = tower.p, tower.trace_p_vector[tower.exp].reshape(-1, L)
-    shift, step = np.arange(0, L * p, p), max(2 ** 16 // L, p)
-    tall = np.bincount((tr[:step] + shift).ravel(), minlength=L * p)
-    for lo in range(step, len(tr), step):
-        tall += np.bincount((tr[lo:lo + step] + shift).ravel(),
-                            minlength=L * p)
-    return _period_set(tower, L, tall.reshape(L, p))
+    """Exact periods by tallying trace values over each class (the
+    oracle)."""
+    return _period_set(tower, L, _class_tally(
+        tower, L, tower.p, tower.trace_p_vector.take))
 
 
 # ----------------------------------------------------------------------
@@ -228,28 +233,18 @@ def solve_index2_form(L: int, p: int, h_L: int) -> tuple[int, int]:
 
 
 def _closed_order2(tower: FieldTower):
-    sm = tower.s * tower.m
-    p = tower.p
-    if sm % 2 == 0:
-        # eta_0 = (-1 + sign * sqrt(r)) / 2 with an integer sqrt(r)
-        sqrt_r = p ** (sm // 2)
-        sign = -1 if p % 4 == 1 else -((-1) ** (sm // 2))
-        eta0, rem = divmod(-1 + sign * sqrt_r, 2)
-        if rem:
-            raise InconsistentPeriods(f"order-2 period {-1 + sign * sqrt_r}/2")
-        rows = _int_rows(p, (eta0, -1 - eta0))
-        branch = "even"
-    else:
-        # eta_0 = (-1 + K g)/2 with g the quadratic Gauss sum over GF(p)
-        # and K = ((-1|p) p)^((sm-1)/2); counts stay integral because K is odd
-        K = (legendre(-1, p) * p) ** ((sm - 1) // 2)
-        counts = [(1 + K * legendre(c, p)) // 2 if c else 0
-                  for c in range(p)]
-        # eta_1 = -1 - eta_0, with -1 = zeta + ... + zeta^(p-1)
-        rows = np.array([counts, [-counts[0]] + [1 - c for c in counts[1:]]],
-                        dtype=np.int64)
-        branch = "odd"
-    return rows, {"variant": "order2", "branch": branch}
+    p, sm = tower.p, tower.s * tower.m
+    if sm % 2 == 0:  # p = -1 mod 2 (j = 1): the semiprimitive form at L = 2
+        return (_closed_semiprimitive(tower, 2)[0],
+                {"variant": "order2", "branch": "even"})
+    # eta_0 = (-1 + K g)/2 with g the quadratic Gauss sum over GF(p)
+    # and K = ((-1|p) p)^((sm-1)/2); counts stay integral because K is odd
+    K = (legendre(-1, p) * p) ** ((sm - 1) // 2)
+    counts = [(1 + K * legendre(c, p)) // 2 if c else 0 for c in range(p)]
+    # eta_1 = -1 - eta_0, with -1 = zeta + ... + zeta^(p-1)
+    rows = np.array([counts, [-counts[0]] + [1 - c for c in counts[1:]]],
+                    dtype=np.int64)
+    return rows, {"variant": "order2", "branch": "odd"}
 
 
 def _closed_order3(tower: FieldTower, exact: GaussianPeriodSet):
@@ -370,21 +365,21 @@ def applicable_closed_form(tower: FieldTower, L: int) -> str | None:
     return None
 
 
-def gaussian_periods_closed_form(
-        variant: str, tower: FieldTower, L: int
-) -> tuple[GaussianPeriodSet, dict]:
+def gaussian_periods_closed_form(tower: FieldTower, L: int
+                                 ) -> tuple[GaussianPeriodSet, dict] | None:
     """Closed-form periods of order L, labeled by class, and the solved
     constants behind them: a dict of the variant, then the constants it
-    solved for (A_k and B_k as fraction strings).
+    solved for (A_k and B_k as fraction strings).  None when no closed
+    form applies at L.
 
     The order3 and index2 variants consult the exact oracle to resolve the
     gamma-dependent labels (signs of d1, the +/- class split); the value
     multiset itself comes from the solved closed form.
     """
     _check_order(tower, L, L * tower.p)
-    if applicable_closed_form(tower, L) != variant:
-        raise HypothesisNotMet(
-            f"the {variant} hypotheses fail for L = {L} over GF({tower.r})")
+    variant = applicable_closed_form(tower, L)
+    if variant is None:
+        return None
     if variant == "order2":
         rows, params = _closed_order2(tower)
     elif variant == "order3":

@@ -36,10 +36,6 @@ class NotADivisor(CyclotomeError):
     """The requested class order L does not divide r - 1."""
 
 
-class HypothesisNotMet(CyclotomeError):
-    """A closed-form period variant was requested outside its hypotheses."""
-
-
 class NoDiophantineSolution(CyclotomeError):
     """No (a, b) solves the quadratic form constraints; internal inconsistency."""
 

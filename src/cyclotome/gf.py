@@ -9,15 +9,15 @@ sum_i c_i * p**i; zero is 0, one is 1, and gamma is the int p when d >= 2
 
 Construction builds the full power table exp[k] = gamma^k and its inverse
 dlog, so multiplication, inversion, and subgroup/coset questions are table
-lookups.  That caps the usable field size (default r <= 2^21), which is
-ample for desk-scale work; everything downstream indexes cyclotomic
-structure through dlog.  The power table and the trace vectors come from
-tables of GF(p)-linear maps (multiplication by gamma^B, Tr_{r/p} and
-Tr_{r/q}), which one primitive, FieldTower._linear_map, builds digit by
-digit.  Each r-entry table has the least dtype for its values, set by r and
-p: exp2 (the power table written out twice; exp views its first r - 1),
-dlog and the linear maps are int32 while r <= 2^31, Tr_{r/p} fits p - 1 and
-Tr_{r/q} r - 1.  Scalar reads go through int(): int32 * int wraps.
+lookups.  That caps the usable field size (r <= DEFAULT_TABLE_CAP =
+2^21), which is ample for desk-scale work; everything downstream indexes
+cyclotomic structure through dlog.  The power table and the trace vectors
+come from tables of GF(p)-linear maps (multiplication by gamma^B, Tr_{r/p}
+and Tr_{r/q}), which one primitive, FieldTower._linear_map, builds digit
+by digit.  Each r-entry table has the least dtype for its values, set by
+r and p: exp2 (the power table written out twice; exp views its first
+r - 1), dlog and the linear maps are int32 while r <= 2^31, Tr_{r/p} fits
+p - 1 and Tr_{r/q} r - 1.  Scalar reads go through int(): int32 * int wraps.
 
 A FieldTower is immutable once built (its numpy tables are marked
 read-only), so concurrent readers are safe.  build_field keeps the tower of
@@ -248,14 +248,8 @@ class FieldTower:
         self.r = p ** d
         self.degree = d
         self.modulus = modulus
-        if d == 1:
-            gamma = (-modulus[0]) % p
-            if gamma == 0:
-                raise GammaNotPrimitive("x = 0 in GF(p)[x]/(x)")
-        else:
-            gamma = p
-        self.gamma: Element = gamma
         self._build_tables()
+        self.gamma: Element = int(self.exp2[1])
 
     def _linear_map(self, images) -> np.ndarray:
         """The image of every element, in element order, under the
@@ -485,8 +479,7 @@ class FieldTower:
         return hash((self.p, self.s, self.m, self.modulus))
 
 
-def build_field(p: int, s: int, m: int, modulus=None,
-                table_cap: int = DEFAULT_TABLE_CAP) -> FieldTower:
+def build_field(p: int, s: int, m: int, modulus=None) -> FieldTower:
     """Construct the tower GF(p) <= GF(p^s) <= GF(p^(s*m)).
 
     The table cap is checked first: is_prime's trial division to sqrt(p)
@@ -496,21 +489,20 @@ def build_field(p: int, s: int, m: int, modulus=None,
     arguments as the last successful one (a list or tuple modulus alike)
     returns the same tower; a failed build is not kept.
     """
-    return _build_field(p, s, m, None if modulus is None else tuple(modulus),
-                        table_cap)
+    return _build_field(p, s, m, None if modulus is None else tuple(modulus))
 
 
 # One entry: the tower must not refer back to itself, so that reference
 # counting frees the held tower when a miss clears the cache, before the
 # next tables are built; the new tower is kept once it is built.
 @lru_cache(maxsize=1)
-def _build_field(p: int, s: int, m: int, modulus: tuple[int, ...] | None,
-                 table_cap: int) -> FieldTower:
+def _build_field(p: int, s: int, m: int, modulus: tuple[int, ...] | None
+                 ) -> FieldTower:
     if s < 1 or m < 1:
         raise InvalidParameters("s and m must be positive")
-    d = s * m
-    if p > 1 and (d > table_cap.bit_length() or p ** d > table_cap):
-        raise TowerTooLarge(f"r = {p}^{d} exceeds the table cap {table_cap}")
+    d, cap = s * m, DEFAULT_TABLE_CAP
+    if p > 1 and (d > cap.bit_length() or p ** d > cap):
+        raise TowerTooLarge(f"r = {p}^{d} exceeds the table cap {cap}")
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
     if modulus is None:

@@ -91,7 +91,6 @@ class Caps:
 
     naive: int = DEFAULT_NAIVE_CAP
     tsum: int = DEFAULT_TSUM_CAP
-    sample_count: int = DEFAULT_SAMPLE_COUNT
     seed: int = 0
 
 
@@ -109,11 +108,11 @@ class WeightDistribution:
     entries: tuple[tuple[int, int], ...]
 
     @classmethod
-    def from_counts(cls, n: int, kappa: int, counts) -> "WeightDistribution":
-        items = (counts.items() if isinstance(counts, dict)
-                 else enumerate(counts))
+    def from_counts(cls, n: int, kappa: int, pairs) -> "WeightDistribution":
+        """From (weight, count) pairs: repeated weights merge, zero counts
+        drop."""
         merged: dict[int, int] = {}
-        for w, c in items:
+        for w, c in pairs:
             if c:
                 merged[int(w)] = merged.get(int(w), 0) + int(c)
         return cls(n, kappa, tuple(sorted(merged.items())))
@@ -211,16 +210,14 @@ def classify(tower: FieldTower, spec: CodeSpec, derived: DerivedParams,
 def periods_for_classification(tower: FieldTower, derived: DerivedParams,
                                classification: CaseClassification
                                ) -> GaussianPeriodSet | None:
-    """The period set the closed route should consume (closed-form where one
-    exists, the exact oracle otherwise); None when no periods are needed."""
-    if classification.tag == TAG_E3T2N2:
-        return gaussian_periods_closed_form("order2", tower, 2)[0]
-    if classification.tag != TAG_TE_N2:
+    """The period set the closed route should consume, of order N at t = e
+    and 2 at e = 3, t = 2, N = 2 (closed-form where one exists, the exact
+    oracle otherwise); None when no periods are needed."""
+    L = {TAG_TE_N2: derived.N, TAG_E3T2N2: 2}.get(classification.tag)
+    if L is None:
         return None
-    src = classification.period_source
-    if src == SOURCE_EXACT:
-        return gaussian_periods(tower, derived.N)
-    return gaussian_periods_closed_form(src, tower, derived.N)[0]
+    closed = gaussian_periods_closed_form(tower, L)
+    return closed[0] if closed else gaussian_periods(tower, L)
 
 
 def integer_periods(pset: GaussianPeriodSet) -> tuple[int, ...]:
@@ -246,7 +243,7 @@ def wd_naive(tower: FieldTower, derived: DerivedParams,
         raise CapExceeded(f"r^t = {size} exceeds the naive cap {cap}")
     counts = _engine.naive_weight_counts(tower, derived)
     return WeightDistribution.from_counts(
-        derived.n, derived.t * tower.m, counts)
+        derived.n, derived.t * tower.m, enumerate(counts.tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -286,11 +283,8 @@ def _from_period_sums(tower: FieldTower, derived: DerivedParams,
     ws = _engine.weights_of_period_sums(
         np.array(list(sums), dtype=np.int64), tower.q, derived.delta,
         derived.e)
-    weight_counts: dict[int, int] = {}
-    for w, c in zip(ws.tolist(), sums.values()):
-        weight_counts[w] = weight_counts.get(w, 0) + c
     return WeightDistribution.from_counts(
-        derived.n, derived.t * tower.m, weight_counts)
+        derived.n, derived.t * tower.m, zip(ws.tolist(), sums.values()))
 
 
 # ----------------------------------------------------------------------
@@ -535,14 +529,14 @@ def _sampling_check(tower, derived, closed: WeightDistribution,
     correct table fails with probability at most SAMPLING_ALPHA.  The rows
     report each class's deviation in binomial sigmas."""
     periods = integer_periods(gaussian_periods(tower, derived.N))
+    m = DEFAULT_SAMPLE_COUNT
     ws = _engine.sample_weights(
-        tower, derived, _nval_by_elem(tower, derived.N, periods),
-        caps.sample_count, caps.seed)
+        tower, derived, _nval_by_elem(tower, derived.N, periods), m,
+        caps.seed)
     observed = np.bincount(ws, minlength=derived.n + 1)
     support = set(closed.weights())
     outside = [int(w) for w in np.nonzero(observed)[0] if int(w) not in support]
     total = tower.r ** derived.t
-    m = caps.sample_count
     worst, least = 0.0, 1.0
     rows = []
     for w, c in closed.entries:

@@ -118,7 +118,8 @@ def test_criterion_4_closed_forms_vs_oracle():
         if k % 2:
             continue
         tw = tower(p, 1, k)
-        closed, _ = gaussian_periods_closed_form("order2", tw, 2)
+        closed, params = gaussian_periods_closed_form(tw, 2)
+        assert params == {"variant": "order2", "branch": "even"}
         exact = gaussian_periods(tw, 2)
         assert closed.values == exact.values, r
         assert None not in exact.rational_values
@@ -130,13 +131,14 @@ def test_criterion_4_closed_forms_vs_oracle():
     cubic_rs = []
     for (p, sm) in ((7, 3), (13, 3), (19, 3), (7, 6)):
         tw = tower(p, 1, sm)
-        closed, params = gaussian_periods_closed_form("order3", tw, 3)
+        closed, params = gaussian_periods_closed_form(tw, 3)
+        assert params["variant"] == "order3"
         exact = gaussian_periods(tw, 3)
         assert closed.values == exact.values
         assert 4 * p ** (sm // 3) == params["c1"] ** 2 + 27 * params["d1"] ** 2
         cubic_rs.append(tw.r)
     t343 = tower(7, 1, 3)
-    ms = gaussian_periods_closed_form("order3", t343, 3)[0].rational_values
+    ms = gaussian_periods_closed_form(t343, 3)[0].rational_values
     assert sorted(ms) == [-12, 2, 9]
 
     # semiprimitive: >= 10 (p, L, v) triples with r <= 10^6, both branches
@@ -150,7 +152,8 @@ def test_criterion_4_closed_forms_vs_oracle():
         r = p ** sm
         assert r <= 10 ** 6
         tw = tower(p, 1, sm)
-        closed, params = gaussian_periods_closed_form("semiprimitive", tw, L)
+        closed, params = gaussian_periods_closed_form(tw, L)
+        assert params["variant"] == "semiprimitive"
         assert closed.values == gaussian_periods(tw, L).values, (p, L, v)
         assert (params["j"], params["v"]) == (j, v)
         branches.add(params["branch"])
@@ -158,12 +161,14 @@ def test_criterion_4_closed_forms_vs_oracle():
 
     # index 2: the 64/7 instance plus L = 11 and L = 23 fields
     t64 = tower(2, 1, 6, (1, 1, 0, 1, 1, 0, 1))
-    closed, params = gaussian_periods_closed_form("index2", t64, 7)
+    closed, params = gaussian_periods_closed_form(t64, 7)
+    assert params["variant"] == "index2"
     assert sorted(closed.rational_values) == [-3, -3, -3, 1, 1, 1, 5]
     assert closed.values == gaussian_periods(t64, 7).values
     for (p, sm, L) in ((3, 5, 11), (2, 11, 23)):
         tw = tower(p, 1, sm)
-        closed, params = gaussian_periods_closed_form("index2", tw, L)
+        closed, params = gaussian_periods_closed_form(tw, L)
+        assert params["variant"] == "index2"
         assert closed.values == gaussian_periods(tw, L).values, (p, sm, L)
         assert (params["a_qf"] ** 2 + L * params["b_qf"] ** 2
                 == 4 * p ** params["h_L"])
@@ -206,7 +211,7 @@ def test_criterion_5_invariant_suite(grid_results):
 
 
 def test_criterion_6_large_field_sampling():
-    rep = cross_verify(S5, Caps())  # sample_count 10^6, seed 0
+    rep = cross_verify(S5, Caps())  # 10^6 draws, seed 0
     assert list(rep.distributions) == ["closed"]
     assert not rep.invariant_failures
     s = rep.sampling

@@ -78,22 +78,26 @@ class TestValidateAssumptions:
 
     def test_a_zero_fails_i(self):
         sp = CodeSpec(3, 1, 3, 2, 2, 26, (0, 1))
-        rep = validate_assumptions(tower_for(sp), sp)
+        tw, d = setup_for(sp)
+        rep = validate_assumptions(tw, sp, d)
         assert not rep.cond_i
 
     def test_repeated_offsets_fail_ii(self):
         sp = CodeSpec(3, 1, 3, 2, 2, 1, (0, 0))
-        rep = validate_assumptions(tower_for(sp), sp)
+        tw, d = setup_for(sp)
+        rep = validate_assumptions(tw, sp, d)
         assert not rep.cond_ii and "repeated" in rep.witnesses["ii"]
 
     def test_offset_gcd_fails_ii(self):
         sp = CodeSpec(5, 1, 2, 4, 2, 1, (0, 2))
-        rep = validate_assumptions(tower_for(sp), sp)
+        tw, d = setup_for(sp)
+        rep = validate_assumptions(tw, sp, d)
         assert not rep.cond_ii
 
     def test_shared_coset_fails_iii(self):
         sp = CodeSpec(2, 1, 4, 5, 2, 3, (0, 1))
-        rep = validate_assumptions(tower_for(sp), sp)
+        tw, d = setup_for(sp)
+        rep = validate_assumptions(tw, sp, d)
         assert rep.cond_i and rep.cond_ii and not rep.cond_iii
         assert rep.iii_method == "direct-only"
 

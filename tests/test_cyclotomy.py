@@ -3,6 +3,7 @@
 import cmath
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,12 +21,7 @@ from cyclotome.cyclotomy import (
     semiprimitive_j,
     solve_index2_form,
 )
-from cyclotome.errors import (
-    BadL,
-    HypothesisNotMet,
-    InconsistentPeriods,
-    NotADivisor,
-)
+from cyclotome.errors import BadL, InconsistentPeriods, NotADivisor
 from cyclotome.gf import is_prime
 from helpers import (
     GRID_TOWERS,
@@ -73,8 +69,7 @@ class TestPeriodRows:
 
     def test_rows_are_a_read_only_int64_matrix(self):
         for tw, L in ((T27, 2), (T64, 7)):
-            closed, _ = gaussian_periods_closed_form(
-                applicable_closed_form(tw, L), tw, L)
+            closed, _ = gaussian_periods_closed_form(tw, L)
             for rows in (gaussian_periods(tw, L).rows, closed.rows):
                 assert rows.shape == (L, tw.p) and rows.dtype == np.int64
                 with pytest.raises(ValueError):
@@ -304,18 +299,38 @@ class TestIndex2Solver:
 
 class TestClosedForms:
     def test_order2_even_power(self):
-        ps, params = gaussian_periods_closed_form("order2", T49, 2)
+        ps, params = gaussian_periods_closed_form(T49, 2)
         assert ps.rational_values == (3, -4)
         assert params == {"variant": "order2", "branch": "even"}
 
+    def test_order2_even_power_is_the_quadratic_gauss_sum(self):
+        # the even branch is the semiprimitive form at L = 2 (j = 1); it
+        # must give eta_0 = (-1 + sign sqrt(r)) / 2, sign = -1 at p = 1 mod 4
+        # and -(-1)^(sm/2) at p = 3 mod 4, on every odd p < 400 and even
+        # s m with r <= 2^62.  Only p, s, m and r are read, so no field is
+        # built
+        pairs = 0
+        for p in (p for p in range(3, 400) if is_prime(p)):
+            for sm in range(2, 63, 2):
+                if p ** sm > 2 ** 62:
+                    break
+                bare = SimpleNamespace(p=p, s=1, m=sm, r=p ** sm)
+                ps, params = gaussian_periods_closed_form(bare, 2)
+                sign = -1 if p % 4 == 1 else -((-1) ** (sm // 2))
+                eta0 = (-1 + sign * p ** (sm // 2)) // 2
+                assert ps.rational_values == (eta0, -1 - eta0), (p, sm)
+                assert params == {"variant": "order2", "branch": "even"}
+                pairs += 1
+        assert pairs == 338
+
     def test_order2_odd_power_is_irrational_but_exact(self):
-        ps, params = gaussian_periods_closed_form("order2", T27, 2)
+        ps, params = gaussian_periods_closed_form(T27, 2)
         assert params["branch"] == "odd"
         assert ps.values == gaussian_periods(T27, 2).values
         assert ps.rational_values == (None, None)
 
     def test_order3_r343(self):
-        ps, params = gaussian_periods_closed_form("order3", T343, 3)
+        ps, params = gaussian_periods_closed_form(T343, 3)
         assert sorted(ps.rational_values) == [-12, 2, 9]
         assert ps.rational_values[0] == 2  # subgroup class, gamma-free
         assert list(params) == ["variant", "c1", "d1"]
@@ -324,24 +339,23 @@ class TestClosedForms:
         assert ps.values == gaussian_periods(T343, 3).values
 
     def test_order3_needs_hypotheses(self):
-        with pytest.raises(HypothesisNotMet):
-            gaussian_periods_closed_form("order3", tower(5, 1, 2, (2, 4, 1)), 3)
+        # p = 5 = 2 mod 3: order 3 over GF(25) is semiprimitive, not order3
+        _, params = gaussian_periods_closed_form(T25, 3)
+        assert params["variant"] == "semiprimitive"
 
     def test_semiprimitive_branches(self):
         # general branch
-        ps, params = gaussian_periods_closed_form(
-            "semiprimitive", tower(5, 1, 2, (2, 4, 1)), 3)
+        ps, params = gaussian_periods_closed_form(T25, 3)
         assert ps.rational_values == (3, -2, -2)
         assert params == {"variant": "semiprimitive", "branch": "general",
                           "j": 1, "v": 1}
         # all-odd branch: special value sits at class L/2
-        ps2, params2 = gaussian_periods_closed_form(
-            "semiprimitive", tower(3, 1, 2), 4)
+        ps2, params2 = gaussian_periods_closed_form(tower(3, 1, 2), 4)
         assert ps2.rational_values == (-1, -1, 2, -1)
         assert params2["branch"] == "all-odd"
 
     def test_index2_r64(self):
-        ps, params = gaussian_periods_closed_form("index2", T64, 7)
+        ps, params = gaussian_periods_closed_form(T64, 7)
         assert ps.values == gaussian_periods(T64, 7).values
         # key order is part of the bytes of `periods` in text mode
         assert list(params.items()) == [
@@ -350,7 +364,7 @@ class TestClosedForms:
 
     def test_index2_r243_L11(self):
         tw = tower(3, 1, 5)
-        ps, params = gaussian_periods_closed_form("index2", tw, 11)
+        ps, params = gaussian_periods_closed_form(tw, 11)
         assert ps.values == gaussian_periods(tw, 11).values
         assert (params["h_L"], params["a_qf"], params["b_qf"]) == (1, 1, 1)
 
@@ -364,7 +378,7 @@ class TestClosedForms:
 
     def test_not_a_divisor(self):
         with pytest.raises(NotADivisor):
-            gaussian_periods_closed_form("order2", T64, 2)
+            gaussian_periods_closed_form(T64, 2)
 
     def test_semiprimitive_scan_stops_at_sm(self):
         # for L | p^d - 1 the least j with p^j = -1 mod L is below
@@ -386,8 +400,8 @@ class TestClosedForms:
 class TestApplicability:
     def test_rule_matches_the_forms_on_every_small_field(self):
         # every field p^d <= 5000 with p < 100 and every L | r - 1: the
-        # variant the rule names reproduces the oracle, and every other
-        # variant refuses with HypothesisNotMet
+        # closed form is None exactly where the rule names no variant, and
+        # elsewhere it is the named variant and reproduces the oracle
         pairs, seen = 0, Counter()
         for p in (p for p in range(2, 100) if is_prime(p)):
             d = 1
@@ -398,14 +412,13 @@ class TestApplicability:
                         continue
                     variant = applicable_closed_form(tw, L)
                     seen[variant] += 1
-                    exact = gaussian_periods(tw, L).values
-                    for v in VARIANTS:
-                        if v == variant:
-                            closed, _ = gaussian_periods_closed_form(v, tw, L)
-                            assert closed.values == exact, (p, d, L, v)
-                        else:
-                            with pytest.raises(HypothesisNotMet):
-                                gaussian_periods_closed_form(v, tw, L)
+                    closed = gaussian_periods_closed_form(tw, L)
+                    if variant is None:
+                        assert closed is None, (p, d, L)
+                    else:
+                        assert closed[1]["variant"] == variant, (p, d, L)
+                        assert closed[0].values == \
+                            gaussian_periods(tw, L).values, (p, d, L)
                     pairs += 1
                 d += 1
         assert pairs == 820  # 753 of them with L >= 2, plus L = 1 per field
@@ -419,5 +432,4 @@ class TestApplicability:
         order = next(k for k in range(1, L) if pow(p, k, L) == 1)
         assert legendre(p, L) == 1 and order < (L - 1) // 2
         assert applicable_closed_form(tw, L) is None
-        with pytest.raises(HypothesisNotMet):
-            gaussian_periods_closed_form("index2", tw, L)
+        assert gaussian_periods_closed_form(tw, L) is None

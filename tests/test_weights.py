@@ -199,7 +199,8 @@ class TestTsum:
                 w = profile_weight(tw, d, periods,
                                    *decode_profile(code, d.N, d.e))
                 counts[w] = counts.get(w, 0) + int(tally[code])
-            slow = WeightDistribution.from_counts(d.n, d.t * tw.m, counts)
+            slow = WeightDistribution.from_counts(d.n, d.t * tw.m,
+                                                  counts.items())
             assert slow.entries == wd_tsum(tw, d).entries, sp
 
     def test_agrees_with_naive_outside_validity(self):
@@ -240,7 +241,7 @@ class TestProfiles:
         assert profile_weight(tw, d, ps.rational_values, u0, counts) == \
             codeword_weight_from_periods(tw, d, ps, x)
 
-    def test_irrational_periods_raise(self):
+    def test_irrational_periods_raise(self, monkeypatch):
         # order-16 periods of GF(81) are not all rational: 16 does not
         # divide (r-1)/(q-1) = 40, so no real spec has N = 16 here.  Fake
         # parameters that claim it must stop the period-sum and sampling
@@ -251,9 +252,10 @@ class TestProfiles:
                              N=16)
         with pytest.raises(InconsistentPeriods):
             wd_tsum(tw, fake)
-        closed = WeightDistribution.from_counts(80, 8, {0: 1})
+        closed = WeightDistribution.from_counts(80, 8, [(0, 1)])
+        monkeypatch.setattr(cyclotome.weights, "DEFAULT_SAMPLE_COUNT", 10)
         with pytest.raises(InconsistentPeriods):
-            _sampling_check(tw, fake, closed, Caps(sample_count=10))
+            _sampling_check(tw, fake, closed, Caps())
 
 
 class TestClosed:
@@ -383,14 +385,15 @@ class TestVanishingPatterns:
 
 class TestWeightDistributionType:
     def test_merging_and_sorting(self):
-        dist = WeightDistribution.from_counts(10, 2, {3: 4, 1: 2, 3: 4})
-        assert dist.entries == ((1, 2), (3, 4))
-        dist2 = WeightDistribution.from_counts(10, 2, [0, 5, 0, 7])
+        dist = WeightDistribution.from_counts(
+            10, 2, [(3, 4), (1, 2), (3, 4), (5, 0)])
+        assert dist.entries == ((1, 2), (3, 8))
+        dist2 = WeightDistribution.from_counts(10, 2, enumerate([0, 5, 0, 7]))
         assert dist2.entries == ((1, 5), (3, 7))
         assert dist2.d == 1
 
     def test_json_counts_are_strings(self):
-        dist = WeightDistribution.from_counts(5, 1, {2: 64 ** 7})
+        dist = WeightDistribution.from_counts(5, 1, [(2, 64 ** 7)])
         assert dist.to_json_entries() == [{"w": 2, "count": str(64 ** 7)}]
 
 
@@ -407,18 +410,19 @@ class TestCrossVerify:
         assert sorted(rep.distributions) == ["naive", "tsum"]
         assert rep.agreed and rep.passed
 
-    def test_large_field_uses_sampling(self):
-        rep = cross_verify(S5, Caps(sample_count=20000))
+    def test_large_field_uses_sampling(self, monkeypatch):
+        monkeypatch.setattr(cyclotome.weights, "DEFAULT_SAMPLE_COUNT", 20000)
+        rep = cross_verify(S5)
         assert list(rep.distributions) == ["closed"]
         assert rep.sampling is not None and rep.sampling["ok"]
         assert rep.passed
 
-    @pytest.mark.parametrize("caps", [
-        Caps(sample_count=1000), Caps(naive=0, tsum=0, sample_count=1000)],
-        ids=["default caps", "closed only"])
+    @pytest.mark.parametrize("caps", [Caps(), Caps(naive=0, tsum=0)],
+                             ids=["default caps", "closed only"])
     @pytest.mark.parametrize("ex", golden_examples(), ids=lambda ex: ex.name)
-    def test_plan_is_what_cross_verify_runs(self, ex, caps):
+    def test_plan_is_what_cross_verify_runs(self, ex, caps, monkeypatch):
         # the sample count only sets the sampling check's cost, not the plan
+        monkeypatch.setattr(cyclotome.weights, "DEFAULT_SAMPLE_COUNT", 1000)
         tw, d = setup_for(ex.spec)
         steps = plan(tw, d, classify(tw, ex.spec, d), caps)
         assert list(steps) == ["naive", "tsum", "closed"]
@@ -488,7 +492,7 @@ class TestSamplingVerdict:
         top = max(counts, key=counts.get)
         counts[top + 2] += counts[top] // 100
         counts[top] -= counts[top] // 100
-        bad = WeightDistribution.from_counts(d.n, d.t * tw.m, counts)
+        bad = WeightDistribution.from_counts(d.n, d.t * tw.m, counts.items())
         assert bad.total == tw.r ** d.t
         assert not _sampling_check(tw, d, bad, Caps(seed=0))["ok"]
 
