@@ -69,9 +69,6 @@ def _add_field_flags(sub, with_code: bool) -> None:
 
 
 def _spec_from_args(args) -> CodeSpec:
-    if len(args.delta) != args.t:
-        raise CyclotomeError(
-            f"--delta needs exactly t = {args.t} entries, got {len(args.delta)}")
     return CodeSpec(args.p, args.s, args.m, args.e, args.t, args.a,
                     tuple(args.delta), args.modulus)
 
@@ -105,7 +102,7 @@ def cmd_params(args) -> int:
     tower = build_tower(spec)
     derived = derive_params(tower, spec)
     report = validate_assumptions(tower, spec, derived)
-    polys = build_polynomials(tower, spec, derived) if report.all_hold else None
+    polys = build_polynomials(tower, derived, report) if report.all_hold else None
     classification = classify(tower, spec, derived, report)
     if args.json:
         obj = {
@@ -197,7 +194,8 @@ def cmd_weights(args) -> int:
     caps = _caps_from_args(args)
     tower = build_tower(spec)
     derived = derive_params(tower, spec)
-    classification = classify(tower, spec, derived)
+    classification = classify(tower, spec, derived,
+                              validate_assumptions(tower, spec, derived))
     method = args.method
     if method == "auto":  # the closed table, else tsum, as the plan runs them
         steps = plan(tower, derived, classification, caps)
@@ -207,7 +205,7 @@ def cmd_weights(args) -> int:
             reasons = "; ".join(f"{m}: {why}" for m, why in tried)
             raise CyclotomeError(f"no feasible method ({reasons}); raise "
                                  f"--max-enum or pick a closed-form case")
-    dist = run_method(method, tower, spec, derived, classification, caps)
+    dist = run_method(method, tower, derived, classification, caps)
     if args.json:
         print(canonical_json({
             "spec": spec.to_json_dict(),

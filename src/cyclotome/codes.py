@@ -67,7 +67,8 @@ class CodeSpec:
 
     def __post_init__(self):
         if len(self.deltas) != self.t:
-            raise InvalidParameters("need exactly t offsets")
+            raise InvalidParameters(f"need exactly t = {self.t} offsets,"
+                                    f" got {len(self.deltas)}")
         if not (2 <= self.t <= self.e):
             raise InvalidParameters(
                 f"need e >= t >= 2, got e = {self.e}, t = {self.t}")
@@ -282,13 +283,11 @@ def _poly_divmod_monic(tower, num, den):
     return quot, num[:dd]
 
 
-def build_polynomials(tower: FieldTower, spec: CodeSpec,
-                      derived: DerivedParams | None = None) -> CodePolynomials:
+def build_polynomials(tower: FieldTower, derived: DerivedParams,
+                      report: AssumptionReport) -> CodePolynomials:
     """h_i = minimal polynomial of gamma^(-a_i) over GF(q); h = prod h_i;
-    g = (x^n - 1) / h by exact division."""
-    if derived is None:
-        derived = derive_params(tower, spec)
-    report = validate_assumptions(tower, spec, derived)
+    g = (x^n - 1) / h by exact division.  The spec's assumption report
+    must hold: AssumptionViolated otherwise."""
     if not report.all_hold:
         raise AssumptionViolated(
             f"conditions {report.failing()} fail: {report.witnesses}")

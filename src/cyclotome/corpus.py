@@ -3,17 +3,19 @@
 Each fixture fixes the field modulus, so the minimal polynomials and the
 parity-check polynomial are reproduced character for character, and pins
 the derived parameters, [n, kappa, d], the classification, and the full
-weight enumerator.  run_corpus() derives the parameters and polynomials
-and diffs them against the pins, then runs one cross_verify per example
-and diffs its report: the classification, every method's enumerator,
-kappa, d, the counting invariants and the sampling verdict.
+weight enumerator.  run_example() runs one cross_verify, which derives,
+validates and classifies the spec once; it diffs the report's derived
+parameters against the pins, builds the polynomials from the report's
+assumptions and diffs them, then diffs the rest of the report: the
+classification, every method's enumerator, kappa, d, the counting
+invariants and the sampling verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .codes import CodeSpec, build_polynomials, build_tower, derive_params
+from .codes import CodeSpec, build_polynomials, build_tower
 from .weights import Caps, cross_verify
 
 
@@ -155,19 +157,19 @@ def _diff(diffs: list, what: str, got, want) -> None:
 
 def run_example(ex: GoldenExample, caps: Caps = Caps()) -> ExampleResult:
     res = ExampleResult(name=ex.name)
-    tower = build_tower(ex.spec)
-    derived = derive_params(tower, ex.spec)
+    rep = cross_verify(ex.spec, caps)
+    derived = rep.derived
     _diff(res.diffs, "a_i", derived.a_list, ex.a_list)
     _diff(res.diffs, "delta", derived.delta, ex.delta)
     _diff(res.diffs, "n", derived.n, ex.n)
     _diff(res.diffs, "N", derived.N, ex.N)
 
-    polys = build_polynomials(tower, ex.spec, derived)
+    # build_field keeps the tower cross_verify built, so this is no rebuild
+    polys = build_polynomials(build_tower(ex.spec), derived, rep.assumptions)
     _diff(res.diffs, "h factors",
           tuple(f.gfp_coeffs() for f in polys.factors), ex.h_factors)
     _diff(res.diffs, "h", polys.h.gfp_coeffs(), ex.h)
 
-    rep = cross_verify(ex.spec, caps)
     cl = rep.classification
     _diff(res.diffs, "classification", cl.tag, ex.classification_tag)
     if ex.period_source is not None:

@@ -38,8 +38,11 @@ through the same map w = (q-1) X/(q delta e) as the enumerations
 ints throughout; equal weights arising from different compositions are
 merged before anything is compared.
 
-plan() alone decides which methods run, in the order naive, tsum, closed.
-cross_verify runs what it plans and samples when only the closed table
+classify(tower, spec, derived, report) takes the spec's assumption report
+and wd_closed(tower, derived, classification) its classification; neither
+recomputes what it is given.  plan() alone decides which methods run, in
+the order naive, tsum, closed.  cross_verify derives, validates and
+classifies once, runs what it plans and samples when only the closed table
 ran; `cyclotome weights --method auto` takes closed, else tsum, from the
 same plan.  Both call a method through run_method.
 """
@@ -54,6 +57,7 @@ import numpy as np
 
 from . import _engine
 from .codes import (
+    AssumptionReport,
     CodeSpec,
     DerivedParams,
     build_tower,
@@ -100,22 +104,19 @@ class Caps:
 
 @dataclass(frozen=True)
 class WeightDistribution:
-    """Sorted (weight, frequency) pairs over all r^t inputs, plus the code
-    summary [n, kappa, d]."""
+    """Sorted (weight, frequency) pairs over all r^t inputs."""
 
-    n: int
-    kappa: int
     entries: tuple[tuple[int, int], ...]
 
     @classmethod
-    def from_counts(cls, n: int, kappa: int, pairs) -> "WeightDistribution":
+    def from_counts(cls, pairs) -> "WeightDistribution":
         """From (weight, count) pairs: repeated weights merge, zero counts
         drop."""
         merged: dict[int, int] = {}
         for w, c in pairs:
             if c:
                 merged[int(w)] = merged.get(int(w), 0) + int(c)
-        return cls(n, kappa, tuple(sorted(merged.items())))
+        return cls(tuple(sorted(merged.items())))
 
     @property
     def total(self) -> int:
@@ -179,10 +180,9 @@ class CaseClassification:
 
 
 def classify(tower: FieldTower, spec: CodeSpec, derived: DerivedParams,
-             report=None) -> CaseClassification:
-    """The most specific closed-form case covering this spec."""
-    if report is None:
-        report = validate_assumptions(tower, spec, derived)
+             report: AssumptionReport) -> CaseClassification:
+    """The most specific closed-form case covering this spec, given its
+    assumption report."""
     if not report.all_hold:
         return CaseClassification(
             TAG_UNSUPPORTED, reason=f"conditions {report.failing()} fail")
@@ -207,19 +207,6 @@ def classify(tower: FieldTower, spec: CodeSpec, derived: DerivedParams,
         TAG_UNSUPPORTED, reason=f"t < e with N = {N} has no closed form here")
 
 
-def periods_for_classification(tower: FieldTower, derived: DerivedParams,
-                               classification: CaseClassification
-                               ) -> GaussianPeriodSet | None:
-    """The period set the closed route should consume, of order N at t = e
-    and 2 at e = 3, t = 2, N = 2 (closed-form where one exists, the exact
-    oracle otherwise); None when no periods are needed."""
-    L = {TAG_TE_N2: derived.N, TAG_E3T2N2: 2}.get(classification.tag)
-    if L is None:
-        return None
-    closed = gaussian_periods_closed_form(tower, L)
-    return closed[0] if closed else gaussian_periods(tower, L)
-
-
 def integer_periods(pset: GaussianPeriodSet) -> tuple[int, ...]:
     """The periods as ints.  The weight formulas use order N, which divides
     (r-1)/(q-1), so each period is an integer; an irrational one would be
@@ -242,8 +229,7 @@ def wd_naive(tower: FieldTower, derived: DerivedParams,
     if size > cap:
         raise CapExceeded(f"r^t = {size} exceeds the naive cap {cap}")
     counts = _engine.naive_weight_counts(tower, derived)
-    return WeightDistribution.from_counts(
-        derived.n, derived.t * tower.m, enumerate(counts.tolist()))
+    return WeightDistribution.from_counts(enumerate(counts.tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -283,8 +269,7 @@ def _from_period_sums(tower: FieldTower, derived: DerivedParams,
     ws = _engine.weights_of_period_sums(
         np.array(list(sums), dtype=np.int64), tower.q, derived.delta,
         derived.e)
-    return WeightDistribution.from_counts(
-        derived.n, derived.t * tower.m, zip(ws.tolist(), sums.values()))
+    return WeightDistribution.from_counts(zip(ws.tolist(), sums.values()))
 
 
 # ----------------------------------------------------------------------
@@ -341,21 +326,21 @@ def _closed_e3t2n2(tower, derived, eta: tuple[int, ...]) -> dict[int, int]:
     return out
 
 
-def wd_closed(tower: FieldTower, spec: CodeSpec, derived: DerivedParams,
-              classification: CaseClassification | None = None
-              ) -> WeightDistribution:
+def wd_closed(tower: FieldTower, derived: DerivedParams,
+              classification: CaseClassification) -> WeightDistribution:
     """Evaluate the closed-form table for the classified case (no
-    enumeration; frequencies are exact big integers)."""
-    if classification is None:
-        classification = classify(tower, spec, derived)
+    enumeration; frequencies are exact big integers).  The t = e, N >= 2
+    and six-weight tables read the order-N periods: closed-form where one
+    exists, the exact oracle otherwise."""
     if not classification.supported:
         raise classification.error(classification.reason or "unsupported case")
     tag = classification.tag
     if tag in (TAG_TE_N1, TAG_TLT_N1):
         table = _closed_tlt_n1(tower, derived)
     else:
+        closed = gaussian_periods_closed_form(tower, derived.N)
         periods = integer_periods(
-            periods_for_classification(tower, derived, classification))
+            closed[0] if closed else gaussian_periods(tower, derived.N))
         if tag == TAG_TE_N2:
             table = _closed_te_n2(tower, derived, periods)
         else:
@@ -373,16 +358,23 @@ def wd_closed(tower: FieldTower, spec: CodeSpec, derived: DerivedParams,
 
 @dataclass
 class VerificationReport:
+    """What cross_verify found for one spec.  It holds no tower, so the
+    field tables are not kept alive past the next build_field."""
+
     spec: CodeSpec
     classification: CaseClassification
-    n: int
-    kappa: int
+    derived: DerivedParams
+    assumptions: AssumptionReport
     distributions: dict = field(default_factory=dict)   # method -> dist
     skipped: dict = field(default_factory=dict)          # method -> reason
     agreed: bool = True
     first_diff: str | None = None
     invariant_failures: list = field(default_factory=list)
     sampling: dict | None = None
+
+    @property
+    def kappa(self) -> int:
+        return self.spec.t * self.spec.m
 
     @property
     def d(self) -> int | None:
@@ -405,7 +397,7 @@ class VerificationReport:
         return {
             "spec": self.spec.to_json_dict(),
             "classification": self.classification.to_json_dict(),
-            "n": self.n,
+            "n": self.derived.n,
             "k": self.kappa,
             "d": self.d,
             "weights": some.to_json_entries() if some else [],
@@ -418,9 +410,8 @@ class VerificationReport:
         }
 
 
-def _check_invariants(report: VerificationReport, tower, derived,
-                      cond_iii: bool) -> None:
-    r, q = tower.r, tower.q
+def _check_invariants(report: VerificationReport, tower) -> None:
+    r, q, derived = tower.r, tower.q, report.derived
     size = r ** derived.t
     expected_moment = derived.n * size * (q - 1) // q
     tag, claim = report.classification.tag, None
@@ -440,7 +431,7 @@ def _check_invariants(report: VerificationReport, tower, derived,
         if dist.first_moment() != expected_moment:
             report.invariant_failures.append(
                 f"{name}: first moment {dist.first_moment()} != {expected_moment}")
-        if cond_iii and dist.frequency_at_zero != 1:
+        if report.assumptions.cond_iii and dist.frequency_at_zero != 1:
             report.invariant_failures.append(
                 f"{name}: frequency at weight 0 is {dist.frequency_at_zero}")
         if claim is not None and dist.d != claim:
@@ -462,14 +453,14 @@ def plan(tower: FieldTower, derived: DerivedParams,
     return steps
 
 
-def run_method(name: str, tower: FieldTower, spec: CodeSpec,
-               derived: DerivedParams, classification: CaseClassification,
-               caps: Caps) -> WeightDistribution:
+def run_method(name: str, tower: FieldTower, derived: DerivedParams,
+               classification: CaseClassification, caps: Caps
+               ) -> WeightDistribution:
     """The distribution by one method, naive and tsum under their CapExceeded
     guards.  The wd_* names are read when called, so a wrapped one runs."""
     return {"naive": lambda: wd_naive(tower, derived, cap=caps.naive),
             "tsum": lambda: wd_tsum(tower, derived, cap=caps.tsum),
-            "closed": lambda: wd_closed(tower, spec, derived, classification),
+            "closed": lambda: wd_closed(tower, derived, classification),
             }[name]()
 
 
@@ -478,15 +469,15 @@ def cross_verify(spec: CodeSpec, caps: Caps = Caps()) -> VerificationReport:
     the counting invariants, and sample when only the closed table ran."""
     tower = build_tower(spec)
     derived = derive_params(tower, spec)
-    report_a = validate_assumptions(tower, spec, derived)
-    classification = classify(tower, spec, derived, report_a)
+    assumptions = validate_assumptions(tower, spec, derived)
+    classification = classify(tower, spec, derived, assumptions)
     steps = plan(tower, derived, classification, caps)
     runs = [name for name, why in steps.items() if why is None]
     rep = VerificationReport(
-        spec=spec, classification=classification, n=derived.n,
-        kappa=derived.t * tower.m,
-        distributions={name: run_method(name, tower, spec, derived,
-                                        classification, caps)
+        spec=spec, classification=classification, derived=derived,
+        assumptions=assumptions,
+        distributions={name: run_method(name, tower, derived, classification,
+                                        caps)
                        for name in runs},
         skipped={name: why for name, why in steps.items() if why is not None})
 
@@ -500,7 +491,7 @@ def cross_verify(spec: CodeSpec, caps: Caps = Caps()) -> VerificationReport:
             rep.first_diff = "%s vs %s at entry %d: %s != %s" % (a, b, *diff)
             break
 
-    _check_invariants(rep, tower, derived, report_a.cond_iii)
+    _check_invariants(rep, tower)
 
     if runs == ["closed"]:
         rep.sampling = _sampling_check(tower, derived,

@@ -3,8 +3,10 @@ unpruned modulus scan and scalar power table, the unreduced and unchunked
 enumeration kernels (with their own digit-by-digit field additions), the
 unblocked sampling kernel, the trace basis and scalar traces, scalar
 codewords and the scalar period-sum weight, the t = e closed table summed
-over compositions, class tables, vanishing-pattern counts, and the
-deterministic spec grid used by the method-agreement and invariant tests."""
+over compositions, class tables, vanishing-pattern counts, the
+deterministic spec grid used by the method-agreement and invariant tests,
+and wrappers that validate a spec before classify, wd_closed and
+build_polynomials."""
 
 from __future__ import annotations
 
@@ -19,7 +21,12 @@ import numpy as np
 
 from cyclotome import _engine
 from cyclotome._engine import weights_of_period_sums
-from cyclotome.codes import CodeSpec, derive_params, validate_assumptions
+from cyclotome.codes import (
+    CodeSpec,
+    build_polynomials,
+    derive_params,
+    validate_assumptions,
+)
 from cyclotome.errors import (
     CapExceeded,
     GammaNotPrimitive,
@@ -27,7 +34,7 @@ from cyclotome.errors import (
     NotADivisor,
 )
 from cyclotome.gf import _x_is_primitive, build_field, is_irreducible
-from cyclotome.weights import classify, integer_periods
+from cyclotome.weights import classify, integer_periods, wd_closed
 
 
 @functools.lru_cache(maxsize=None)
@@ -37,6 +44,22 @@ def tower(p, s, m, modulus=None):
 
 def tower_for(spec: CodeSpec):
     return tower(spec.p, spec.s, spec.m, spec.modulus)
+
+
+def classify_spec(tw, spec: CodeSpec, derived):
+    """classify with the spec's own assumption report."""
+    return classify(tw, spec, derived, validate_assumptions(tw, spec, derived))
+
+
+def closed_dist(tw, spec: CodeSpec, derived):
+    """wd_closed of the spec's own classification."""
+    return wd_closed(tw, derived, classify_spec(tw, spec, derived))
+
+
+def polynomials(tw, spec: CodeSpec, derived):
+    """build_polynomials from the spec's own assumption report."""
+    return build_polynomials(tw, derived,
+                             validate_assumptions(tw, spec, derived))
 
 
 @functools.lru_cache(maxsize=None)

@@ -57,7 +57,7 @@ def grid_results():
             "spec": sp, "derived": d, "classification": cl, "tower": tw,
             "naive": wd_naive(tw, d, cap=10 ** 6),
             "tsum": wd_tsum(tw, d, cap=10 ** 6),
-            "closed": wd_closed(tw, sp, d, cl),
+            "closed": wd_closed(tw, d, cl),
         })
     return records
 
@@ -204,8 +204,8 @@ def test_criterion_5_invariant_suite(grid_results):
     for ex in golden_examples():
         tw = tower_for(ex.spec)
         d = derive_params(tw, ex.spec)
-        cl = classify(tw, ex.spec, d)
-        check(tw, ex.spec, d, cl, wd_closed(tw, ex.spec, d, cl))
+        cl = classify(tw, ex.spec, d, validate_assumptions(tw, ex.spec, d))
+        check(tw, ex.spec, d, cl, wd_closed(tw, d, cl))
     print(f"ACCEPTANCE 5 counting invariants on {checked} distributions: "
           f"PASS")
 

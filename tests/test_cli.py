@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import cyclotome
 from cyclotome.cli import main
+from cyclotome.corpus import golden_examples, run_corpus
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +126,105 @@ def test_periods_bytes_are_pinned(pmL, text_digest, json_digest, capsys):
         code, out, err = run_cli(capsys, *argv, *extra)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == want, extra
+
+
+# sha256 of stdout for each golden example, in corpus order, of the
+# GOLDEN_COMMANDS; each exits 0 with nothing on stderr
+GOLDEN_COMMANDS = (("params",), ("params", "--json"), ("verify",),
+                   ("verify", "--json"), ("weights", "--json"))
+GOLDEN_DIGESTS = [
+    ("46207afcc0ffbd47905d826da3fcc1bdb0afd0dc1b1f9a0872c00a2ef617cb77",
+     "9ba0c203f3f1f6488565ef17014c2c9be08b98b2c56bdcc077b8ceba3f3cc68f",
+     "d0865a2d9ccfe444995721895a3d58b36f8dbcd83382a08d3dbff48682a91ca2",
+     "8c6783666818b84f21c751a469892182e41702306190e21a569bef2794f5606f",
+     "0e7d8d0fb85495994de082f7ff3d4c062c2d4bd913250e139ef9dc62529f37cc"),
+    ("e424473b6e0b1779d348722ea7f0cce3338e066b7eb5972a224c3f18114e9c27",
+     "a0b3632f3fc8522f01f1f407489675fe37f618b0fba077eba28ab5b014968a23",
+     "f11883a4d8dc4e1b5190854e8397acb28f8185b31efa9243856e4dcaa871354a",
+     "9f8bb8d393d31e0c6236883bf6dc5b470a6a8f4b3fe14a32a7916111b4cdb389",
+     "9f6d53f0419468470f3d76b78b0278004c3c22ace409cb98d8e830d32839667e"),
+    ("1ea1ddf2cb3aa1508bcb3544f592b6b9ab9f6a8d01fcb227bf7d8de33d9f23d0",
+     "f9f2b05dea59c220dd38053f32d4452497f63a9c89fea022121b7b9c601f6787",
+     "df43161f1d3577381b0a9bef98cd3cb959f588589435df1f55921116553f860c",
+     "8329607a98314be42fc714a9d854e9219e0d1954a9e9d18fd88927b720048690",
+     "9122532847726b9badf2646dd64066807e500c620aabb0be8a2bfd9182e2701d"),
+    ("5e7a09582adc4e75aa60a6614cb362a62fa285d8d308c12c8e7e1e4806319b9a",
+     "e55a7d4b18a85837eab619f52f21eb884fbc42e3fedad5ae3c78ce945162cc6f",
+     "ed828b2bf92c70fe7d9fa78b2ddadc57d4393bff29a9dd119306201a06367b9e",
+     "2c015a3b9119132cadf6ee24fa2de13a39cb63ce2fd19d4f010fa0405c5a2ebe",
+     "0374aa0309f4b4b028027e576d2d9e10cda8185aede856a9c803937c4d81d788"),
+    ("3097fed49ee379f73c84df647c32e788e17f77f537e9701896f86b3fd498b933",
+     "530bdb46f88592137dd511c8e1486030a551a1e9f9f7d88e9c522cbe4c3a896f",
+     "c82ca0f738e3011ab89434034775221034750aa494d2de91dd33dbca1dfc4089",
+     "1d9573d58ad2c667e2a08d902564dba7bc74b1fe48d6a3c324d6494dd6cfebab",
+     "a31a48d88b36c5291e5358fb86eb30ca3ec2b69a1240320191a72d24f19eba03"),
+    ("c929bedbcc1dde0d313a0a0bcf6d14fc91ebffdfbb9bf2b82fc0b8465fce2043",
+     "245f4ec2319314459dc0438ac1a866f14a0364bfde396ff522b05fe5fe7f3219",
+     "b3b523c5e73d1b20fbe5756db364fe9a4c361705c5ef9888b7bc78d7143032b1",
+     "ef6e3f02b2b84f4a1a20f1226aa600dcd3ecd302cf82826228d59f9d53d2028f",
+     "70f3dee5622f9a66dbab071c7628c3444071efb3537f718ca967ccdd5f36a963"),
+]
+CORPUS_JSON_DIGEST = (
+    "67454a571a1d3e005cdedbc5979cce3426db5d1b6e7f03883ace5224bccfafdf")
+
+
+def golden_flags(spec) -> list[str]:
+    """The CLI flags that give a golden spec, modulus included."""
+    flags = {"p": spec.p, "s": spec.s, "m": spec.m, "e": spec.e, "t": spec.t,
+             "a": spec.a, "delta": ",".join(map(str, spec.deltas)),
+             "modulus": ",".join(map(str, spec.modulus))}
+    return [arg for k, v in flags.items() for arg in (f"--{k}", str(v))]
+
+
+@pytest.mark.parametrize("ex, digests", zip(golden_examples(), GOLDEN_DIGESTS),
+                         ids=[f"golden-{i}" for i in range(1, 7)])
+def test_golden_bytes_are_pinned(ex, digests, capsys):
+    for (command, *extra), want in zip(GOLDEN_COMMANDS, digests):
+        code, out, err = run_cli(capsys, command, *golden_flags(ex.spec),
+                                 *extra)
+        assert (code, err) == (0, ""), (command, extra)
+        assert hashlib.sha256(out.encode()).hexdigest() == want, (command,
+                                                                 extra)
+
+
+def test_corpus_json_bytes_are_pinned(capsys):
+    code, out, err = run_cli(capsys, "corpus", "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CORPUS_JSON_DIGEST
+
+
+def count_analysis_calls(monkeypatch) -> dict:
+    """Wrap derive_params and validate_assumptions wherever cli, weights,
+    codes and corpus import them; the returned dict counts their calls."""
+    calls = {"derive_params": 0, "validate_assumptions": 0}
+    for name in calls:
+        real = getattr(cyclotome.codes, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for mod in (cyclotome.cli, cyclotome.weights, cyclotome.codes,
+                    cyclotome.corpus):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_each_command_analyses_a_spec_once(capsys, monkeypatch):
+    calls = count_analysis_calls(monkeypatch)
+    code, _, _ = run_cli(capsys, "params",
+                         *golden_flags(golden_examples()[5].spec), "--json")
+    assert code == 0
+    assert calls["validate_assumptions"] == 1
+    calls.update(derive_params=0, validate_assumptions=0)
+    code, _, _ = run_cli(capsys, "verify",
+                         *golden_flags(golden_examples()[0].spec), "--json")
+    assert code == 0
+    assert calls == {"derive_params": 1, "validate_assumptions": 1}
+    calls.update(derive_params=0, validate_assumptions=0)
+    assert run_corpus().passed
+    assert calls == {"derive_params": 6, "validate_assumptions": 6}
 
 
 def test_periods_irrational_values_json(capsys):

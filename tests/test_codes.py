@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from cyclotome import codes
 from cyclotome.codes import (
     CodeSpec,
-    build_polynomials,
     derive_params,
     independent_power_rows,
     validate_assumptions,
@@ -22,11 +21,13 @@ from cyclotome.errors import (
     EDoesNotDivide,
     MinorBudgetExceeded,
 )
-from cyclotome.weights import TAG_TLT_N1, TAG_UNSUPPORTED, classify
+from cyclotome.weights import TAG_TLT_N1, TAG_UNSUPPORTED
 from helpers import (
     GRID_TOWERS,
+    classify_spec,
     codeword,
     codeword_weight_from_periods,
+    polynomials,
     tower,
     tower_for,
     trace_to_q,
@@ -161,7 +162,7 @@ class TestIndependence:
         sp = CodeSpec(2, 10, 2, 31, 15, 1, tuple(range(15)))
         tw, d = setup_for(sp)
         start = time.perf_counter()
-        cl = classify(tw, sp, d)
+        cl = classify_spec(tw, sp, d)
         assert time.perf_counter() - start < 1.0
         assert cl.tag == TAG_TLT_N1
 
@@ -173,7 +174,7 @@ class TestIndependence:
         d = derive_params(tw, sp)
         assert not codes._unit_step_progression(tw, d)
         start = time.perf_counter()
-        assert classify(tw, sp, d).tag == TAG_UNSUPPORTED
+        assert classify_spec(tw, sp, d).tag == TAG_UNSUPPORTED
         assert time.perf_counter() - start < 1.0
         # with the criterion off, no minor of the progression 0, 2, ..., 28
         # is singular, so only the budget stops the test of C(31, 15)
@@ -182,7 +183,7 @@ class TestIndependence:
         sp = CodeSpec(2, 10, 2, 31, 15, 1, tuple(range(0, 30, 2)))
         d = derive_params(tw, sp)
         start = time.perf_counter()
-        cl = classify(tw, sp, d)
+        cl = classify_spec(tw, sp, d)
         assert time.perf_counter() - start < 1.0
         with pytest.raises(MinorBudgetExceeded):
             independent_power_rows(tw, d)
@@ -204,7 +205,7 @@ class TestIndependence:
         with pytest.raises(MinorBudgetExceeded):
             independent_power_rows(tw, d)
         assert tested == []
-        assert classify(tw, sp, d).tag == TAG_UNSUPPORTED
+        assert classify_spec(tw, sp, d).tag == TAG_UNSUPPORTED
         monkeypatch.setattr(codes, "MINOR_BUDGET", 35 * 3 ** 3)
         assert not independent_power_rows(tw, d)
 
@@ -212,7 +213,7 @@ class TestIndependence:
 class TestPolynomials:
     def test_example_factors_and_product(self):
         tw, d = setup_for(S1)
-        polys = build_polynomials(tw, S1, d)
+        polys = polynomials(tw, S1, d)
         assert [f.gfp_coeffs() for f in polys.factors] == \
             [(1, 0, 2, 1), (2, 0, 1, 1)]
         assert polys.h.gfp_coeffs() == (2, 0, 2, 0, 2, 0, 1)
@@ -220,7 +221,7 @@ class TestPolynomials:
     def test_h_times_g_is_xn_minus_1(self):
         for spec in (S1, S6, CodeSpec(5, 1, 3, 4, 3, 1, (0, 1, 2))):
             tw, d = setup_for(spec)
-            polys = build_polynomials(tw, spec, d)
+            polys = polynomials(tw, spec, d)
             prod = [0] * (d.n + 1)
             for i, a in enumerate(polys.h.coeffs):
                 if a:
@@ -231,7 +232,7 @@ class TestPolynomials:
 
     def test_degree_is_tm_under_condition_iii(self):
         tw, d = setup_for(S5)
-        polys = build_polynomials(tw, S5, d)
+        polys = polynomials(tw, S5, d)
         assert polys.h.degree == S5.t * S5.m
         assert polys.h.gfp_coeffs() == (1,) + (0,) * 20 + (1,) + (0,) * 20 + (1,)
 
@@ -239,7 +240,7 @@ class TestPolynomials:
         sp = CodeSpec(2, 1, 4, 5, 2, 3, (0, 1))
         tw, d = setup_for(sp)
         with pytest.raises(AssumptionViolated):
-            build_polynomials(tw, sp, d)
+            polynomials(tw, sp, d)
 
 
 class TestCodewords:

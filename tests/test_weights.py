@@ -61,7 +61,6 @@ from cyclotome.weights import (
     classify,
     cross_verify,
     integer_periods,
-    periods_for_classification,
     plan,
     wd_closed,
     wd_naive,
@@ -69,6 +68,8 @@ from cyclotome.weights import (
 )
 from helpers import (
     GRID_TOWERS,
+    classify_spec,
+    closed_dist,
     closed_te_n2_compositions,
     codeword_weight_from_periods,
     count_vanishing_patterns,
@@ -113,27 +114,30 @@ class TestClassify:
         }
         for sp, (tag, source) in expected.items():
             tw, d = setup_for(sp)
-            cl = classify(tw, sp, d)
+            cl = classify_spec(tw, sp, d)
             assert (cl.tag, cl.period_source) == (tag, source), sp
 
     def test_exact_fallback(self):
         sp = CodeSpec(3, 1, 4, 2, 2, 4, (0, 1))  # N = 8, no special shape
         tw, d = setup_for(sp)
-        cl = classify(tw, sp, d)
+        cl = classify_spec(tw, sp, d)
         assert d.N == 8 and (cl.tag, cl.period_source) == (TAG_TE_N2, "exact")
 
-    def test_index_above_two_uses_the_oracle(self):
+    def test_index_above_two_uses_the_oracle(self, monkeypatch):
         # N = 31 over GF(2^15): 2 is a square mod 31 but has order 5, not
         # 15, so no closed form applies and the t = e table takes the
         # oracle's periods
         sp = CodeSpec(2, 1, 15, 31, 31, 1, tuple(range(31)))
         tw, d = setup_for(sp)
-        cl = classify(tw, sp, d)
+        cl = classify_spec(tw, sp, d)
         assert d.N == 31 and (cl.tag, cl.period_source) == (TAG_TE_N2, "exact")
-        pset = periods_for_classification(tw, d, cl)
-        assert pset.values == gaussian_periods(tw, 31).values
+        read = []
+        monkeypatch.setattr(cyclotome.weights, "gaussian_periods",
+                            lambda tower, L: read.append(L)
+                            or gaussian_periods(tower, L))
         # the full table: r^t = 2^465 inputs, first moment n r^t (q-1)/q
-        dist = wd_closed(tw, sp, d, cl)
+        dist = wd_closed(tw, d, cl)
+        assert read == [31]
         assert dist.total == tw.r ** 31
         assert dist.first_moment() == d.n * tw.r ** 31 // 2
 
@@ -142,20 +146,20 @@ class TestClassify:
         sp = CodeSpec(11, 1, 2, 10, 2, 1, (0, 1))
         tw, d = setup_for(sp)
         assert d.N == 2
-        cl = classify(tw, sp, d)
+        cl = classify_spec(tw, sp, d)
         assert cl.tag == TAG_UNSUPPORTED
         # invalid conditions
         bad = CodeSpec(2, 1, 4, 5, 2, 3, (0, 1))
         tw, d = setup_for(bad)
-        assert classify(tw, bad, d).tag == TAG_UNSUPPORTED
+        assert classify_spec(tw, bad, d).tag == TAG_UNSUPPORTED
 
     def test_singular_minor_unsupported(self):
         sp = CodeSpec(2, 3, 2, 7, 3, 1, (0, 1, 3))
         tw, d = setup_for(sp)
-        cl = classify(tw, sp, d)
+        cl = classify_spec(tw, sp, d)
         assert cl.tag == TAG_UNSUPPORTED and "minor" in cl.reason
         with pytest.raises(IndependenceFails):
-            wd_closed(tw, sp, d, cl)
+            wd_closed(tw, d, cl)
 
 
 class TestNaive:
@@ -164,7 +168,7 @@ class TestNaive:
         dist = wd_naive(tw, d)
         assert dist.entries == ((0, 1), (9, 52), (18, 676))
         assert dist.enumerator_str() == "1 + 52z^9 + 676z^18"
-        assert (dist.n, dist.kappa, dist.d) == (26, 6, 9)
+        assert (d.n, d.t * tw.m, dist.d) == (26, 6, 9)
 
     def test_cap(self):
         tw, d = setup_for(S1)
@@ -199,8 +203,7 @@ class TestTsum:
                 w = profile_weight(tw, d, periods,
                                    *decode_profile(code, d.N, d.e))
                 counts[w] = counts.get(w, 0) + int(tally[code])
-            slow = WeightDistribution.from_counts(d.n, d.t * tw.m,
-                                                  counts.items())
+            slow = WeightDistribution.from_counts(counts.items())
             assert slow.entries == wd_tsum(tw, d).entries, sp
 
     def test_agrees_with_naive_outside_validity(self):
@@ -252,7 +255,7 @@ class TestProfiles:
                              N=16)
         with pytest.raises(InconsistentPeriods):
             wd_tsum(tw, fake)
-        closed = WeightDistribution.from_counts(80, 8, [(0, 1)])
+        closed = WeightDistribution.from_counts([(0, 1)])
         monkeypatch.setattr(cyclotome.weights, "DEFAULT_SAMPLE_COUNT", 10)
         with pytest.raises(InconsistentPeriods):
             _sampling_check(tw, fake, closed, Caps())
@@ -261,19 +264,19 @@ class TestProfiles:
 class TestClosed:
     def test_full_column_table(self):
         tw, d = setup_for(S1)
-        assert wd_closed(tw, S1, d).entries == ((0, 1), (9, 52), (18, 676))
+        assert closed_dist(tw, S1, d).entries == ((0, 1), (9, 52), (18, 676))
 
     def test_order2_table(self):
         sp = CodeSpec(7, 1, 2, 2, 2, 1, (0, 1), (3, 6, 1))
         tw, d = setup_for(sp)
-        assert wd_closed(tw, sp, d).entries == (
+        assert closed_dist(tw, sp, d).entries == (
             (0, 1), (18, 48), (24, 48), (36, 576), (42, 1152), (48, 576))
 
     def test_semiprimitive_aggregation_detail(self):
         # weight 8 merges the compositions (u0,u1,u2) = (1,2,0) and (2,0,1):
         # multinomial * ((r-1)/N)^(u1+u2) * (N-1)^(u2) gives 192 + 48
         tw, d = setup_for(S3)
-        dist = wd_closed(tw, S3, d)
+        dist = closed_dist(tw, S3, d)
         at8 = dict(dist.entries)[8]
         term_120 = 3 * 8 ** 2
         term_201 = 3 * 8 * 2
@@ -286,11 +289,11 @@ class TestClosed:
                  if sp.t == sp.e]
         for ex in golden_examples()[:5]:
             tw, d = setup_for(ex.spec)
-            cases.append((ex.spec, d, classify(tw, ex.spec, d)))
+            cases.append((ex.spec, d, classify_spec(tw, ex.spec, d)))
         for sp, d, cl in cases:
             tw = tower_for(sp)
             periods = ((-1,) if cl.tag == TAG_TE_N1 else integer_periods(
-                periods_for_classification(tw, d, cl)))
+                gaussian_periods(tw, d.N)))
             assert _closed_te_n2(tw, d, periods) == \
                 closed_te_n2_compositions(tw, d, periods), sp
             if cl.tag == TAG_TE_N1:  # the MDS table serves both N = 1 cases
@@ -316,10 +319,10 @@ class TestClosed:
             d_bare = derive_params(bare, sp)
             cl_bare = classify(bare, sp, d_bare,
                                validate_assumptions(bare, sp, d_bare))
-            cl = classify(tw, sp, d)
+            cl = classify_spec(tw, sp, d)
             assert (d_bare, cl_bare) == (d, cl), sp
-            assert wd_closed(bare, sp, d_bare, cl_bare).entries == \
-                wd_closed(tw, sp, d, cl).entries, sp
+            assert wd_closed(bare, d_bare, cl_bare).entries == \
+                wd_closed(tw, d, cl).entries, sp
             tags.add((cl.tag, cl.period_source))
         assert tags == {(TAG_TE_N1, None), (TAG_TLT_N1, None),
                         (TAG_E3T2N2, None), (TAG_TE_N2, "order2"),
@@ -327,7 +330,7 @@ class TestClosed:
 
     def test_sparse_column_table(self):
         tw, d = setup_for(STHM3)
-        dist = wd_closed(tw, STHM3, d)
+        dist = closed_dist(tw, STHM3, d)
         assert dist.entries == ((0, 1), (50, 744), (75, 61008),
                                 (100, 1891372))
         assert dist.d == 50 == (tw.q - 1) * tw.r * (d.e - d.t + 1) \
@@ -335,7 +338,7 @@ class TestClosed:
 
     def test_six_weight_table(self):
         tw, d = setup_for(S6)
-        assert wd_closed(tw, S6, d).entries == (
+        assert closed_dist(tw, S6, d).entries == (
             (0, 1), (12, 72), (16, 72), (18, 264), (20, 864), (22, 864),
             (24, 264))
 
@@ -343,16 +346,16 @@ class TestClosed:
         sp = CodeSpec(11, 1, 2, 10, 2, 1, (0, 1))
         tw, d = setup_for(sp)
         with pytest.raises(UnsupportedCase):
-            wd_closed(tw, sp, d)
+            closed_dist(tw, sp, d)
 
     def test_any_offset_pair_in_six_weight_case(self):
         # the six-weight table holds for offsets other than (0, 1)
         for deltas in ((0, 2), (1, 2)):
             sp = CodeSpec(7, 1, 2, 3, 2, 2, deltas, (3, 6, 1))
             tw, d = setup_for(sp)
-            cl = classify(tw, sp, d)
+            cl = classify_spec(tw, sp, d)
             assert cl.tag == TAG_E3T2N2
-            assert wd_closed(tw, sp, d, cl).entries == \
+            assert wd_closed(tw, d, cl).entries == \
                 wd_naive(tw, d).entries
 
 
@@ -386,14 +389,14 @@ class TestVanishingPatterns:
 class TestWeightDistributionType:
     def test_merging_and_sorting(self):
         dist = WeightDistribution.from_counts(
-            10, 2, [(3, 4), (1, 2), (3, 4), (5, 0)])
+            [(3, 4), (1, 2), (3, 4), (5, 0)])
         assert dist.entries == ((1, 2), (3, 8))
-        dist2 = WeightDistribution.from_counts(10, 2, enumerate([0, 5, 0, 7]))
+        dist2 = WeightDistribution.from_counts(enumerate([0, 5, 0, 7]))
         assert dist2.entries == ((1, 5), (3, 7))
         assert dist2.d == 1
 
     def test_json_counts_are_strings(self):
-        dist = WeightDistribution.from_counts(5, 1, [(2, 64 ** 7)])
+        dist = WeightDistribution.from_counts([(2, 64 ** 7)])
         assert dist.to_json_entries() == [{"w": 2, "count": str(64 ** 7)}]
 
 
@@ -424,7 +427,7 @@ class TestCrossVerify:
         # the sample count only sets the sampling check's cost, not the plan
         monkeypatch.setattr(cyclotome.weights, "DEFAULT_SAMPLE_COUNT", 1000)
         tw, d = setup_for(ex.spec)
-        steps = plan(tw, d, classify(tw, ex.spec, d), caps)
+        steps = plan(tw, d, classify_spec(tw, ex.spec, d), caps)
         assert list(steps) == ["naive", "tsum", "closed"]
         rep = cross_verify(ex.spec, caps)
         assert list(rep.distributions) == [
@@ -444,7 +447,7 @@ class TestCrossVerify:
 
         def short(tower, derived, cap):
             dist = real(tower, derived, cap)
-            return WeightDistribution(dist.n, dist.kappa, dist.entries[:-1])
+            return WeightDistribution(dist.entries[:-1])
 
         monkeypatch.setattr(cyclotome.weights, "wd_tsum", short)
         rep = cross_verify(S1)
@@ -480,7 +483,7 @@ class TestSamplingVerdict:
         # a 3-sigma rule failed seeds 7, 9, 13, 18 and 34; seed 7 draws once
         # from a class whose expected count is 0.008 (10.98 sigma)
         tw, d = setup_for(S5)
-        closed = wd_closed(tw, S5, d)
+        closed = closed_dist(tw, S5, d)
         failing = [seed for seed in range(40) if not _sampling_check(
             tw, d, closed, Caps(seed=seed))["ok"]]
         assert failing == []
@@ -488,11 +491,11 @@ class TestSamplingVerdict:
     def test_moved_mass_fails(self):
         # 1% of the largest class moved to the next weight keeps the total
         tw, d = setup_for(S5)
-        counts = dict(wd_closed(tw, S5, d).entries)
+        counts = dict(closed_dist(tw, S5, d).entries)
         top = max(counts, key=counts.get)
         counts[top + 2] += counts[top] // 100
         counts[top] -= counts[top] // 100
-        bad = WeightDistribution.from_counts(d.n, d.t * tw.m, counts.items())
+        bad = WeightDistribution.from_counts(counts.items())
         assert bad.total == tw.r ** d.t
         assert not _sampling_check(tw, d, bad, Caps(seed=0))["ok"]
 
@@ -929,9 +932,11 @@ class TestTypedChecks:
         tw, d = setup_for(S1)  # r = 27
         rep = VerificationReport(spec=S1,
                                  classification=CaseClassification(TAG_E3T2N2),
-                                 n=d.n, kappa=d.t * tw.m)
+                                 derived=d,
+                                 assumptions=validate_assumptions(tw, S1, d))
+        assert rep.assumptions.cond_iii
         with pytest.raises(UnsupportedCase):
-            _check_invariants(rep, tw, d, True)
+            _check_invariants(rep, tw)
 
     def test_fast_criterion_mismatch(self, monkeypatch):
         # golden 1 has N = 1, so the sqrt-bound criterion claims iii; cosets
@@ -947,7 +952,7 @@ class TestTypedChecks:
         monkeypatch.setattr(cyclotome.weights, "_closed_tlt_n1",
                             lambda tower, derived: {0: 1, 9: 52})
         with pytest.raises(FrequencySumMismatch):
-            wd_closed(tw, S1, d)
+            closed_dist(tw, S1, d)
 
     def test_no_assert_statements_in_src(self):
         # neither assert statements nor raise AssertionError (with or
@@ -993,6 +998,6 @@ class TestTableConsistency:
                 continue
             tw = tower_for(sp)
             mu = len(set(gaussian_periods(tw, d.N).values))
-            dist = wd_closed(tw, sp, d, cl)
+            dist = wd_closed(tw, d, cl)
             nonzero = sum(1 for w, _ in dist.entries if w > 0)
             assert nonzero <= comb(mu + d.e, d.e) - 1
