@@ -20,6 +20,14 @@ Condition iii has two fast sufficient criteria (N <= sqrt(r); or no
 records which fired, but the direct coset computation is always run and
 is the verdict of record.
 
+g = (x^n - 1)/h takes no division.  Under iii, h is squarefree with tm roots
+rho = gamma^(-c), c in the q-cyclotomic cosets of the a_i, and rho^n = 1, so
+by partial fractions g_i = sum_rho rho^(-1-i) / h'(rho), i < n.  The roots
+of a coset are conjugates, so g is the codeword of one input (L&N ch. 8):
+g_i = sum_j Tr_{r/q}(lambda_j gamma^(a_j i)), lambda_j = gamma^(a_j) /
+h'(gamma^(-a_j)).  gf.poly_mul_packed, one product on the tower's arrays,
+forms h and checks h g = x^n - 1.
+
 Every function here is pure; towers and derived parameter bundles are
 immutable, so concurrent use is safe.
 """
@@ -27,8 +35,11 @@ immutable, so concurrent use is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial, reduce
 from itertools import combinations
 from math import gcd
+
+import numpy as np
 
 from .errors import (
     AssumptionViolated,
@@ -45,6 +56,7 @@ from .gf import (
     build_field,
     cyclotomic_coset,
     min_poly,
+    poly_mul_packed,
 )
 
 
@@ -248,12 +260,12 @@ def _det_is_zero(tower: FieldTower, mat: list[list[Element]]) -> bool:
         if piv is None:
             return True
         mat[col], mat[piv] = mat[piv], mat[col]
-        inv = tower.inv(mat[col][col])
+        minus_inv = tower.neg(tower.inv(mat[col][col]))
         for row in range(col + 1, n):
             if mat[row][col]:
-                f = tower.mul(mat[row][col], inv)
+                f = tower.mul(mat[row][col], minus_inv)
                 for k in range(col, n):
-                    mat[row][k] = tower.sub(mat[row][k],
+                    mat[row][k] = tower.add(mat[row][k],
                                             tower.mul(f, mat[col][k]))
     return False
 
@@ -269,38 +281,34 @@ class CodePolynomials:
     g: SubfieldPolynomial
 
 
-def _poly_divmod_monic(tower, num, den):
-    num = list(num)
-    dd = len(den) - 1
-    quot = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            quot[i - dd] = c
-            for k in range(dd + 1):
-                num[i - dd + k] = tower.sub(num[i - dd + k],
-                                            tower.mul(c, den[k]))
-    return quot, num[:dd]
-
-
 def build_polynomials(tower: FieldTower, derived: DerivedParams,
                       report: AssumptionReport) -> CodePolynomials:
     """h_i = minimal polynomial of gamma^(-a_i) over GF(q); h = prod h_i;
-    g = (x^n - 1) / h by exact division.  The spec's assumption report
-    must hold: AssumptionViolated otherwise."""
+    g = (x^n - 1) / h as the codeword of the input (lambda_j), with log h'(rho)
+    the sum of the logs of rho - rho' over the other roots (module docstring).
+    DivisionNotExact unless g is monic of degree n - tm, 0 above it and
+    h g = x^n - 1; AssumptionViolated unless the assumption report holds."""
     if not report.all_hold:
         raise AssumptionViolated(
             f"conditions {report.failing()} fail: {report.witnesses}")
+    r1, n = tower.r - 1, derived.n
     factors = tuple(min_poly(tower, tower.gamma_pow(-ai))
                     for ai in derived.a_list)
-    h_coeffs = [1]
-    for f in factors:
-        h_coeffs = tower.poly_mul(h_coeffs, f.coeffs)
-    h = SubfieldPolynomial(tower, tuple(h_coeffs))
-    xn1 = [tower.neg(1)] + [0] * (derived.n - 1) + [1]
-    g_coeffs, rem = _poly_divmod_monic(tower, xn1, h_coeffs)
-    if any(rem):
+    h = reduce(partial(poly_mul_packed, tower), (f.coeffs for f in factors))
+    minus_one = tower.dlog_of(tower.neg(1))
+    minus_roots = tower.exp[[(minus_one - c) % r1 for c in set().union(
+        *(cyclotomic_coset(ai, tower.q, tower.r) for ai in derived.a_list))]]
+    i, word = np.arange(n, dtype=np.int64), 0
+    for aj in derived.a_list:
+        diffs = tower.add_arrays(tower.gamma_pow(-aj), minus_roots)
+        log_h1 = tower.dlog[diffs[diffs != 0]].sum(dtype=np.int64)
+        word = tower.add_arrays(word, tower.exp[(aj - log_h1 + aj * i) % r1])
+    g = tower.trace_q_vector[word]
+    deg = n - (len(h) - 1)
+    if (g[deg] != 1 or g[deg + 1:].any() or not np.array_equal(
+            poly_mul_packed(tower, h, g[:deg + 1]),
+            [tower.neg(1)] + [0] * (n - 1) + [1])):
         raise DivisionNotExact("parity-check polynomial does not divide x^n - 1")
-    g = SubfieldPolynomial(tower, tuple(g_coeffs))
-    return CodePolynomials(factors=factors, h=h, g=g)
-
+    return CodePolynomials(
+        factors=factors, h=SubfieldPolynomial(tower, tuple(h.tolist())),
+        g=SubfieldPolynomial(tower, tuple(g[:deg + 1].tolist())))

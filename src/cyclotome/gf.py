@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from math import isqrt
 
 import numpy as np
@@ -115,17 +115,13 @@ def poly_mod(a, f, p: int) -> tuple[int, ...]:
     return tuple(a)
 
 
-def poly_mulmod(a, b, f, p: int) -> tuple[int, ...]:
-    return poly_mod(poly_mul(a, b, p), f, p)
-
-
 def poly_powmod(base, e: int, f, p: int) -> tuple[int, ...]:
     result = (1,)
     base = poly_mod(base, f, p)
     while e > 0:
         if e & 1:
-            result = poly_mulmod(result, base, f, p)
-        base = poly_mulmod(base, base, f, p)
+            result = poly_mod(poly_mul(result, base, p), f, p)
+        base = poly_mod(poly_mul(base, base, p), f, p)
         e >>= 1
     return result
 
@@ -339,9 +335,6 @@ class FieldTower:
     def neg(self, a: Element) -> Element:
         return self.mul(a, self.p - 1)
 
-    def sub(self, a: Element, b: Element) -> Element:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: Element, b: Element) -> Element:
         if a == 0 or b == 0:
             return 0
@@ -352,27 +345,6 @@ class FieldTower:
         if a == 0:
             raise ZeroDivisionError("0 is not invertible")
         return int(self.exp[-int(self.dlog[a]) % (self.r - 1)])
-
-    def pow(self, a: Element, k: int) -> Element:
-        if a == 0:
-            if k < 0:
-                raise ZeroDivisionError("0 is not invertible")
-            return 0 if k else 1
-        return int(self.exp[int(self.dlog[a]) * k % (self.r - 1)])
-
-    def poly_mul(self, a, b) -> list[Element]:
-        """Product of two polynomials with GF(r) coefficients, ascending."""
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = self.add(out[i + j], self.mul(ai, bj))
-        return out
-
-    # -- traces and subfields -----------------------------------------------
-
-    def in_subfield_q(self, a: Element) -> bool:
-        return a == 0 or self.pow(a, self.q) == a
 
     # -- bulk tables used by the enumeration and cyclotomy layers ------------
 
@@ -525,18 +497,21 @@ def _build_field(p: int, s: int, m: int, modulus: tuple[int, ...] | None
 class SubfieldPolynomial:
     """A monic polynomial with coefficients in the GF(q) subfield of GF(r).
 
-    Coefficients are stored ascending as packed GF(r) elements; every one
-    satisfies c^q = c.  When s = 1 the coefficients are ordinary ints in
-    [0, p) and gfp_coeffs() exposes them that way.
+    Coefficients are stored ascending as packed GF(r) elements; each is 0
+    or has log c = 0 mod (r-1)/(q-1), one array test.  When s = 1 the
+    coefficients are ordinary ints in [0, p) and gfp_coeffs() exposes them
+    that way.
     """
 
     tower: FieldTower
     coeffs: tuple[Element, ...]
 
     def __post_init__(self):
-        for c in self.coeffs:
-            if not self.tower.in_subfield_q(c):
-                raise ValueError(f"coefficient {c} is not in GF(q)")
+        tw, c = self.tower, np.asarray(self.coeffs, dtype=np.int64)
+        bad = (c != 0) & (tw.dlog[c] % ((tw.r - 1) // (tw.q - 1)) != 0)
+        if bad.any():
+            raise ValueError(
+                f"coefficient {self.coeffs[bad.argmax()]} is not in GF(q)")
 
     @property
     def degree(self) -> int:
@@ -568,18 +543,27 @@ class SubfieldPolynomial:
         return " + ".join(terms) if terms else "0"
 
 
+def poly_mul_packed(tower: FieldTower, a, b) -> np.ndarray:
+    """Product of two polynomials with packed GF(r) coefficients, ascending:
+    per nonzero coefficient gamma^k of the shorter factor, the longer one
+    shifted into place, times gamma^k through its logs (exp2[k + l]), is
+    added in with add_arrays."""
+    a, b = sorted((np.asarray(x, dtype=tower.exp2.dtype) for x in (a, b)),
+                  key=len)
+    out = np.zeros(len(a) + len(b) - 1, dtype=a.dtype)
+    nonzero, log_b = b != 0, tower.dlog[b]
+    for i in np.flatnonzero(a):
+        term = np.where(nonzero, tower.exp2[log_b + tower.dlog[a[i]]], 0)
+        out[i:i + len(b)] = tower.add_arrays(out[i:i + len(b)], term)
+    return out
+
+
 def min_poly(tower: FieldTower, beta: Element) -> SubfieldPolynomial:
-    """Minimal polynomial of beta over GF(q): the product of (X - c) over
-    the distinct q-power conjugates c of beta."""
+    """Minimal polynomial of beta over GF(q): the product of (X - gamma^k)
+    over k in the q-cyclotomic coset of log beta, the conjugates of beta."""
     if beta == 0:
         raise ValueError("beta must be nonzero")
-    conjugates = [beta]
-    c = tower.pow(beta, tower.q)
-    while c != beta:
-        conjugates.append(c)
-        c = tower.pow(c, tower.q)
-    # expand prod (X - c_j) with coefficients in GF(r)
-    coeffs: list[Element] = [1]
-    for c in conjugates:
-        coeffs = tower.poly_mul(coeffs, [tower.neg(c), 1])
-    return SubfieldPolynomial(tower, tuple(coeffs))
+    coset = cyclotomic_coset(tower.dlog_of(beta), tower.q, tower.r)
+    coeffs = reduce(partial(poly_mul_packed, tower), (
+        (tower.neg(tower.gamma_pow(k)), 1) for k in coset), (1,))
+    return SubfieldPolynomial(tower, tuple(coeffs.tolist()))

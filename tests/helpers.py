@@ -1,7 +1,9 @@
 """Shared test utilities: cached towers, independent float oracles, the
 unpruned modulus scan and scalar power table, the unreduced and unchunked
 enumeration kernels (with their own digit-by-digit field additions), the
-unblocked sampling kernel, the trace basis and scalar traces, scalar
+unblocked sampling kernel, scalar powers and the GF(q) membership test,
+the trace basis and scalar traces, the scalar polynomial product and long
+division behind the reference parity-check and generator polynomials, scalar
 codewords and the scalar period-sum weight, the t = e closed table summed
 over compositions, class tables, vanishing-pattern counts, the
 deterministic spec grid used by the method-agreement and invariant tests,
@@ -102,12 +104,26 @@ def trace_to_p(tower, a):
     return out
 
 
+def field_pow(tower, a, k):
+    """a^k in GF(r) for any int k, through the power table."""
+    if a == 0:
+        if k < 0:
+            raise ZeroDivisionError("0 is not invertible")
+        return 0 if k else 1
+    return int(tower.exp[int(tower.dlog[a]) * k % (tower.r - 1)])
+
+
+def in_subfield_q(tower, a):
+    """Whether a lies in the GF(q) subfield: a = 0 or a^q = a."""
+    return a == 0 or field_pow(tower, a, tower.q) == a
+
+
 def trace_to_q(tower, a):
     """Tr_{r/q}(a) = sum_{i<m} a^(q^i), an element of the GF(q) subfield:
     the scalar form of tower.trace_q_vector."""
     out = 0
     for i in range(tower.m):
-        out = tower.add(out, tower.pow(a, tower.q ** i))
+        out = tower.add(out, field_pow(tower, a, tower.q ** i))
     return out
 
 
@@ -248,7 +264,7 @@ def _per_h_luts(tower, derived, with_g):
         for b in betas:
             base = tower.mul(g, b) if with_g else b
             row.append(mul_constant_table(
-                tower, tower.pow(base, h))[eoc].astype(np.int32))
+                tower, field_pow(tower, base, h))[eoc].astype(np.int32))
         out.append(row)
     return out
 
@@ -377,7 +393,7 @@ def sample_weights_unblocked(tower, derived, nval_by_elem, q_delta_e,
     for h in range(e):
         v = None
         for tau in range(t):
-            k = tower.pow(tower.mul(g, betas[tau]), h)
+            k = field_pow(tower, tower.mul(g, betas[tau]), h)
             term = mul_constant_table(tower, k)[elems[:, tau]]
             v = term if v is None else tower.add_arrays(v, term)
         acc += nval_by_elem[v]
@@ -438,6 +454,53 @@ def eval_poly(poly, x):
     return acc
 
 
+def poly_mul_scalar(tower, a, b):
+    """Product of two polynomials with GF(r) coefficients, ascending, one
+    scalar multiplication and addition per pair of coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = tower.add(out[i + j], tower.mul(ai, bj))
+    return out
+
+
+def poly_divmod_monic(tower, num, den):
+    """(quotient, remainder) of num by the monic den, by scalar long
+    division."""
+    num = list(num)
+    dd = len(den) - 1
+    quot = [0] * (len(num) - dd)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i]
+        if c:
+            quot[i - dd] = c
+            for k in range(dd + 1):
+                num[i - dd + k] = tower.add(
+                    num[i - dd + k], tower.neg(tower.mul(c, den[k])))
+    return quot, num[:dd]
+
+
+def polynomials_by_division(tower, derived):
+    """Reference for build_polynomials: (h, g) as coefficient tuples.  Each
+    h_i is the product of X - c over the conjugates c = beta^(q^j) of
+    beta = gamma^(-a_i), found by powering; h is their scalar product and
+    g = (x^n - 1) / h by scalar long division, whose remainder must be 0."""
+    h = [1]
+    for ai in derived.a_list:
+        c = beta = tower.gamma_pow(-ai)
+        while True:
+            h = poly_mul_scalar(tower, h, [tower.neg(c), 1])
+            c = field_pow(tower, c, tower.q)
+            if c == beta:
+                break
+    xn1 = [tower.neg(1)] + [0] * (derived.n - 1) + [1]
+    g, rem = poly_divmod_monic(tower, xn1, h)
+    if any(rem):
+        raise ArithmeticError("h does not divide x^n - 1")
+    return tuple(h), tuple(g)
+
+
 def codeword(tower, derived, x_vec):
     """Symbols Tr_{r/q}(sum_j x_j gamma^(a_j i)) for i = 0..n-1."""
     powers = [tower.gamma_pow(ai) for ai in derived.a_list]
@@ -459,8 +522,8 @@ def period_arguments(tower, derived, x_vec):
     for h in range(derived.e):
         v = 0
         for x, b in zip(x_vec, betas):
-            v = tower.add(v, tower.mul(x, tower.pow(b, h)))
-        out.append(tower.mul(tower.pow(g, h), v))
+            v = tower.add(v, tower.mul(x, field_pow(tower, b, h)))
+        out.append(tower.mul(field_pow(tower, g, h), v))
     return out
 
 

@@ -193,6 +193,25 @@ def test_corpus_json_bytes_are_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CORPUS_JSON_DIGEST
 
 
+# sha256 of `params --json` stdout at large n, where g has degree 531416
+# and 1048569: 3^12 at (e, t) = (2, 2), and GF(2^20) over GF(2^10) at
+# (31, 3)
+LARGE_PARAMS_DIGESTS = [
+    ("--p 3 --m 12 --e 2 --t 2 --a 1 --delta 0,1",
+     "81327e20e7343103953de260998787114dc7c0c9134c0ac810e5b2563cc1ddf8"),
+    ("--p 2 --s 10 --m 2 --e 31 --t 3 --a 1 --delta 0,1,2",
+     "450759c184f7e5feb2d2ebbaf267ac85265116b8e56515e3bd17bf30f5f851ab"),
+]
+
+
+@pytest.mark.parametrize("flags, want", LARGE_PARAMS_DIGESTS,
+                         ids=["3^12", "2^20-s10"])
+def test_large_params_bytes_are_pinned(flags, want, capsys):
+    code, out, err = run_cli(capsys, "params", *flags.split(), "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
 def count_analysis_calls(monkeypatch) -> dict:
     """Wrap derive_params and validate_assumptions wherever cli, weights,
     codes and corpus import them; the returned dict counts their calls."""

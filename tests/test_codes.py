@@ -11,23 +11,30 @@ from hypothesis import given, strategies as st
 from cyclotome import codes
 from cyclotome.codes import (
     CodeSpec,
+    build_polynomials,
     derive_params,
     independent_power_rows,
     validate_assumptions,
 )
+from cyclotome.corpus import golden_examples
 from cyclotome.cyclotomy import gaussian_periods
 from cyclotome.errors import (
     AssumptionViolated,
+    DivisionNotExact,
     EDoesNotDivide,
     MinorBudgetExceeded,
 )
+from cyclotome.gf import SubfieldPolynomial
 from cyclotome.weights import TAG_TLT_N1, TAG_UNSUPPORTED
 from helpers import (
     GRID_TOWERS,
     classify_spec,
     codeword,
     codeword_weight_from_periods,
+    criterion_grid,
+    poly_mul_scalar,
     polynomials,
+    polynomials_by_division,
     tower,
     tower_for,
     trace_to_q,
@@ -222,13 +229,9 @@ class TestPolynomials:
         for spec in (S1, S6, CodeSpec(5, 1, 3, 4, 3, 1, (0, 1, 2))):
             tw, d = setup_for(spec)
             polys = polynomials(tw, spec, d)
-            prod = [0] * (d.n + 1)
-            for i, a in enumerate(polys.h.coeffs):
-                if a:
-                    for j, b in enumerate(polys.g.coeffs):
-                        prod[i + j] = tw.add(prod[i + j], tw.mul(a, b))
             expected = [tw.neg(1)] + [0] * (d.n - 1) + [1]
-            assert prod == expected
+            assert poly_mul_scalar(tw, polys.h.coeffs,
+                                   polys.g.coeffs) == expected
 
     def test_degree_is_tm_under_condition_iii(self):
         tw, d = setup_for(S5)
@@ -241,6 +244,60 @@ class TestPolynomials:
         tw, d = setup_for(sp)
         with pytest.raises(AssumptionViolated):
             polynomials(tw, sp, d)
+
+
+# beyond the goldens and the grid: GF(9^3), an s = 2 tower outside the
+# grid, at delta = 2 and delta = 7; the prime field GF(7), where the field
+# addition is (a + b) mod p; and GF(16) over itself (m = 1), where every
+# minimal polynomial is linear
+DIVISION_EXTRA = (CodeSpec(3, 2, 3, 7, 2, 2, (0, 1)),
+                  CodeSpec(3, 2, 3, 8, 2, 7, (0, 1)),
+                  CodeSpec(7, 1, 1, 3, 2, 1, (0, 1)),
+                  CodeSpec(2, 4, 1, 5, 2, 1, (0, 1)))
+DIVISION_SPECS = {
+    "golden": tuple(ex.spec for ex in golden_examples()),
+    "grid": tuple(sp for sp, _, _ in criterion_grid()),
+    "extra": DIVISION_EXTRA,
+}
+
+
+class TestPolynomialsMatchDivision:
+    """g read off as a codeword against the scalar long division."""
+
+    @pytest.mark.parametrize("group", sorted(DIVISION_SPECS))
+    def test_matches_long_division(self, group):
+        for spec in DIVISION_SPECS[group]:
+            tw, d = setup_for(spec)
+            polys = polynomials(tw, spec, d)
+            h, g = polynomials_by_division(tw, d)
+            assert polys.h.serial() == SubfieldPolynomial(tw, h).serial()
+            assert polys.g.serial() == SubfieldPolynomial(tw, g).serial()
+            assert polys.g.coeffs == g, spec
+
+    def test_specs_cover_s2_and_delta_above_one(self):
+        specs = [sp for group in DIVISION_SPECS.values() for sp in group]
+        assert any(sp.s == 2 for sp in specs)
+        assert any(derive_params(tower_for(sp), sp).delta > 1 for sp in specs)
+        assert any(sp.s == 2 and derive_params(tower_for(sp), sp).delta > 1
+                   for sp in DIVISION_EXTRA)
+
+    @pytest.mark.parametrize("perturb", ["drop", "shift"])
+    def test_perturbed_roots_raise(self, perturb, monkeypatch):
+        # a wrong root list gives wrong h'(rho), so wrong lambda_j; h still
+        # comes from min_poly, and the exactness check must catch g.  Not
+        # on the m = 1 specs: there "drop" empties the root list, and in
+        # GF(16) h'(rho) = gamma^-1 + gamma^-4 = 1, so lambda_j is unchanged
+        coset = codes.cyclotomic_coset
+        wrong = {"drop": lambda c: set(sorted(c)[1:]),
+                 "shift": lambda c: {k + 1 for k in c}}[perturb]
+        for spec in DIVISION_SPECS["golden"] + DIVISION_EXTRA[:2]:
+            tw, d = setup_for(spec)
+            report = validate_assumptions(tw, spec, d)
+            monkeypatch.setattr(codes, "cyclotomic_coset",
+                                lambda a, q, r: wrong(coset(a, q, r)))
+            with pytest.raises(DivisionNotExact):
+                build_polynomials(tw, d, report)
+            monkeypatch.undo()
 
 
 class TestCodewords:

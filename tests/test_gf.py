@@ -19,6 +19,7 @@ from cyclotome import gf
 from cyclotome.cyclotomy import gaussian_periods
 from cyclotome.gf import (
     DEFAULT_TABLE_CAP,
+    SubfieldPolynomial,
     _build_field,
     build_field,
     cyclotomic_coset,
@@ -27,6 +28,7 @@ from cyclotome.gf import (
     is_prime,
     min_poly,
     poly_mod,
+    poly_mul_packed,
     smallest_primitive_root,
 )
 from helpers import (
@@ -34,6 +36,9 @@ from helpers import (
     default_modulus_unpruned,
     digit_matrix,
     eval_poly,
+    field_pow,
+    in_subfield_q,
+    poly_mul_scalar,
     power_table_scalar,
     tower,
     trace_basis,
@@ -52,7 +57,8 @@ class TestBuildField:
     def test_known_towers(self):
         assert T27.r == 27 and T27.gamma == 3
         # gamma satisfies its modulus
-        v = T27.add(T27.add(T27.pow(T27.gamma, 3), T27.mul(2, T27.gamma)), 1)
+        v = T27.add(T27.add(field_pow(T27, T27.gamma, 3),
+                            T27.mul(2, T27.gamma)), 1)
         assert v == 0
         assert T64.r == 64
 
@@ -212,7 +218,7 @@ class TestFieldConstruction:
 
     def test_tables_are_read_only(self):
         # exp is a view of exp2: a write through it would change mul, inv
-        # and pow on the cached tower that every caller shares
+        # and gamma_pow on the cached tower that every caller shares
         tw = build_field(3, 2, 3)
         for name in ("exp", "exp2", "dlog", "trace_p_vector",
                      "trace_q_vector"):
@@ -232,9 +238,9 @@ class TestArithmetic:
     @given(st.integers(0, 26), st.integers(0, 26))
     def test_frobenius_is_additive_and_multiplicative(self, x, y):
         tw = T27
-        fx, fy = tw.pow(x, 3), tw.pow(y, 3)
-        assert tw.pow(tw.add(x, y), 3) == tw.add(fx, fy)
-        assert tw.pow(tw.mul(x, y), 3) == tw.mul(fx, fy)
+        fx, fy = field_pow(tw, x, 3), field_pow(tw, y, 3)
+        assert field_pow(tw, tw.add(x, y), 3) == tw.add(fx, fy)
+        assert field_pow(tw, tw.mul(x, y), 3) == tw.mul(fx, fy)
 
     @given(st.integers(0, 80), st.integers(0, 80))
     def test_add_matches_coefficient_sum(self, x, y):
@@ -302,13 +308,13 @@ class TestTraces:
             for x in range(0, tw.r, 7):
                 acc = 0
                 for i in range(tw.degree):
-                    acc = tw.add(acc, tw.pow(x, tw.p ** i))
+                    acc = tw.add(acc, field_pow(tw, x, tw.p ** i))
                 assert trace_to_p(tw, x) == acc
                 accq = 0
                 for i in range(tw.m):
-                    accq = tw.add(accq, tw.pow(x, tw.q ** i))
+                    accq = tw.add(accq, field_pow(tw, x, tw.q ** i))
                 assert trace_to_q(tw, x) == accq
-                assert tw.in_subfield_q(trace_to_q(tw, x))
+                assert in_subfield_q(tw, trace_to_q(tw, x))
 
     def test_trace_linear_over_subfield(self):
         tw = T81S2
@@ -396,8 +402,10 @@ class TestIrreducibility:
 
 class TestMinPoly:
     def test_printed_factors(self):
-        assert min_poly(T27, T27.pow(T27.gamma, -1)).coeffs == (1, 0, 2, 1)
-        assert min_poly(T27, T27.pow(T27.gamma, -14)).coeffs == (2, 0, 1, 1)
+        assert min_poly(T27, field_pow(T27, T27.gamma, -1)).coeffs \
+            == (1, 0, 2, 1)
+        assert min_poly(T27, field_pow(T27, T27.gamma, -14)).coeffs \
+            == (2, 0, 1, 1)
 
     def test_one(self):
         mp = min_poly(T27, 1)
@@ -408,13 +416,41 @@ class TestMinPoly:
             b = T27.gamma_pow(k)
             mp = min_poly(T27, b)
             assert eval_poly(mp, b) == 0
-            assert min_poly(T27, T27.pow(b, 3)).coeffs == mp.coeffs
+            assert min_poly(T27, field_pow(T27, b, 3)).coeffs == mp.coeffs
             assert mp.degree == len(cyclotomic_coset(k, 3, 27))
 
+    def test_coefficient_outside_subfield_rejected(self):
+        gamma = T81S2.gamma
+        with pytest.raises(ValueError,
+                           match=rf"^coefficient {gamma} is not in GF\(q\)$"):
+            SubfieldPolynomial(T81S2, (gamma, 1))
+
+    def test_subfield_test_matches_powering(self):
+        # the log test (0, or log c = 0 mod (r-1)/(q-1)) against c^q = c
+        for tw in (T27, T81S2, tower(2, 2, 3)):
+            for c in range(tw.r):
+                if in_subfield_q(tw, c):
+                    SubfieldPolynomial(tw, (1, c, 1))
+                else:
+                    with pytest.raises(ValueError, match=f"coefficient {c} "):
+                        SubfieldPolynomial(tw, (1, c, 1))
+
+    @pytest.mark.parametrize("field", [(2, 1, 6), (7, 1, 1), (3, 2, 2),
+                                       (5, 1, 3)])
+    def test_packed_product_matches_scalar(self, field):
+        tw = tower(*field)
+        rng = np.random.default_rng(tw.r)
+        for la, lb in ((1, 1), (1, 5), (4, 9), (9, 4), (7, 7)):
+            a = rng.integers(0, tw.r, la).tolist()
+            b = rng.integers(0, tw.r, lb).tolist()
+            b[0] = 0  # a zero coefficient in the longer factor
+            assert poly_mul_packed(tw, a, b).tolist() \
+                == poly_mul_scalar(tw, a, b)
+
     def test_subfield_coefficients_s2(self):
-        mp = min_poly(T81S2, T81S2.pow(T81S2.gamma, -1))
+        mp = min_poly(T81S2, field_pow(T81S2, T81S2.gamma, -1))
         assert mp.degree == 2
-        assert all(T81S2.in_subfield_q(c) for c in mp.coeffs)
+        assert all(in_subfield_q(T81S2, c) for c in mp.coeffs)
         with pytest.raises(ValueError):
             mp.gfp_coeffs()  # coefficients live in GF(9), not GF(3)
 
@@ -433,7 +469,7 @@ class TestCosets:
 
 class TestFormatting:
     def test_gfp_serial(self):
-        mp = min_poly(T27, T27.pow(T27.gamma, -1))
+        mp = min_poly(T27, field_pow(T27, T27.gamma, -1))
         assert mp.serial() == "1,0,2,1"
         assert str(mp) == "x^3 + 2x^2 + 1"
 
