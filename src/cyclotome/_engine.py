@@ -150,7 +150,13 @@ def _in_order(work, blocks, threaded: bool):
     i runs on lane i % WORKERS of a pool once that lane has handed back
     block i - WORKERS, so at most WORKERS blocks are in flight and the
     iterator runs on this thread.  A worker's exception is raised here in
-    its block's turn, and every thread is joined before this returns."""
+    its block's turn, and every thread is joined before this returns.
+
+    Hand-rolled: a block reaches its lane through one SimpleQueue, with no
+    Future, lock or condition per block.  A ThreadPoolExecutor with the same
+    window (in-process A/B, 30 alternations, 2 CPUs) was 1.13-1.24x slower
+    in median on the 2^20 sampler, 0.98-1.07x on the 7^5 sampler and the
+    open-case sweep."""
     if not threaded:
         yield from map(work, blocks)
         return

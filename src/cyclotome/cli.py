@@ -145,7 +145,7 @@ def cmd_periods(args) -> int:
     tower = build_field(args.p, args.s, args.m, modulus=args.modulus)
     pset = gaussian_periods(tower, args.L)
     rows = pset.rows.tolist()
-    cset, params = gaussian_periods_closed_form(tower, args.L) or (None, None)
+    cset, params = gaussian_periods_closed_form(tower, args.L, pset) or (None, None)
     if args.json:
         values = [v if isinstance(v, int) else {"zeta_counts": row}
                   for v, row in zip(pset.values, rows)]

@@ -309,6 +309,5 @@ def build_polynomials(tower: FieldTower, derived: DerivedParams,
             poly_mul_packed(tower, h, g[:deg + 1]),
             [tower.neg(1)] + [0] * (n - 1) + [1])):
         raise DivisionNotExact("parity-check polynomial does not divide x^n - 1")
-    return CodePolynomials(
-        factors=factors, h=SubfieldPolynomial(tower, tuple(h.tolist())),
-        g=SubfieldPolynomial(tower, tuple(g[:deg + 1].tolist())))
+    return CodePolynomials(factors=factors, h=SubfieldPolynomial(tower, h),
+                           g=SubfieldPolynomial(tower, g[:deg + 1]))

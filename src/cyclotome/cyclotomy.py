@@ -365,8 +365,9 @@ def applicable_closed_form(tower: FieldTower, L: int) -> str | None:
     return None
 
 
-def gaussian_periods_closed_form(tower: FieldTower, L: int
-                                 ) -> tuple[GaussianPeriodSet, dict] | None:
+def gaussian_periods_closed_form(
+        tower: FieldTower, L: int, exact: GaussianPeriodSet | None = None
+) -> tuple[GaussianPeriodSet, dict] | None:
     """Closed-form periods of order L, labeled by class, and the solved
     constants behind them: a dict of the variant, then the constants it
     solved for (A_k and B_k as fraction strings).  None when no closed
@@ -374,7 +375,8 @@ def gaussian_periods_closed_form(tower: FieldTower, L: int
 
     The order3 and index2 variants consult the exact oracle to resolve the
     gamma-dependent labels (signs of d1, the +/- class split); the value
-    multiset itself comes from the solved closed form.
+    multiset itself comes from the solved closed form.  exact, when given,
+    is gaussian_periods(tower, L), already tallied by the caller.
     """
     _check_order(tower, L, L * tower.p)
     variant = applicable_closed_form(tower, L)
@@ -383,9 +385,10 @@ def gaussian_periods_closed_form(tower: FieldTower, L: int
     if variant == "order2":
         rows, params = _closed_order2(tower)
     elif variant == "order3":
-        rows, params = _closed_order3(tower, gaussian_periods(tower, 3))
+        rows, params = _closed_order3(tower, exact or gaussian_periods(tower, 3))
     elif variant == "semiprimitive":
         rows, params = _closed_semiprimitive(tower, L)
     else:
-        rows, params = _closed_index2(tower, L, gaussian_periods(tower, L))
+        rows, params = _closed_index2(tower, L,
+                                      exact or gaussian_periods(tower, L))
     return _period_set(tower, L, rows), params

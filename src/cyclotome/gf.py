@@ -25,6 +25,10 @@ its last successful call and returns it again for equal arguments, so
 consecutive builds of one field share one tower, with its lazily built trace
 vectors and addition tables.  At most one tower is held: a new field drops
 it once its modulus passes the checks, before the new tables are built.
+
+Polynomials over GF(q) stay on the tower's arrays: a SubfieldPolynomial is
+one read-only coefficient array, poly_mul_packed the one product, and
+printing names each distinct coefficient value once.
 """
 
 from __future__ import annotations
@@ -425,30 +429,9 @@ class FieldTower:
 
     # -- misc ----------------------------------------------------------------
 
-    def element_str(self, a: Element) -> str:
-        """Human form: GF(p) constants print as ints; other subfield members
-        print as powers of g, the canonical generator of GF(q)* inside GF(r);
-        anything else as a power of gamma."""
-        if a < self.p:
-            return str(a)
-        k = self.dlog_of(a)
-        step = (self.r - 1) // (self.q - 1)
-        if k % step == 0:
-            e = k // step
-            return "g" if e == 1 else f"g^{e}"
-        return f"gamma^{k}"
-
     def __repr__(self) -> str:
         return (f"FieldTower(p={self.p}, s={self.s}, m={self.m}, "
                 f"r={self.r}, modulus={self.modulus})")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FieldTower)
-                and (self.p, self.s, self.m, self.modulus)
-                == (other.p, other.s, other.m, other.modulus))
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.s, self.m, self.modulus))
 
 
 def build_field(p: int, s: int, m: int, modulus=None) -> FieldTower:
@@ -493,25 +476,28 @@ def _build_field(p: int, s: int, m: int, modulus: tuple[int, ...] | None
 # Minimal polynomials over the middle field GF(q).
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubfieldPolynomial:
     """A monic polynomial with coefficients in the GF(q) subfield of GF(r).
 
-    Coefficients are stored ascending as packed GF(r) elements; each is 0
-    or has log c = 0 mod (r-1)/(q-1), one array test.  When s = 1 the
-    coefficients are ordinary ints in [0, p) and gfp_coeffs() exposes them
-    that way.
+    coeffs is one array of packed GF(r) elements in the tower's dtype,
+    ascending, made read-only here; each is 0 or has log c = 0 mod
+    (r-1)/(q-1), one array test.  Printing names each distinct value once: a
+    GF(p) constant by its int, any other c by g^(log c / ((r-1)/(q-1))), g
+    the generator gamma^((r-1)/(q-1)) of GF(q)*.  At s = 1, gfp_coeffs()
+    gives the coefficients as a tuple of ints in [0, p).
     """
 
     tower: FieldTower
-    coeffs: tuple[Element, ...]
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        tw, c = self.tower, np.asarray(self.coeffs, dtype=np.int64)
+        tw, c = self.tower, np.asarray(self.coeffs, self.tower.exp2.dtype)
+        c.flags.writeable = False
+        object.__setattr__(self, "coeffs", c)
         bad = (c != 0) & (tw.dlog[c] % ((tw.r - 1) // (tw.q - 1)) != 0)
         if bad.any():
-            raise ValueError(
-                f"coefficient {self.coeffs[bad.argmax()]} is not in GF(q)")
+            raise ValueError(f"coefficient {c[bad.argmax()]} is not in GF(q)")
 
     @property
     def degree(self) -> int:
@@ -520,26 +506,31 @@ class SubfieldPolynomial:
     def gfp_coeffs(self) -> tuple[int, ...]:
         if self.tower.s != 1:
             raise ValueError("coefficients live in GF(q) with q > p")
-        return self.coeffs  # packed GF(p) constants are their own ints
+        return tuple(self.coeffs.tolist())  # packed GF(p) constants are ints
+
+    def _names(self) -> tuple[list[str], np.ndarray]:
+        """One name per distinct coefficient value, and each index into it."""
+        tw = self.tower
+        values, index = np.unique(self.coeffs, return_inverse=True)
+        powers = tw.dlog[values] // ((tw.r - 1) // (tw.q - 1))
+        names = [str(c) if c < tw.p else "g" if k == 1 else f"g^{k}"
+                 for c, k in zip(values.tolist(), powers.tolist())]
+        return names, index
 
     def serial(self) -> str:
-        """Comma-separated ascending coefficients (ints when s = 1, else
-        powers of the subfield generator g)."""
-        return ",".join(self.tower.element_str(c) for c in self.coeffs)
+        """Comma-separated ascending coefficient names."""
+        names, index = self._names()
+        return ",".join(np.array(names, dtype=object)[index].tolist())
 
     def __str__(self) -> str:
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            cs = self.tower.element_str(c)
-            if i == 0:
-                terms.append(cs)
-            else:
-                xi = "x" if i == 1 else f"x^{i}"
-                terms.append(xi if cs == "1" else f"{cs}{xi}" if cs.isdigit()
-                             else f"({cs}){xi}")
+        names, index = self._names()
+        # the scaled name of each coefficient; None marks 0, which is left out
+        scaled = np.array([None if c == "0" else "" if c == "1" else c
+                           if c.isdigit() else f"({c})" for c in names],
+                          dtype=object)[index].tolist()
+        terms = [scaled[i] + ("x" if i == 1 else f"x^{i}") if i
+                 else names[index[0]]
+                 for i in range(self.degree, -1, -1) if scaled[i] is not None]
         return " + ".join(terms) if terms else "0"
 
 
@@ -566,4 +557,4 @@ def min_poly(tower: FieldTower, beta: Element) -> SubfieldPolynomial:
     coset = cyclotomic_coset(tower.dlog_of(beta), tower.q, tower.r)
     coeffs = reduce(partial(poly_mul_packed, tower), (
         (tower.neg(tower.gamma_pow(k)), 1) for k in coset), (1,))
-    return SubfieldPolynomial(tower, tuple(coeffs.tolist()))
+    return SubfieldPolynomial(tower, coeffs)

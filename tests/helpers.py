@@ -454,6 +454,31 @@ def eval_poly(poly, x):
     return acc
 
 
+def subfield_name(tower, c):
+    """Printed name of c in GF(q), by search: a GF(p) constant is its int,
+    else g^k (plain g at k = 1) for the k with g^k = c, g =
+    gamma^((r-1)/(q-1))."""
+    if c < tower.p:
+        return str(c)
+    g = tower.gamma_pow((tower.r - 1) // (tower.q - 1))
+    k = next(k for k in range(1, tower.q - 1) if field_pow(tower, g, k) == c)
+    return "g" if k == 1 else f"g^{k}"
+
+
+def poly_str_scalar(tower, coeffs):
+    """Text form of a polynomial with GF(q) coefficients, ascending, one
+    coefficient at a time: descending terms, 0 left out, 1 x^i as x^i and a
+    power of g in parentheses."""
+    terms = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        if coeffs[i]:
+            cs = subfield_name(tower, coeffs[i])
+            xi = "x" if i == 1 else f"x^{i}"
+            terms.append(cs if i == 0 else xi if cs == "1" else f"{cs}{xi}"
+                         if cs.isdigit() else f"({cs}){xi}")
+    return " + ".join(terms) if terms else "0"
+
+
 def poly_mul_scalar(tower, a, b):
     """Product of two polynomials with GF(r) coefficients, ascending, one
     scalar multiplication and addition per pair of coefficients."""

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from pathlib import Path
@@ -193,23 +194,68 @@ def test_corpus_json_bytes_are_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CORPUS_JSON_DIGEST
 
 
-# sha256 of `params --json` stdout at large n, where g has degree 531416
-# and 1048569: 3^12 at (e, t) = (2, 2), and GF(2^20) over GF(2^10) at
-# (31, 3)
+# sha256 of `params` stdout, text and --json, at large n, where g has
+# degree 531416 and 1048569: 3^12 at (e, t) = (2, 2), and GF(2^20) over
+# GF(2^10) at (31, 3); and on GF(16) over itself (m = 1, q = r), where a
+# coefficient g^1 prints as plain g
 LARGE_PARAMS_DIGESTS = [
     ("--p 3 --m 12 --e 2 --t 2 --a 1 --delta 0,1",
+     "9f9725956b5eee26da0ac004a0b04c8492bda817d0c4c03533820cc53b5d62c3",
      "81327e20e7343103953de260998787114dc7c0c9134c0ac810e5b2563cc1ddf8"),
     ("--p 2 --s 10 --m 2 --e 31 --t 3 --a 1 --delta 0,1,2",
+     "283cec8b2790af48eb1f630dac69b32c6894e9f5443ff7df20be2ad0ff5d64d0",
      "450759c184f7e5feb2d2ebbaf267ac85265116b8e56515e3bd17bf30f5f851ab"),
+    ("--p 2 --s 4 --m 1 --e 3 --t 2 --a 1 --delta 0,1",
+     "39d2a27bed3e5f3136f485d10b73521ec0ad5097e137c73461eec7e2772d0c6a",
+     "b2c5e5695c65c1f5e7eb2d6206e74c45ab02d8aa35e3ea1465556f937a38e18d"),
 ]
 
 
-@pytest.mark.parametrize("flags, want", LARGE_PARAMS_DIGESTS,
-                         ids=["3^12", "2^20-s10"])
-def test_large_params_bytes_are_pinned(flags, want, capsys):
-    code, out, err = run_cli(capsys, "params", *flags.split(), "--json")
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == want
+@pytest.mark.parametrize("flags, text_digest, json_digest",
+                         LARGE_PARAMS_DIGESTS,
+                         ids=["3^12", "2^20-s10", "2^4-m1"])
+def test_large_params_bytes_are_pinned(flags, text_digest, json_digest,
+                                       capsys):
+    for extra, want in (([], text_digest), (["--json"], json_digest)):
+        code, out, err = run_cli(capsys, "params", *flags.split(), *extra)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == want, extra
+
+
+def test_large_params_traced_peak(capsys):
+    # g of degree 1048569 goes from one coefficient array to its text
+    # through one name per distinct value, not one Python int and one str
+    # per coefficient; the tower is built first, so its tables do not count
+    cyclotome.build_field(2, 10, 2)
+    tracemalloc.start()
+    try:
+        code = main("params --p 2 --s 10 --m 2 --e 31 --t 3 --a 1"
+                    " --delta 0,1,2 --json".split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(capsys.readouterr().out) > 10 ** 6
+    assert peak <= 64 * 2 ** 20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("pmL", [(2, 6, 7), (7, 3, 3)],
+                         ids=["2^6-L7", "7^3-L3"])
+def test_periods_tallies_the_oracle_once(pmL, capsys, monkeypatch):
+    # the closed form reads its class labels off the periods the command
+    # already tallied, at 2^6 (index 2) and 7^3 (order 3)
+    calls = []
+    real = cyclotome.cyclotomy.gaussian_periods
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cyclotome.cli, "gaussian_periods", counted)
+    monkeypatch.setattr(cyclotome.cyclotomy, "gaussian_periods", counted)
+    p, m, L = map(str, pmL)
+    code, out, _ = run_cli(capsys, "periods", "--p", p, "--m", m, "--L", L)
+    assert code == 0 and "matches exact: True" in out
+    assert len(calls) == 1
 
 
 def count_analysis_calls(monkeypatch) -> dict:

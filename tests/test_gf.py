@@ -39,7 +39,9 @@ from helpers import (
     field_pow,
     in_subfield_q,
     poly_mul_scalar,
+    poly_str_scalar,
     power_table_scalar,
+    subfield_name,
     tower,
     trace_basis,
     trace_to_p,
@@ -402,21 +404,22 @@ class TestIrreducibility:
 
 class TestMinPoly:
     def test_printed_factors(self):
-        assert min_poly(T27, field_pow(T27, T27.gamma, -1)).coeffs \
-            == (1, 0, 2, 1)
-        assert min_poly(T27, field_pow(T27, T27.gamma, -14)).coeffs \
-            == (2, 0, 1, 1)
+        assert min_poly(T27, field_pow(T27, T27.gamma, -1)).coeffs.tolist() \
+            == [1, 0, 2, 1]
+        assert min_poly(T27, field_pow(T27, T27.gamma, -14)).coeffs.tolist() \
+            == [2, 0, 1, 1]
 
     def test_one(self):
         mp = min_poly(T27, 1)
-        assert mp.coeffs == (2, 1)  # x - 1
+        assert mp.coeffs.tolist() == [2, 1]  # x - 1
 
     def test_root_and_frobenius_invariance(self):
         for k in (1, 5, 14, 20):
             b = T27.gamma_pow(k)
             mp = min_poly(T27, b)
             assert eval_poly(mp, b) == 0
-            assert min_poly(T27, field_pow(T27, b, 3)).coeffs == mp.coeffs
+            assert min_poly(T27, field_pow(T27, b, 3)).coeffs.tolist() \
+                == mp.coeffs.tolist()
             assert mp.degree == len(cyclotomic_coset(k, 3, 27))
 
     def test_coefficient_outside_subfield_rejected(self):
@@ -475,6 +478,29 @@ class TestFormatting:
 
     def test_subfield_power_format(self):
         g = T81S2.gamma_pow((T81S2.r - 1) // (T81S2.q - 1))
-        assert T81S2.element_str(g) == "g"
-        assert T81S2.element_str(T81S2.mul(g, g)) == "g^2"
-        assert T81S2.element_str(2) == "2"
+        poly = SubfieldPolynomial(T81S2, (g, T81S2.mul(g, g), 2, 0, g, 1))
+        assert poly.serial() == "g,g^2,2,0,g,1"
+        assert str(poly) == "x^5 + (g)x^4 + 2x^2 + (g^2)x + g"
+
+    @pytest.mark.parametrize("field", [(3, 2, 2), (2, 4, 1), (3, 1, 3),
+                                       (2, 2, 3), (5, 2, 1)])
+    def test_names_match_scalar_reference(self, field):
+        # one name per distinct value, spread by index, against naming each
+        # coefficient on its own; m = 1 has q = r, so every element is named
+        tw = tower(*field)
+        step = (tw.r - 1) // (tw.q - 1)
+        members = [0] + [tw.gamma_pow(step * k) for k in range(tw.q - 1)]
+        rng = np.random.default_rng(tw.r)
+        for size in (1, 2, 5, 60):
+            coeffs = [members[i] for i in rng.integers(0, tw.q, size - 1)]
+            coeffs.append(1)
+            poly = SubfieldPolynomial(tw, coeffs)
+            assert poly.serial() == ",".join(
+                subfield_name(tw, c) for c in coeffs)
+            assert str(poly) == poly_str_scalar(tw, coeffs)
+
+    def test_coefficients_are_read_only(self):
+        mp = min_poly(T27, field_pow(T27, T27.gamma, -1))
+        with pytest.raises(ValueError, match="read-only"):
+            mp.coeffs[0] = 2
+        assert mp.coeffs.dtype == T27.exp2.dtype
