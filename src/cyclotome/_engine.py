@@ -25,7 +25,9 @@ of the trailing axes resident and walks the leading codes in blocks.  Where
 the folds are large, runs of g period arguments share one composed table
 and one gather per input.  The sampler at t = 2 adds in the log domain
 through Zech's logarithms (Lidl & Niederreiter, Finite Fields), one table
-lookup per period argument.
+lookup per period argument.  It keeps a count per weight, not a weight per
+draw: past its blocks it holds a slot per weight 0..n and a count per
+expected weight.
 
 A sweep or a sample that needs more than one block at the full budget runs
 its blocks on WORKERS threads, one per CPU the process may use (_in_order;
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import os
 import threading
+from collections import Counter
 from itertools import chain
 from math import gcd
 
@@ -163,7 +166,8 @@ def _in_order(work, blocks, threaded: bool):
     from queue import SimpleQueue
 
     def serve(inbox, outbox):
-        for block in iter(inbox.get, None):
+        # "is not", since == on an array block compares element by element
+        while (block := inbox.get()) is not None:
             try:
                 outbox.put(work(block))
             except BaseException as exc:  # re-raised on the calling thread
@@ -374,17 +378,22 @@ def _zech_tables(tower: FieldTower, N: int, nval_by_elem: np.ndarray
 
 
 def sample_weights(tower: FieldTower, derived: DerivedParams,
-                   nval_by_elem: np.ndarray, count: int,
-                   seed: int) -> np.ndarray:
-    """Weights of `count` seeded-uniform inputs, via the period identity.
+                   nval_by_elem: np.ndarray, support, count: int,
+                   seed: int) -> dict[int, int]:
+    """{weight: draws} over `count` seeded-uniform inputs, weighed through
+    the period identity: each weight drawn, ascending, with its exact count.
 
     nval_by_elem[v] must hold N * eta(class of v) for v != 0 and r - 1 at
-    v = 0 (rational periods only).  Returns an int64 weight per sample.
+    v = 0 (rational periods only).  support holds the K weights expected,
+    ascending (a closed table's).  A block's weights go to their slots
+    through one (n+1)-entry table of the narrowest dtype that holds K, and
+    one bincount over K + 1 slots counts them; np.unique counts the draws
+    outside the support.  No array as long as the draws is kept.
 
     Inputs are drawn as int32 codes (an int64 draw's numbers, r <= 2^31)
     and weighed in row blocks of SWEEP_BYTES // (8 t) codes (threaded,
     1/(4 WORKERS) of that); consecutive blocks of one generator's draws are
-    the draws of one (count, t) call, so weights ignore the block size.
+    the draws of one (count, t) call, so counts ignore the block size.
     Products go through logs: code c >= 1 is gamma^(c-1), so its product
     with gamma^k, k = h a_tau mod (r-1), is exp2[c - 1 + k] in the power
     table, and a zero code contributes zero.  At t = 2 the sum is not formed:
@@ -405,10 +414,13 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
     if threaded:
         rows = max(1, rows // (4 * WORKERS))
         tower.add_arrays(exp2[:1], exp2[:1])  # lazy tables, not in a worker
-    out = np.empty(count, dtype=np.int64)
+    support = np.asarray(support, dtype=np.int64)
+    K, n = len(support), derived.n
+    slots = np.full(n + 1, K, dtype=np.min_scalar_type(K))
+    fits = (support >= 0) & (support <= n)
+    slots[support[fits]] = np.flatnonzero(fits)
 
-    def weigh(block):
-        lo, drawn = block
+    def weigh(drawn):
         lg = np.ascontiguousarray(drawn.T)
         lg -= 1
         zeros = [np.flatnonzero(row < 0) for row in lg]
@@ -436,12 +448,19 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
                     term[z] = 0
                     v = term if v is None else tower.add_arrays(v, term)
                 acc += nval_by_elem.take(v)
-        out[lo:lo + len(drawn)] = weights_of_period_sums(
-            e * r1 - acc, tower.q, derived.delta, e)
+        ws = weights_of_period_sums(e * r1 - acc, tower.q, derived.delta, e)
+        slot = slots.take(ws, mode="clip")
+        outside = support.take(slot, mode="clip") != ws
+        slot[outside] = K
+        return (np.bincount(slot, minlength=K + 1),
+                np.unique(ws[outside], return_counts=True))
 
-    draws = ((lo, rng.integers(0, r, size=(min(rows, count - lo), t),
-                               dtype=exp2.dtype))
+    draws = (rng.integers(0, r, size=(min(rows, count - lo), t),
+                          dtype=exp2.dtype)
              for lo in range(0, count, rows))
-    for _ in _in_order(weigh, draws, threaded):
-        pass
-    return out
+    inside, tally = np.zeros(K + 1, dtype=np.int64), Counter()
+    for counts, (ws, cs) in _in_order(weigh, draws, threaded):
+        inside += counts
+        tally.update(dict(zip(ws.tolist(), cs.tolist())))
+    tally.update(dict(zip(support.tolist(), inside.tolist())))
+    return {w: c for w, c in sorted(tally.items()) if c}

@@ -14,6 +14,7 @@ import os
 import sys
 
 from . import corpus as corpus_mod
+from ._engine import SWEEP_BYTES
 from .codes import (
     CodeSpec,
     build_polynomials,
@@ -134,38 +135,43 @@ def cmd_params(args) -> int:
              if classification.period_source else "")
           + (f" [{classification.reason}]" if classification.reason else ""))
     if polys:
-        for ai, f in zip(derived.a_list, polys.factors):
-            print(f"h_{ai}(x) = {f}")
-        print(f"h(x) = {polys.h}")
-        print(f"g(x) = {polys.g}")
+        named = [(f"h_{a}", f) for a, f in zip(derived.a_list, polys.factors)]
+        for name, poly in named + [("h", polys.h), ("g", polys.g)]:
+            print(f"{name}(x) = ", end="")
+            # chunks of SWEEP_BYTES at about 64 bytes a term held
+            for chunk in poly.str_chunks(SWEEP_BYTES // 64):
+                print(chunk, end="")
+            print()
     return 0
 
 
 def cmd_periods(args) -> int:
     tower = build_field(args.p, args.s, args.m, modulus=args.modulus)
     pset = gaussian_periods(tower, args.L)
-    rows = pset.rows.tolist()
     cset, params = gaussian_periods_closed_form(tower, args.L, pset) or (None, None)
+    # count rows become lists only where they print (irrational, --tallies)
     if args.json:
-        values = [v if isinstance(v, int) else {"zeta_counts": row}
-                  for v, row in zip(pset.values, rows)]
+        values = [v if isinstance(v, int)
+                  else {"zeta_counts": pset.rows[i].tolist()}
+                  for i, v in enumerate(pset.values)]
         obj = {"L": args.L, "values": values,
                "modified_zero": pset.eta_bar_zero,
                "closed_form": ({"variant": params["variant"],
                                 "params": params} if params else None)}
         if args.tallies:
-            obj["tallies"] = rows
+            obj["tallies"] = pset.rows.tolist()
         print(canonical_json(obj))
         return 0
     print(f"order-{args.L} Gaussian periods of GF({tower.r}), "
           f"classes of size {(tower.r - 1) // args.L}")
-    for i, (v, row) in enumerate(zip(pset.values, rows)):
-        shown = v if isinstance(v, int) else f"counts{tuple(row)}"
+    for i, v in enumerate(pset.values):
+        shown = (v if isinstance(v, int)
+                 else f"counts{tuple(pset.rows[i].tolist())}")
         print(f"  eta_{i} = {shown}")
     print(f"  modified value at 0: {pset.eta_bar_zero}")
     if args.tallies:
-        for i, row in enumerate(rows):
-            print(f"  tally_{i} = {tuple(row)}")
+        for i, row in enumerate(pset.rows):
+            print(f"  tally_{i} = {tuple(row.tolist())}")
     if params:
         print(f"closed form: {params['variant']} {params}, "
               f"matches exact: {cset.values == pset.values}")

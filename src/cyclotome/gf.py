@@ -523,15 +523,25 @@ class SubfieldPolynomial:
         return ",".join(np.array(names, dtype=object)[index].tolist())
 
     def __str__(self) -> str:
+        return "".join(self.str_chunks(self.degree + 1))
+
+    def str_chunks(self, terms: int):
+        """str(self) in pieces of at most `terms` nonzero terms each, highest
+        degree first, so that a long polynomial can be written out with no
+        str per term held for all of it."""
         names, index = self._names()
-        # the scaled name of each coefficient; None marks 0, which is left out
-        scaled = np.array([None if c == "0" else "" if c == "1" else c
-                           if c.isdigit() else f"({c})" for c in names],
-                          dtype=object)[index].tolist()
-        terms = [scaled[i] + ("x" if i == 1 else f"x^{i}") if i
-                 else names[index[0]]
-                 for i in range(self.degree, -1, -1) if scaled[i] is not None]
-        return " + ".join(terms) if terms else "0"
+        # the scaled name of each distinct nonzero value
+        scaled = ["" if c == "1" else c if c.isdigit() else f"({c})"
+                  for c in names]
+        degrees = np.flatnonzero(self.coeffs)[::-1]
+        if not degrees.size:
+            yield "0"
+        for lo in range(0, degrees.size, terms):
+            chunk = degrees[lo:lo + terms]
+            text = " + ".join(
+                scaled[k] + ("x" if i == 1 else f"x^{i}") if i else names[k]
+                for i, k in zip(chunk.tolist(), index[chunk].tolist()))
+            yield text if lo == 0 else " + " + text
 
 
 def poly_mul_packed(tower: FieldTower, a, b) -> np.ndarray:

@@ -521,12 +521,11 @@ def _sampling_check(tower, derived, closed: WeightDistribution,
     report each class's deviation in binomial sigmas."""
     periods = integer_periods(gaussian_periods(tower, derived.N))
     m = DEFAULT_SAMPLE_COUNT
-    ws = _engine.sample_weights(
-        tower, derived, _nval_by_elem(tower, derived.N, periods), m,
-        caps.seed)
-    observed = np.bincount(ws, minlength=derived.n + 1)
-    support = set(closed.weights())
-    outside = [int(w) for w in np.nonzero(observed)[0] if int(w) not in support]
+    support = closed.weights()
+    tally = _engine.sample_weights(
+        tower, derived, _nval_by_elem(tower, derived.N, periods), support,
+        m, caps.seed)
+    outside = sorted(set(tally) - set(support))
     total = tower.r ** derived.t
     worst, least = 0.0, 1.0
     rows = []
@@ -534,10 +533,11 @@ def _sampling_check(tower, derived, closed: WeightDistribution,
         pw = c / total
         mu = m * pw
         sigma = (m * pw * (1 - pw)) ** 0.5
-        dev = abs(int(observed[w]) - mu) / sigma if sigma > 0 else 0.0
+        seen = tally.get(w, 0)
+        dev = abs(seen - mu) / sigma if sigma > 0 else 0.0
         worst = max(worst, dev)
-        least = min(least, _chernoff_bound(int(observed[w]), m, pw))
-        rows.append({"w": w, "observed": int(observed[w]),
+        least = min(least, _chernoff_bound(seen, m, pw))
+        rows.append({"w": w, "observed": seen,
                      "expected": mu, "sigma_dev": dev})
     ok = not outside and least > SAMPLING_ALPHA / (2 * len(closed.entries))
     return {"ok": ok, "count": m, "seed": caps.seed,

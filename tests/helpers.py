@@ -381,8 +381,9 @@ def vanishing_mask_tally_unchunked(tower, derived):
 
 def sample_weights_unblocked(tower, derived, nval_by_elem, q_delta_e,
                              count, seed):
-    """Reference for _engine.sample_weights: one (count, t) draw, and one
-    r-entry multiplication table per (h, tau)."""
+    """Reference for _engine.sample_weights, whose tally is the Counter of
+    these per-draw weights: one (count, t) draw, and one r-entry
+    multiplication table per (h, tau)."""
     q, delta, e = q_delta_e
     r, t = tower.r, derived.t
     rng = np.random.default_rng(seed)

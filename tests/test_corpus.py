@@ -80,9 +80,13 @@ def test_broken_sampler_fails_the_corpus(monkeypatch):
     ex = golden_examples()[4]
 
     def skewed(*args):
-        ws = real(*args)
-        ws[: len(ws) // 100] = ex.d
-        return ws
+        # 1% of the largest class's draws counted at weight d instead
+        tally = real(*args)
+        top = max(tally, key=tally.get)
+        moved = tally[top] // 100
+        tally[top] -= moved
+        tally[ex.d] = tally.get(ex.d, 0) + moved
+        return tally
 
     monkeypatch.setattr(_engine, "sample_weights", skewed)
     res = run_example(ex)
@@ -95,9 +99,9 @@ def sampled_seeds(monkeypatch):
     seeds = []
     real = _engine.sample_weights
 
-    def spy(tower, derived, nval_by_elem, count, seed):
+    def spy(tower, derived, nval_by_elem, support, count, seed):
         seeds.append(seed)
-        return real(tower, derived, nval_by_elem, count, seed)
+        return real(tower, derived, nval_by_elem, support, count, seed)
 
     monkeypatch.setattr(_engine, "sample_weights", spy)
     return seeds

@@ -498,6 +498,8 @@ class TestFormatting:
             assert poly.serial() == ",".join(
                 subfield_name(tw, c) for c in coeffs)
             assert str(poly) == poly_str_scalar(tw, coeffs)
+            for terms in (1, 2, 7):
+                assert "".join(poly.str_chunks(terms)) == str(poly)
 
     def test_coefficients_are_read_only(self):
         mp = min_poly(T27, field_pow(T27, T27.gamma, -1))

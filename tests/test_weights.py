@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -466,13 +467,14 @@ class TestCrossVerify:
         nval[0] = tw.r - 1
         vals = np.array(ps.rational_values, dtype=np.int64) * d.N
         nval[tw.exp] = vals[np.arange(tw.r - 1) % d.N]
-        ws = sample_weights(tw, d, nval, 50, seed=123)
+        tally = sample_weights(tw, d, nval, closed_dist(tw, S5, d).weights(),
+                               50, seed=123)
         rng = np.random.default_rng(123)
         codes = rng.integers(0, tw.r, size=(50, 7))
         eoc = np.concatenate([[0], tw.exp])
-        for row, w in zip(codes, ws):
-            x = tuple(int(eoc[c]) for c in row)
-            assert codeword_weight_from_periods(tw, d, ps, x) == int(w)
+        want = Counter(codeword_weight_from_periods(
+            tw, d, ps, tuple(int(eoc[c]) for c in row)) for row in codes)
+        assert list(tally.items()) == sorted(want.items())
 
 
 class TestSamplingVerdict:
@@ -498,6 +500,23 @@ class TestSamplingVerdict:
         bad = WeightDistribution.from_counts(counts.items())
         assert bad.total == tw.r ** d.t
         assert not _sampling_check(tw, d, bad, Caps(seed=0))["ok"]
+
+    def test_drawn_weight_outside_support_fails(self):
+        # a table that lacks its largest class: the draws at that weight
+        # are counted outside the support, and every other class keeps the
+        # count it has against the full table
+        tw, d = setup_for(S5)
+        closed = closed_dist(tw, S5, d)
+        counts = dict(closed.entries)
+        top = max(counts, key=counts.get)
+        del counts[top]
+        res = _sampling_check(tw, d, WeightDistribution.from_counts(
+            counts.items()), Caps(seed=0))
+        assert res["weights_outside_support"] == [top]
+        assert not res["ok"]
+        full = _sampling_check(tw, d, closed, Caps(seed=0))
+        assert full["weights_outside_support"] == []
+        assert [row for row in full["rows"] if row["w"] != top] == res["rows"]
 
     def test_chernoff_bound_edges(self):
         assert _chernoff_bound(0, 10, 0.5) == pytest.approx(0.5 ** 10)
@@ -799,28 +818,53 @@ class TestBlockedSampling:
                 rows //= 4 * workers
             assert count % rows != 0
             for seed in seeds:
-                got = sample_weights(tw, d, nval, count, seed=seed)
-                want = sample_weights_unblocked(tw, d, nval, qde, count,
-                                                seed=seed)
-                assert got.dtype == np.int64
-                np.testing.assert_array_equal(
-                    got, want, err_msg=f"{budget} B, seed {seed}")
+                want = Counter(sample_weights_unblocked(
+                    tw, d, nval, qde, count, seed=seed).tolist())
+                # every other drawn weight as the support, so the rest are
+                # counted outside it, and two weights past 0..n no draw has
+                support = [-1] + sorted(want)[::2] + [d.n + 1]
+                got = sample_weights(tw, d, nval, support, count, seed=seed)
+                assert list(got.items()) == sorted(want.items()), (
+                    f"{budget} B, seed {seed}")
 
     def test_peak_memory(self, monkeypatch):
-        # 1e6 draws on 2^20: the int64 output (8 MB) plus a few SWEEP_BYTES
-        # of serial block temporaries, or two lanes of blocks a quarter of
-        # SWEEP_BYTES each, with the tower's tables already built (19 and
-        # 11 MB here; the unblocked kernel peaks at about 93 MB)
-        tw, d, nval, _ = _sampling_inputs(SAMPLED_LADDER[-1])
-        for workers, bound_mb in ((1, 24), (2, 16)):
+        # 1e6 draws on 2^20: a few SWEEP_BYTES of serial block temporaries,
+        # or two lanes of blocks a quarter of SWEEP_BYTES each, with the
+        # tower's tables already built, and no weight per draw (12 and 5 MB
+        # here; the unblocked kernel peaks at about 93 MB)
+        sp = SAMPLED_LADDER[-1]
+        tw, d, nval, _ = _sampling_inputs(sp)
+        support = closed_dist(tw, sp, d).weights()
+        for workers, bound_mb in ((1, 16), (2, 8)):
             monkeypatch.setattr(_engine, "WORKERS", workers)
             tracemalloc.start()
             try:
-                ws = sample_weights(tw, d, nval, 10 ** 6, seed=0)
+                tally = sample_weights(tw, d, nval, support, 10 ** 6, seed=0)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert ws.size == 10 ** 6
+            assert sum(tally.values()) == 10 ** 6
+            assert peak <= bound_mb * 2 ** 20, (
+                f"{workers} workers: traced peak {peak / 2**20:.1f} MB")
+
+    def test_check_peak_memory(self, monkeypatch):
+        # the whole sampling check on 2^20, with the tower and its periods
+        # built first: the sampler's blocks and a count per support weight.
+        # An int64 weight per draw and n + 1 int64 slots took it to 22 and
+        # 16 MB at 1 and 2 workers
+        sp = SAMPLED_LADDER[-1]
+        tw, d = setup_for(sp)
+        gaussian_periods(tw, d.N)
+        closed = closed_dist(tw, sp, d)
+        for workers, bound_mb in ((1, 20), (2, 12)):
+            monkeypatch.setattr(_engine, "WORKERS", workers)
+            tracemalloc.start()
+            try:
+                res = _sampling_check(tw, d, closed, Caps())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert res["ok"]
             assert peak <= bound_mb * 2 ** 20, (
                 f"{workers} workers: traced peak {peak / 2**20:.1f} MB")
 
@@ -846,10 +890,9 @@ class TestThreadedBlocks:
         # rows (t = 7) or 85 to 128 rows (t = 2) at 16 KB, and a sweep of
         # 50 heads in blocks of at most 2 at 2 KB
         flags = _spy_threaded(monkeypatch)
-        tw3, d3 = setup_for(S5)
-        tw2, d2, nval2, _ = _sampling_inputs(SAMPLED_T2_SMALL[0])
-        nval3 = _nval_by_elem(tw3, d3.N,
-                              gaussian_periods(tw3, d3.N).rational_values)
+        sampled = [_sampling_inputs(sp) for sp in (S5, SAMPLED_T2_SMALL[0])]
+        want = [Counter(sample_weights_unblocked(*inputs, 3000, seed=5)
+                        .tolist()) for inputs in sampled]
         tw, d = setup_for(S3)
         nval = _nval_by_elem(tw, d.N, gaussian_periods(tw, d.N).rational_values)
         got = {}
@@ -859,18 +902,18 @@ class TestThreadedBlocks:
             for workers in (1, 2, 3):
                 monkeypatch.setattr(_engine, "WORKERS", workers)
                 monkeypatch.setattr(_engine, "SWEEP_BYTES", 1 << 14)
-                drawn = (sample_weights(tw3, d3, nval3, 3000, seed=5),
-                         sample_weights(tw2, d2, nval2, 3000, seed=5))
+                drawn = [sample_weights(*inputs[:3], sorted(c), 3000, seed=5)
+                         for inputs, c in zip(sampled, want)]
                 monkeypatch.setattr(_engine, "SWEEP_BYTES", 1 << 11)
-                got[workers] = drawn + (period_sum_tally(tw, d, nval),)
+                got[workers] = (drawn, period_sum_tally(tw, d, nval))
         finally:
             sys.setswitchinterval(interval)
         assert flags == [False] * 3 + [True] * 6
-        for workers in (2, 3):
-            for want, arr in zip(got[1], got[workers]):
-                np.testing.assert_array_equal(arr, want)
-        np.testing.assert_array_equal(
-            got[1][2], period_sum_tally_unreduced(tw, d, nval))
+        tally = period_sum_tally_unreduced(tw, d, nval)
+        for drawn, swept in got.values():
+            assert [list(c.items()) for c in drawn] == [
+                sorted(c.items()) for c in want]
+            np.testing.assert_array_equal(swept, tally)
 
     def test_worker_error_keeps_its_type(self, monkeypatch):
         # one failing block among many, raised on a worker thread: the
@@ -878,6 +921,7 @@ class TestThreadedBlocks:
         monkeypatch.setattr(_engine, "WORKERS", 3)
         monkeypatch.setattr(_engine, "SWEEP_BYTES", 1 << 11)
         tw, d, nval, _ = _sampling_inputs(S5)
+        support = closed_dist(tw, S5, d).weights()
         real = _engine.weights_of_period_sums
         calls = []
 
@@ -890,7 +934,7 @@ class TestThreadedBlocks:
         monkeypatch.setattr(_engine, "weights_of_period_sums", fails_once)
         before = threading.active_count()
         with pytest.raises(NonIntegralWeight, match="injected"):
-            sample_weights(tw, d, nval, 10 ** 4, seed=0)
+            sample_weights(tw, d, nval, support, 10 ** 4, seed=0)
         assert threading.active_count() == before
         assert threading.main_thread() not in calls
 
@@ -926,7 +970,8 @@ class TestTypedChecks:
         # q = 2, delta = 1, e = 7: 7 * 63 is not a multiple of 14
         tw, d = setup_for(S5)
         with pytest.raises(NonIntegralWeight):
-            sample_weights(tw, d, np.zeros(tw.r, dtype=np.int64), 10, seed=0)
+            sample_weights(tw, d, np.zeros(tw.r, dtype=np.int64), (0,), 10,
+                           seed=0)
 
     def test_six_weight_claim_needs_square_r(self):
         tw, d = setup_for(S1)  # r = 27
