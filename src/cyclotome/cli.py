@@ -145,6 +145,20 @@ def cmd_params(args) -> int:
     return 0
 
 
+def _print_lines(lines) -> None:
+    """Print lines in chunks of about SWEEP_BYTES // 4 characters, about
+    SWEEP_BYTES held with their str objects, not one print per line."""
+    chunk, size = [], 0
+    for line in lines:
+        chunk.append(line)
+        size += len(line)
+        if size >= SWEEP_BYTES // 4:
+            print("\n".join(chunk))
+            chunk, size = [], 0
+    if chunk:
+        print("\n".join(chunk))
+
+
 def cmd_periods(args) -> int:
     tower = build_field(args.p, args.s, args.m, modulus=args.modulus)
     pset = gaussian_periods(tower, args.L)
@@ -164,14 +178,13 @@ def cmd_periods(args) -> int:
         return 0
     print(f"order-{args.L} Gaussian periods of GF({tower.r}), "
           f"classes of size {(tower.r - 1) // args.L}")
-    for i, v in enumerate(pset.values):
-        shown = (v if isinstance(v, int)
-                 else f"counts{tuple(pset.rows[i].tolist())}")
-        print(f"  eta_{i} = {shown}")
+    _print_lines(f"  eta_{i} = {v}" if isinstance(v, int)
+                 else f"  eta_{i} = counts{tuple(pset.rows[i].tolist())}"
+                 for i, v in enumerate(pset.values))
     print(f"  modified value at 0: {pset.eta_bar_zero}")
     if args.tallies:
-        for i, row in enumerate(pset.rows):
-            print(f"  tally_{i} = {tuple(row.tolist())}")
+        _print_lines(f"  tally_{i} = {tuple(row.tolist())}"
+                     for i, row in enumerate(pset.rows))
     if params:
         print(f"closed form: {params['variant']} {params}, "
               f"matches exact: {cset.values == pset.values}")

@@ -460,14 +460,15 @@ def _build_field(p: int, s: int, m: int, modulus: tuple[int, ...] | None
         raise TowerTooLarge(f"r = {p}^{d} exceeds the table cap {cap}")
     if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
-    if modulus is None:
+    if modulus is None:  # the search returns only an irreducible modulus
         modulus = default_modulus(p, d)
-    modulus = tuple(c % p for c in modulus)
-    if len(modulus) != d + 1 or modulus[-1] != 1:
-        raise InvalidParameters(
-            f"modulus must be monic of degree {d}, got {modulus}")
-    if not is_irreducible(modulus, p):
-        raise ModulusNotIrreducible(f"{modulus} factors over GF({p})")
+    else:
+        modulus = tuple(c % p for c in modulus)
+        if len(modulus) != d + 1 or modulus[-1] != 1:
+            raise InvalidParameters(
+                f"modulus must be monic of degree {d}, got {modulus}")
+        if not is_irreducible(modulus, p):
+            raise ModulusNotIrreducible(f"{modulus} factors over GF({p})")
     _build_field.cache_clear()
     return FieldTower(p, s, m, modulus)
 

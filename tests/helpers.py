@@ -334,6 +334,48 @@ def period_sum_tally_unreduced(tower, derived, nval_by_elem):
     return tally
 
 
+def period_sum_tally_all_slabs(tower, derived, nval_by_elem):
+    """Reference for _engine.period_sum_tally at sizes the digit-by-digit
+    oracle cannot reach: the engine's sweep (checked against that oracle
+    on small specs) with every x_1 code a slab of multiplicity 1, so no
+    orbit is reduced."""
+    r, e = tower.r, derived.e
+    luts = np.array(_per_h_luts(tower, derived, with_g=True))
+    return _engine._sweep(tower, luts[:, 0], np.ones(r, dtype=np.int64),
+                          luts[:, 1:], [(r - 1) - nval_by_elem] * e,
+                          2 * e * (r - 1) + 1)
+
+
+def pair_orbit_labels(tower, a1, a2):
+    """Brute-force orbits of the shift (x_1, x_2) -> (x_1 g^a1, x_2 g^a2),
+    GF(q)* scaling and Frobenius on all r^2 code pairs (flat index
+    c1 r + c2): a label per pair, equal exactly within an orbit.  Union by
+    label propagation: each round takes the least label over each
+    generator's image and then the label's own label, until nothing moves,
+    so every label stays a member of its pair's orbit and ends constant on
+    it."""
+    r, r1, p = tower.r, tower.r - 1, tower.p
+    codes = np.arange(r)
+
+    def mapped(k):  # code of gamma^k times each code
+        return np.where(codes == 0, 0, 1 + (codes - 1 + k) % r1)
+
+    frob = np.where(codes == 0, 0, 1 + (codes - 1) * p % r1)
+    scale = r1 // (tower.q - 1)
+    gens = [(mapped(a1)[:, None] * r + mapped(a2)[None, :]).ravel(),
+            (mapped(scale)[:, None] * r + mapped(scale)[None, :]).ravel(),
+            (frob[:, None] * r + frob[None, :]).ravel()]
+    label = np.arange(r * r)
+    while True:
+        new = label
+        for g in gens:
+            new = np.minimum(new, new[g])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
 def profile_code_tally_unchunked(tower, derived, N):
     """Reference for _engine.profile_code_tally: one slab per x_1 over the
     whole (t-1)-axis fold, with field additions done digit by digit."""
@@ -627,9 +669,10 @@ def vanishing_mask_tally(tower, derived):
     mask's bits: the engine's sweep with one bit table per h."""
     r, e = tower.r, derived.e
     is_zero = (np.arange(r) == 0).astype(np.int64)
-    return _engine._sweep(tower, _per_h_luts(tower, derived, with_g=False),
-                          [is_zero << h for h in range(e)],
-                          [(c, 1) for c in range(r)], 1 << e)
+    luts = np.array(_per_h_luts(tower, derived, with_g=False))
+    return _engine._sweep(tower, luts[:, 0], np.ones(r, dtype=np.int64),
+                          luts[:, 1:], [is_zero << h for h in range(e)],
+                          1 << e)
 
 
 def count_vanishing_patterns(tower, derived, E, cap=10 ** 8):

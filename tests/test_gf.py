@@ -86,6 +86,28 @@ class TestBuildField:
         with pytest.raises(ModulusNotIrreducible):
             build_field(3, 1, 2, modulus=(2, 0, 1))  # x^2 - 1
 
+    def test_searched_modulus_is_tested_once(self, monkeypatch):
+        # default_modulus returns only a modulus that passed is_irreducible,
+        # so the build does not test it again; a given modulus is tested,
+        # and a reducible one keeps its message
+        calls = []
+        real = gf.is_irreducible
+
+        def counted(f, p):
+            calls.append(tuple(f))
+            return real(f, p)
+
+        monkeypatch.setattr(gf, "is_irreducible", counted)
+        gf._build_field.cache_clear()
+        tw = build_field(2, 1, 8)
+        assert calls.count(tw.modulus) == 1
+        calls.clear()
+        build_field(2, 1, 8, modulus=list(tw.modulus))
+        assert calls == [tw.modulus]
+        with pytest.raises(ModulusNotIrreducible,
+                           match=r"\(2, 0, 1\) factors over GF\(3\)"):
+            build_field(3, 1, 2, modulus=(2, 0, 1))
+
     def test_irreducible_but_not_primitive(self):
         # the power table is the only primitivity check of a given modulus
         for p, s, m, modulus in (

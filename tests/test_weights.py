@@ -6,6 +6,8 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
+from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,6 +21,7 @@ from cyclotome import _engine
 from cyclotome._engine import (
     PROFILE_SPACE_LIMIT,
     naive_weight_counts,
+    pair_orbit_representatives,
     period_sum_tally,
     profile_code_tally,
     sample_weights,
@@ -77,7 +80,9 @@ from helpers import (
     criterion_grid,
     decode_profile,
     naive_weight_counts_unreduced,
+    pair_orbit_labels,
     period_arguments,
+    period_sum_tally_all_slabs,
     period_sum_tally_unreduced,
     profile_code_tally_unchunked,
     profile_weight,
@@ -620,19 +625,88 @@ class TestOrbitReduction:
         assert int(counts.sum()) == tw.r ** sp.t
         assert peak <= 32 * 2 ** 20, f"traced peak {peak / 2**20:.1f} MB"
 
-    def test_period_sum_tally_matches_unreduced(self):
-        checked = 0
+    def test_period_sum_tally_matches_unreduced(self, monkeypatch):
+        # at the default budget, where grid-size sweeps keep their x_1
+        # orbits, and at 64 KB, where sweeps of more than 1024 period
+        # arguments list up to 1024 pair orbits; each in the spec's offset
+        # order and a shuffled one.  The tally equals the unreduced oracle,
+        # and the slabs the sweep visits do not depend on the order
+        visited = _spy_visited(monkeypatch)
+        rng = random.Random(20261021)
+        checked = Counter()
         for sp in _oracle_specs():
             tw, d = setup_for(sp)
             rationals = gaussian_periods(tw, d.N).rational_values
             if any(v is None for v in rationals):
                 continue
             nval = _nval_by_elem(tw, d.N, rationals)
-            np.testing.assert_array_equal(
-                period_sum_tally(tw, d, nval),
-                period_sum_tally_unreduced(tw, d, nval), err_msg=str(sp))
-            checked += 1
-        assert checked >= 50
+            want = period_sum_tally_unreduced(tw, d, nval)
+            shuffled = derive_params(tw, replace(
+                sp, deltas=tuple(rng.sample(sp.deltas, len(sp.deltas)))))
+            for budget in (_engine.SWEEP_BYTES, 1 << 16):
+                monkeypatch.setattr(_engine, "SWEEP_BYTES", budget)
+                seen = []
+                for derived in (d, shuffled):
+                    visited.clear()
+                    np.testing.assert_array_equal(
+                        period_sum_tally(tw, derived, nval), want,
+                        err_msg=f"{sp} {derived.a_list} at {budget} B")
+                    seen.append(visited[:])
+                assert seen[0] == seen[1], (sp, budget, seen)
+                (axes, _), = seen[0]
+                checked["pairs" if axes == d.t - 2 else "x1"] += 1
+        assert checked["pairs"] >= 50 and checked["x1"] >= 50, checked
+
+    def test_ladder_sweeps_match_all_slabs(self, monkeypatch):
+        # the ladder's swept slots (p = 2; odd p; the open case, whose first
+        # offset in seed 0's order has d = 4 while others have d = 1) in the
+        # ladder's offset orders at seeds 0 and 1 and in ascending order:
+        # pair orbits on every order, the same slabs, fewer inputs than one
+        # x_1 per orbit, and the tally of a sweep that reduces nothing
+        visited = _spy_visited(monkeypatch)
+        for p, s, m, e, t, a, orders in LADDER_SWEPT:
+            tw = tower(p, s, m)
+            ds = [derive_params(tw, CodeSpec(p, s, m, e, t, a, o))
+                  for o in orders]
+            nval = _nval_by_elem(tw, ds[0].N, gaussian_periods(
+                tw, ds[0].N).rational_values)
+            want = period_sum_tally_all_slabs(tw, ds[0], nval)
+            seen = []
+            for d in ds:
+                visited.clear()
+                np.testing.assert_array_equal(period_sum_tally(tw, d, nval),
+                                              want, err_msg=str(d))
+                seen.append(visited[:])
+            (axes, inputs), = seen[0]
+            assert seen == [seen[0]] * len(ds) and axes == t - 2
+            d1 = min(gcd(tw.r - 1, ai, (tw.r - 1) // (tw.q - 1))
+                     for ai in ds[0].a_list)
+            assert inputs < (d1 + 1) * tw.r ** (t - 1), (p, m, inputs)
+
+    def test_pair_orbits_match_brute_force(self):
+        # every grid tower and the ladder's swept fields, at a_1 = 0 and
+        # seeded exponent pairs: one representative per orbit of the
+        # brute-force union (shift, GF(q)* scaling, Frobenius on all r^2
+        # pairs), each with its orbit's size, ascending, summing to r^2
+        rng = random.Random(20261021)
+        checked = 0
+        for p, s, m in GRID_TOWERS + ((2, 1, 8), (17, 1, 2)):
+            tw = tower(p, s, m)
+            r1 = tw.r - 1
+            pairs = [(0, rng.randrange(r1))] + [
+                (rng.randrange(r1), rng.randrange(r1)) for _ in range(2)]
+            for a1, a2 in pairs:
+                c1, c2, mult = pair_orbit_representatives(tw, a1, a2)
+                labels = pair_orbit_labels(tw, a1, a2)
+                sizes = np.bincount(labels)
+                got = labels[c1 * tw.r + c2]
+                assert len(set(got.tolist())) == got.size, (p, s, m, a1, a2)
+                assert set(got.tolist()) == set(np.flatnonzero(sizes).tolist())
+                np.testing.assert_array_equal(mult, sizes[got])
+                assert int(mult.sum()) == tw.r ** 2
+                assert np.all(np.diff(mult) >= 0)
+                checked += 1
+        assert checked == 3 * (len(GRID_TOWERS) + 2)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -650,7 +724,7 @@ class TestOrbitReduction:
         sp = CodeSpec(p, s, m, e, t, data.draw(st.integers(0, r1 - 1)),
                       tuple(offs[:t]))
         d = derive_params(tw, sp)
-        reps = x1_orbit_representatives(tw, d)
+        reps = x1_orbit_representatives(tw, d.a_list[0])
         assert reps[0] == (0, 1)
         assert sum(mult for _, mult in reps) == tw.r
         H = {(i * d.a_list[0] + j * (r1 // (tw.q - 1))) % r1
@@ -662,6 +736,31 @@ class TestOrbitReduction:
             assert not coset & covered
             covered |= coset
         assert covered == set(range(r1))
+
+
+def _spy_visited(monkeypatch):
+    """Record (remaining axes, inputs visited) for every _engine._sweep
+    call: a sweep of pair slabs has t - 2 axes left, of x_1 slabs t - 1,
+    and it visits its slabs times r per remaining axis."""
+    calls = []
+    real = _engine._sweep
+
+    def spy(tower, lead, mults, luts, tables, size):
+        calls.append((luts.shape[1], lead.shape[1] * tower.r ** luts.shape[1]))
+        return real(tower, lead, mults, luts, tables, size)
+
+    monkeypatch.setattr(_engine, "_sweep", spy)
+    return calls
+
+
+# the ladder's swept slots at seed 0's a, in seed 0's offset order, seed
+# 1's (reversed where it is the same) and ascending
+LADDER_SWEPT = (
+    (2, 1, 8, 3, 3, 7, ((1, 0, 2), (2, 0, 1), (0, 1, 2))),
+    (17, 1, 2, 3, 3, 13, ((1, 2, 0), (0, 2, 1), (0, 1, 2))),
+    (3, 1, 2, 8, 8, 7, ((5, 4, 1, 6, 7, 3, 0, 2), (3, 0, 7, 6, 5, 1, 4, 2),
+                        tuple(range(8)))),
+)
 
 
 class TestChunkedSweep:
@@ -827,6 +926,81 @@ class TestBlockedSampling:
                 assert list(got.items()) == sorted(want.items()), (
                     f"{budget} B, seed {seed}")
 
+    @pytest.mark.parametrize("sp", [S1, SAMPLED_T2_SMALL[3],
+                                    SAMPLED_T2_SMALL[0], SAMPLED_LADDER[0]],
+                             ids=_field_id)
+    def test_pair_keys_match_unblocked(self, sp, monkeypatch):
+        # t = 2 through the pair-key table at N = 1 (3^3, 7^5) and N > 1
+        # (2^4, 3^4), and through the element path when the draws are no
+        # more than the table's 3M(N+1) entries or its 8 N M bytes of
+        # gather indexes pass the budget.  At small r many draws have a
+        # zero code (at r <= 27 some have two); every other weight as the
+        # support sends the rest through the outside path
+        tw, d, nval, qde = _sampling_inputs(sp)
+        M = tw.r - 1
+        entries = 3 * (d.N + 1) * M
+        keyed = []
+        real = _engine._pair_keys
+
+        def spy(*args):
+            keyed.append(True)
+            return real(*args)
+
+        monkeypatch.setattr(_engine, "_pair_keys", spy)
+        many = max(entries + 1, 5000)
+        codes = np.random.default_rng(2).integers(0, tw.r, size=(many, 2))
+        assert (codes == 0).any(axis=1).sum() > many / tw.r
+        assert tw.r > 27 or (codes == 0).all(axis=1).any()
+        for count, budget, want_keyed in (
+                (many, _engine.SWEEP_BYTES, True),
+                (entries, _engine.SWEEP_BYTES, False),
+                (many, 8 * d.N * M - 1, False)):
+            monkeypatch.setattr(_engine, "SWEEP_BYTES", budget)
+            want = Counter(sample_weights_unblocked(tw, d, nval, qde, count,
+                                                    seed=2).tolist())
+            for support in (sorted(want), sorted(want)[::2]):
+                keyed.clear()
+                got = sample_weights(tw, d, nval, support, count, seed=2)
+                assert list(got.items()) == sorted(want.items()), (
+                    count, budget, support)
+                assert bool(keyed) == want_keyed
+
+    def test_compact_keys_match_unblocked(self):
+        # t >= 3 through compact keys at N = 1 (5^3) and N = 7 (golden 5),
+        # with every other weight as the support
+        for sp in (STHM3, S5):
+            tw, d, nval, qde = _sampling_inputs(sp)
+            want = Counter(sample_weights_unblocked(tw, d, nval, qde, 5000,
+                                                    seed=1).tolist())
+            got = sample_weights(tw, d, nval, sorted(want)[1::2], 5000, seed=1)
+            assert list(got.items()) == sorted(want.items()), sp
+
+    def test_non_integral_weight_raises_exactly_when_drawn(self):
+        # one more at the zero element leaves X one short for each period
+        # argument that is 0, so a draw with none keeps an integral weight.
+        # Five draws on 3^3 (the element path): a seed whose draws all miss
+        # 0 returns their tally, one that meets it raises.  Past the pair-key
+        # table's 156 entries some draw always meets it, and that raises too
+        tw, d, nval, qde = _sampling_inputs(S1)
+        nval = nval.copy()
+        nval[0] += 1
+        outcomes = set()
+        for seed in range(20):
+            try:
+                want = Counter(sample_weights_unblocked(
+                    tw, d, nval, qde, 5, seed=seed).tolist())
+            except NonIntegralWeight:
+                with pytest.raises(NonIntegralWeight):
+                    sample_weights(tw, d, nval, (0,), 5, seed=seed)
+                outcomes.add("raised")
+            else:
+                got = sample_weights(tw, d, nval, sorted(want), 5, seed=seed)
+                assert list(got.items()) == sorted(want.items())
+                outcomes.add("returned")
+        assert outcomes == {"raised", "returned"}
+        with pytest.raises(NonIntegralWeight):
+            sample_weights(tw, d, nval, (0,), 1000, seed=0)
+
     def test_peak_memory(self, monkeypatch):
         # 1e6 draws on 2^20: a few SWEEP_BYTES of serial block temporaries,
         # or two lanes of blocks a quarter of SWEEP_BYTES each, with the
@@ -916,27 +1090,34 @@ class TestThreadedBlocks:
             np.testing.assert_array_equal(swept, tally)
 
     def test_worker_error_keeps_its_type(self, monkeypatch):
-        # one failing block among many, raised on a worker thread: the
-        # caller sees the typed error, and every thread is joined
+        # a block of draws with a non-integral weight, raised on a worker
+        # thread: the caller sees the typed error, and every thread is
+        # joined.  One more at the zero element leaves X one short for each
+        # period argument that is 0, so only those draws fail
         monkeypatch.setattr(_engine, "WORKERS", 3)
         monkeypatch.setattr(_engine, "SWEEP_BYTES", 1 << 11)
         tw, d, nval, _ = _sampling_inputs(S5)
+        nval = nval.copy()
+        nval[0] += 1
         support = closed_dist(tw, S5, d).weights()
-        real = _engine.weights_of_period_sums
-        calls = []
+        real = _engine._in_order
+        raised_on = []
 
-        def fails_once(X, q, delta, e):
-            calls.append(threading.current_thread())
-            if len(calls) == 5:
-                raise NonIntegralWeight("injected")
-            return real(X, q, delta, e)
+        def spy(work, blocks, threaded):
+            def traced(block):
+                try:
+                    return work(block)
+                except NonIntegralWeight:
+                    raised_on.append(threading.current_thread())
+                    raise
+            return real(traced, blocks, threaded)
 
-        monkeypatch.setattr(_engine, "weights_of_period_sums", fails_once)
+        monkeypatch.setattr(_engine, "_in_order", spy)
         before = threading.active_count()
-        with pytest.raises(NonIntegralWeight, match="injected"):
+        with pytest.raises(NonIntegralWeight):
             sample_weights(tw, d, nval, support, 10 ** 4, seed=0)
         assert threading.active_count() == before
-        assert threading.main_thread() not in calls
+        assert raised_on and threading.main_thread() not in raised_on
 
         tw, d = setup_for(S3)
         with pytest.raises(NegativePeriodSum):
