@@ -14,12 +14,12 @@ add_arrays (fold_sum).
 
 The naive kernel sweeps slabs of fixed x_1 over the grid of
 (x_2, ..., x_t), one x_1 per orbit of the code's automorphisms
-(x1_orbit_representatives), and counts each slab with its orbit size, so
-(d_1 + 1) r^(t-1) inputs stand for all r^t.  The period-sum kernel goes
-one axis further: one (x_1, x_2) per orbit of the shift, GF(q)* scaling
-and Frobenius (pair_orbit_representatives), on the pair of axes whose
-orbits are fewest (lead_axes), whatever the order of the offsets.  Every
-count stays exact.
+(x1_orbit_representatives) on lead_axes' first axis, and counts each slab
+with its orbit size, so (d_1 + 1) r^(t-1) inputs stand for all r^t.  The
+period-sum kernel goes one axis further: one (x_1, x_2) per orbit of the
+shift, GF(q)* scaling and Frobenius (pair_orbit_representatives), on the
+pair of axes whose orbits are fewest (lead_axes).  Neither depends on the
+order of the offsets, and every count stays exact.
 
 Memory is bounded by the byte budget SWEEP_BYTES, not by r^t.  The naive
 kernel takes the codeword coordinates in blocks of SWEEP_BYTES of int32
@@ -190,16 +190,18 @@ def naive_weight_counts(tower: FieldTower, derived: DerivedParams) -> np.ndarray
     take the narrowest dtype that holds an element, at most int32): per
     block and axis one window gather, per further axis one outer field
     addition, and per representative one compare summed over the block.
-    Only code automorphisms enter, no period theory.
+    Only code automorphisms enter, no period theory.  x_1 is lead_axes'
+    first axis, so the slabs visited do not depend on the offset order.
     """
     r, t, n = tower.r, derived.t, derived.n
     r1 = r - 1
-    reps = x1_orbit_representatives(tower, derived.a_list[0])
+    a_rest = list(derived.a_list)
+    a_1 = a_rest.pop(lead_axes(tower, a_rest)[0])
+    reps = x1_orbit_representatives(tower, a_1)
     size = r ** (t - 1)
     trace = tower.trace_q_vector[tower.exp2]
     windows = sliding_window_view(trace, r)
     minus_one = tower.dlog_of(tower.neg(1))
-    a_1, a_rest = derived.a_list[0], derived.a_list[1:]
 
     wdtype = np.uint16 if n < 2**16 else np.uint32
     zeros = np.zeros((len(reps), size), dtype=wdtype)
@@ -347,10 +349,12 @@ def _sweep(tower: FieldTower, lead: np.ndarray, mults: np.ndarray,
                 folds[h] = None
             index.append(idx)
         folds = index
-    bound = e * max(int(np.abs(tab).max()) for tab in tables)
+    distinct = {id(tab): tab for tab in tables}  # tsum passes one e times
+    bound = e * max(int(np.abs(tab).max()) for tab in distinct.values())
     acc_dtype = next(dt for dt in (np.int8, np.int16, np.int32, np.int64)
                      if bound <= np.iinfo(dt).max)
-    tables = [tab.astype(acc_dtype) for tab in tables]
+    cast = {key: tab.astype(acc_dtype) for key, tab in distinct.items()}
+    tables = [cast[id(tab)] for tab in tables]
     item = np.dtype(acc_dtype).itemsize
     mults = np.repeat(mults, r ** k)
     per_head = 4 * e * width + 2 * item * (width ** g + size_f) + 8 * size_f
@@ -462,31 +466,11 @@ def weights_of_period_sums(X: np.ndarray, q: int, delta: int,
     return num // den
 
 
-def _zech_tables(tower: FieldTower, N: int, value_by_elem: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(cls2, vals) for log-domain addition of two nonzero elements.
-
-    gamma^a + gamma^b = gamma^a (1 + gamma^(b-a)), so its class is
-    a + C[b - a] mod N, with C[j] the class of 1 + gamma^j (Zech's
-    logarithm mod N), or the code Z = 3N - 1 where 1 + gamma^j = 0.
-    cls2 is C written out twice, in the narrowest unsigned dtype that
-    holds Z.  vals[i] is the value of class i mod N for i < Z and the value
-    at 0 from Z on, so vals[s + A + c] is the value for every s, A < N."""
-    one_plus = tower.add_arrays(tower.exp, np.ones(1, dtype=tower.exp.dtype))
-    logs = tower.dlog.take(one_plus)
-    cls = (logs % N).astype(np.min_scalar_type(3 * N - 1))
-    cls[logs < 0] = 3 * N - 1
-    by_class = value_by_elem.take(tower.exp[:N])
-    vals = np.concatenate([np.tile(by_class, 3)[:3 * N - 1],
-                           np.full(2 * N - 1, value_by_elem[0])])
-    return np.tile(cls, 2), vals
-
-
 def _pair_keys(tower: FieldTower, derived: DerivedParams,
                units: np.ndarray, slots: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(base, col, table) at t = 2: draw (c_1, c_2) has key
-    base[c_1] + col[c_2], and table[key] = slots[sum_h units[v_h]].
+    base[c_1] + col[c_2], and table[key] = slots[sum_h units[class v_h]].
 
     Scaling both coordinates by an N-th power keeps every class of v_h, so
     with l = c - 1 a draw's key need only tell l_1 mod N and l_2 - l_1
@@ -495,12 +479,23 @@ def _pair_keys(tower: FieldTower, derived: DerivedParams,
     3M entries: (x_1, 0) at M - l_1 in 1..M and x_2 = gamma^l_2 at
     2M + l_2 - l_1 in M+1..3M-1 (row N: M and 2M + l_2).  So
     base[c] = 3M (l mod N) + 2M - l, base[0] = 3MN + 2M, col[c] = l and
-    col[0] = -M, and no draw needs a patch.  The sums come from Zech's
-    logarithms (_zech_tables): x_1 = gamma^i, x_2 = gamma^(i+d) gives v_h
-    of class i + k_1 + C[d + k_2 - k_1], k_tau = h a_tau mod M; each h
+    col[0] = -M, and no draw needs a patch.
+
+    The sums come from Zech's logarithms: gamma^a + gamma^b =
+    gamma^a (1 + gamma^(b-a)) has class a + C[b - a] mod N, C[j] the class
+    of 1 + gamma^j, or the code Z = 3N - 1 where 1 + gamma^j = 0.  cls2 is
+    C written out twice, in the narrowest unsigned dtype that holds Z;
+    vals[i] is units[i mod N] for i < Z and units[N] (at 0) from Z on.  So
+    x_1 = gamma^i, x_2 = gamma^(i+d) gives v_h the unit
+    vals[i + k_1 + cls2[d + k_2 - k_1]], k_tau = h a_tau mod M; each h
     gathers through an intp index of N M entries."""
     M, N = tower.r - 1, derived.N
-    cls2, vals = _zech_tables(tower, N, units)
+    logs = tower.dlog.take(tower.add_arrays(tower.exp, tower.exp[:1]))
+    cls2 = (logs % N).astype(np.min_scalar_type(3 * N - 1))
+    cls2[logs < 0] = 3 * N - 1
+    cls2 = np.tile(cls2, 2)
+    vals = np.concatenate([np.tile(units[:N], 3)[:3 * N - 1],
+                           np.full(2 * N - 1, units[N])])
     dtype = np.min_scalar_type(derived.e * int(vals.max()))
     rows = np.arange(N)[:, None]
     pair = np.zeros((N, M), dtype=dtype)     # both nonzero, d = l_2 - l_1
@@ -514,7 +509,7 @@ def _pair_keys(tower: FieldTower, derived: DerivedParams,
     table[:N, :M + 1] = lone[0][:, None]
     table[:N, M + 1:2 * M] = pair[:, 1:]
     table[:N, 2 * M:] = pair
-    table[N] = slots[derived.e * int(units[0])]
+    table[N] = slots[derived.e * int(units[N])]
     table[N, 2 * M:] = np.tile(lone[1], M // N)
     code = np.arange(tower.r, dtype=np.int64) - 1
     base = 3 * M * (code % N) + 2 * M - code
@@ -524,32 +519,35 @@ def _pair_keys(tower: FieldTower, derived: DerivedParams,
 
 
 def sample_weights(tower: FieldTower, derived: DerivedParams,
-                   nval_by_elem: np.ndarray, support, count: int,
+                   class_values, support, count: int,
                    seed: int) -> dict[int, int]:
     """{weight: draws} over `count` seeded-uniform inputs, weighed through
     the period identity: each weight drawn, ascending, with its exact count.
 
-    nval_by_elem[v] must hold N * eta(class of v) for v != 0 and r - 1 at
-    v = 0 (rational periods only).  support holds the K weights expected,
-    ascending (a closed table's).  A draw's weight is fixed by its key, and
-    one table built per call gives each key its slot: the support weight's
-    index, K for an integral weight outside the support, K + 1 for one that
-    is not an integer.  So a block costs one gather per draw into the slot
-    table and one bincount over K + 2 slots; the draws in slot K are
-    weighed again and counted by key, and a draw in slot K + 1 raises
-    NonIntegralWeight.  No array as long as the draws is kept.
+    class_values holds the N + 1 ints N * eta_0, ..., N * eta_(N-1) and
+    r - 1, the value at 0 (rational periods only).  support holds the K
+    weights expected, ascending (a closed table's).  A draw's weight is
+    fixed by its key, and one table built per call gives each key its slot:
+    the support weight's index, K for an integral weight outside the
+    support, K + 1 for one that is not an integer.  So a block costs one
+    gather per draw into the slot table and one bincount over K + 2 slots;
+    the draws in slot K are weighed again and counted by key, and a draw in
+    slot K + 1 raises NonIntegralWeight.  No array as long as the draws is
+    kept.
 
-    The key is the period sum in compact units: nval = low + gd * unit,
-    low the least value and gd the gcd of the differences, read at the
-    class representatives and at 0, so the key sum_h unit[v_h] runs to e
-    times the largest unit, and X = e(r - 1 - low) - gd * key.  At t = 2, while
-    the 3M(N+1) entries of its key table are fewer than the draws and
-    8 N M bytes fit SWEEP_BYTES, the key is read from a table over the
-    orbits of the N-th powers (_pair_keys): two narrow gathers and one from
-    the table per draw.  Otherwise each v_h is summed as an element:
-    products go through logs, code c >= 1 is gamma^(c-1), so its product
-    with gamma^k, k = h a_tau mod (r-1), is exp2[c - 1 + k] in the power
-    table, a zero code contributes zero, and add_arrays sums them.
+    The key is the period sum in compact units: value = low + gd * unit,
+    low the least class value and gd the gcd of the differences, so the key
+    sum_h unit(v_h) runs to e times the largest unit, and
+    X = e(r - 1 - low) - gd * key.  The units, formed per class, are read
+    off dlog into one narrowest-dtype r-entry table in chunks of 2^16.  At
+    t = 2, while the 3M(N+1) entries of its key table are fewer than the
+    draws and 8 N M bytes fit SWEEP_BYTES, the key is read from a table
+    over the orbits of the N-th powers (_pair_keys): two narrow gathers and
+    one from the table per draw.  Otherwise each v_h is summed as an
+    element: products go through logs, code c >= 1 is gamma^(c-1), so its
+    product with gamma^k, k = h a_tau mod (r-1), is exp2[k:][c - 1] (a view
+    of the power table), a zero code contributes zero, and add_arrays sums
+    them.
 
     Inputs are drawn as int32 codes (an int64 draw's numbers, r <= 2^31)
     and weighed in row blocks of SWEEP_BYTES // (8 t) codes (threaded,
@@ -559,15 +557,15 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
     r, t, e, N = tower.r, derived.t, derived.e, derived.N
     r1, exp2 = r - 1, tower.exp2
     logs = [[h * ai % r1 for ai in derived.a_list] for h in range(e)]
-    seen = np.append(nval_by_elem.take(tower.exp[:N]), nval_by_elem[0])
+    seen = np.asarray(class_values, dtype=np.int64)
     low = int(seen.min())
-    gd = int(np.gcd.reduce(seen.astype(np.int64) - low)) or 1
+    gd = int(np.gcd.reduce(seen - low)) or 1
     top = e * ((int(seen.max()) - low) // gd)
-    units = np.empty(r, dtype=np.min_scalar_type(top // e))
-    for i in range(0, r, SWEEP_BYTES // 8):  # int32 temporaries of 2 MB
-        part = slice(i, i + SWEEP_BYTES // 8)
-        np.floor_divide(nval_by_elem[part] - low, gd, out=units[part],
-                        casting="unsafe")
+    by_class = ((seen - low) // gd).astype(np.min_scalar_type(top // e))
+    units = np.empty(r, dtype=by_class.dtype)
+    for i in range(0, r, 1 << 16):
+        units[i:i + (1 << 16)] = by_class[tower.dlog[i:i + (1 << 16)] % N]
+    units[0] = by_class[N]
     support = np.asarray(support, dtype=np.int64)
     K = len(support)
     X = e * (r1 - low) - gd * np.arange(top + 1, dtype=np.int64)
@@ -578,7 +576,7 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
     keyed = (t == 2 and 3 * (N + 1) * r1 < count
              and 8 * N * r1 <= SWEEP_BYTES)
     if keyed:
-        base, col, table = _pair_keys(tower, derived, units, slots)
+        base, col, table = _pair_keys(tower, derived, by_class, slots)
     rng = np.random.default_rng(seed)
     rows = max(1, SWEEP_BYTES // (8 * t))
     threaded = WORKERS > 1 and count > rows
@@ -595,7 +593,7 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
         for ks in logs:
             v = None
             for row, z, k in zip(lg, zeros, ks):
-                term = exp2.take(row + k)
+                term = exp2[k:].take(row)
                 term[z] = 0
                 v = term if v is None else tower.add_arrays(v, term)
             acc += units.take(v)

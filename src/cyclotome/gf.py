@@ -13,11 +13,12 @@ lookups.  That caps the usable field size (r <= DEFAULT_TABLE_CAP =
 2^21), which is ample for desk-scale work; everything downstream indexes
 cyclotomic structure through dlog.  The power table and the trace vectors
 come from tables of GF(p)-linear maps (multiplication by gamma^B, Tr_{r/p}
-and Tr_{r/q}), which one primitive, FieldTower._linear_map, builds digit
-by digit.  Each r-entry table has the least dtype for its values, set by
-r and p: exp2 (the power table written out twice; exp views its first
-r - 1), dlog and the linear maps are int32 while r <= 2^31, Tr_{r/p} fits
-p - 1 and Tr_{r/q} r - 1.  Scalar reads go through int(): int32 * int wraps.
+and Tr_{r/q}), which one primitive, FieldTower._linear_map, writes digit
+by digit in chunks, as dlog is filled.  Each r-entry table has the least
+dtype for its values, set by r and p, written in it: exp2 (the power
+table twice; exp views its first r - 1), dlog and the linear maps are
+int32 while r <= 2^31, Tr_{r/p} fits p - 1 and Tr_{r/q} r - 1.  Scalar
+reads go through int(): int32 * int wraps.
 
 A FieldTower is immutable once built (its numpy tables are marked
 read-only), so concurrent readers are safe.  build_field keeps the tower of
@@ -251,47 +252,56 @@ class FieldTower:
         self._build_tables()
         self.gamma: Element = int(self.exp2[1])
 
-    def _linear_map(self, images) -> np.ndarray:
-        """The image of every element, in element order, under the
-        GF(p)-linear map sending x^i to images[i].  Digit by digit, least
+    def _linear_map(self, images, dtype) -> np.ndarray:
+        """The image of every element, in element order, in `dtype`, under
+        the GF(p)-linear map sending x^i to images[i].  Digit by digit, least
         significant first: each step outer-adds the p multiples of one image
-        to the table of the digits so far."""
-        p, table = self.p, np.zeros(1, dtype=self._packing_weights.dtype)
+        to the table so far, in chunks of 2^16 entries or one row."""
+        p, table, step = self.p, np.zeros(1, dtype=dtype), 1 << 16
         k = np.arange(p, dtype=np.int64)[:, None]  # k c reaches (p - 1)^2
         for img in images:
             multiples = ((k * self.coeffs(img)) % p @ self._packing_weights
-                         ).astype(table.dtype)
-            table = self.add_arrays(multiples[:, None], table).ravel()
+                         ).astype(dtype)
+            out = np.empty((p, table.size), dtype)
+            rows = max(1, step // table.size)
+            for lo in range(0, p, rows):
+                for j in range(0, table.size, step):
+                    out[lo:lo + rows, j:j + step] = self.add_arrays(
+                        multiples[lo:lo + rows, None], table[j:j + step])
+            table = out.ravel()
         return table
 
     def _build_tables(self) -> None:
         """exp[k] = gamma^k in blocks of B = isqrt(r).  The first B + d
         powers come one at a time from the x gamma table; multiplication by
         gamma^B is GF(p)-linear, with x^i = gamma^i sent to gamma^(B+i), so
-        every later block is the block before it looked up in its table."""
+        every later block (and gamma^(r-1) = 1) comes from its table."""
         p, d, r = self.p, self.degree, self.r
         # multiplication by gamma sends x^i to x^(i+1), and x^(d-1) to
         # x^d = -(c_0 + ... + c_{d-1} x^(d-1))
         by_gamma = [p ** (i + 1) for i in range(d - 1)]
         by_gamma.append(self.from_coeffs(-c for c in self.modulus[:d]))
-        times_gamma = self._linear_map(by_gamma)
+        times_gamma = self._linear_map(by_gamma, self._packing_weights.dtype)
         B = isqrt(r)
         head = [1]
         while len(head) < B + d:
             head.append(int(times_gamma[head[-1]]))
-        times_block = self._linear_map(head[B:])
+        del times_gamma  # one r-entry table off the peak
+        times_block = self._linear_map(head[B:], self._packing_weights.dtype)
         exp2 = np.empty(2 * (r - 1), dtype=self._packing_weights.dtype)
         exp = exp2[:r - 1]
         exp[:B] = head[:B]
         for lo in range(B, r - 1, B):
             hi = min(lo + B, r - 1)
             exp[lo:hi] = times_block[exp[lo - B:hi - B]]
-        if times_gamma[exp[-1]] != 1:
+        if times_block[exp[r - 1 - B]] != 1:
             raise GammaNotPrimitive("gamma^(r-1) != 1 in the power table")
-        del times_gamma, times_block  # two r-entry tables off the peak
+        del times_block
         exp2[r - 1:] = exp
         dlog = np.full(r, -1, dtype=exp.dtype)
-        dlog[exp] = np.arange(r - 1, dtype=exp.dtype)
+        for lo in range(0, r - 1, 1 << 16):  # no r-entry arange
+            part = exp[lo:lo + (1 << 16)]
+            dlog[part] = np.arange(lo, lo + part.size, dtype=exp.dtype)
         if dlog[0] != -1 or np.any(dlog[1:] < 0):
             raise GammaNotPrimitive(
                 f"x has order < r-1 modulo {self.modulus} over GF({p})")
@@ -359,7 +369,7 @@ class FieldTower:
         images = [reduce(self.add, (self.gamma_pow(i * self.p ** (k * j))
                                     for j in range(self.degree // k)))
                   for i in range(self.degree)]
-        out = self._linear_map(images).astype(np.min_scalar_type(top))
+        out = self._linear_map(images, np.min_scalar_type(top))
         out.setflags(write=False)
         return out
 

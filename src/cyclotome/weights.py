@@ -518,13 +518,14 @@ def _sampling_check(tower, derived, closed: WeightDistribution,
     unlikely.  A class fails when its Chernoff bound is at most
     SAMPLING_ALPHA / (2K) for K classes; each bound covers one tail, so a
     correct table fails with probability at most SAMPLING_ALPHA.  The rows
-    report each class's deviation in binomial sigmas."""
+    report each class's deviation in binomial sigmas.  The sampler gets
+    the class values N eta_j and r - 1 (at 0), not one per element."""
     periods = integer_periods(gaussian_periods(tower, derived.N))
     m = DEFAULT_SAMPLE_COUNT
     support = closed.weights()
     tally = _engine.sample_weights(
-        tower, derived, _nval_by_elem(tower, derived.N, periods), support,
-        m, caps.seed)
+        tower, derived, [derived.N * v for v in periods] + [tower.r - 1],
+        support, m, caps.seed)
     outside = sorted(set(tally) - set(support))
     total = tower.r ** derived.t
     worst, least = 0.0, 1.0

@@ -421,13 +421,17 @@ def vanishing_mask_tally_unchunked(tower, derived):
     return tally
 
 
-def sample_weights_unblocked(tower, derived, nval_by_elem, q_delta_e,
+def sample_weights_unblocked(tower, derived, class_values, q_delta_e,
                              count, seed):
     """Reference for _engine.sample_weights, whose tally is the Counter of
-    these per-draw weights: one (count, t) draw, and one r-entry
-    multiplication table per (h, tau)."""
+    these per-draw weights: one (count, t) draw, one r-entry multiplication
+    table per (h, tau), and the N + 1 class values spread into one value
+    per element (gamma^k takes class k mod N, 0 the last value)."""
     q, delta, e = q_delta_e
     r, t = tower.r, derived.t
+    class_values = np.asarray(class_values, dtype=np.int64)
+    nval_by_elem = np.full(r, class_values[derived.N])
+    nval_by_elem[tower.exp] = class_values[np.arange(r - 1) % derived.N]
     rng = np.random.default_rng(seed)
     codes = rng.integers(0, r, size=(count, t))
     elems = elem_of_code(tower)[codes]

@@ -99,9 +99,9 @@ def sampled_seeds(monkeypatch):
     seeds = []
     real = _engine.sample_weights
 
-    def spy(tower, derived, nval_by_elem, support, count, seed):
+    def spy(tower, derived, class_values, support, count, seed):
         seeds.append(seed)
-        return real(tower, derived, nval_by_elem, support, count, seed)
+        return real(tower, derived, class_values, support, count, seed)
 
     monkeypatch.setattr(_engine, "sample_weights", spy)
     return seeds

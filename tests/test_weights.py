@@ -36,6 +36,7 @@ from cyclotome.codes import (
 )
 from cyclotome.corpus import golden_examples
 from cyclotome.cyclotomy import gaussian_periods
+from cyclotome.gf import _build_field
 from cyclotome.errors import (
     CapExceeded,
     CriterionMismatch,
@@ -468,12 +469,9 @@ class TestCrossVerify:
     def test_sampled_weights_match_scalar_route(self):
         tw, d = setup_for(S5)
         ps = gaussian_periods(tw, 7)
-        nval = np.zeros(tw.r, dtype=np.int64)
-        nval[0] = tw.r - 1
-        vals = np.array(ps.rational_values, dtype=np.int64) * d.N
-        nval[tw.exp] = vals[np.arange(tw.r - 1) % d.N]
-        tally = sample_weights(tw, d, nval, closed_dist(tw, S5, d).weights(),
-                               50, seed=123)
+        values = [d.N * v for v in ps.rational_values] + [tw.r - 1]
+        tally = sample_weights(tw, d, values,
+                               closed_dist(tw, S5, d).weights(), 50, seed=123)
         rng = np.random.default_rng(123)
         codes = rng.integers(0, tw.r, size=(50, 7))
         eoc = np.concatenate([[0], tw.exp])
@@ -624,6 +622,27 @@ class TestOrbitReduction:
             tracemalloc.stop()
         assert int(counts.sum()) == tw.r ** sp.t
         assert peak <= 32 * 2 ** 20, f"traced peak {peak / 2**20:.1f} MB"
+
+    def test_naive_slabs_do_not_depend_on_offset_order(self, monkeypatch):
+        # (3,1,2,8,3,7) at offsets 5,4,1 has d = 4, 1, 4 on its axes, and
+        # at 4,1,5 d = 1, 4, 4: naive leads with the d = 1 axis in both
+        # orders, so it visits 2 slabs of 9^2 inputs, not 5, and its counts
+        # are the unreduced ones
+        slabs = []
+        real = _engine.x1_orbit_representatives
+
+        def spy(tower, a1):
+            reps = real(tower, a1)
+            slabs.append(len(reps))
+            return reps
+
+        monkeypatch.setattr(_engine, "x1_orbit_representatives", spy)
+        tw = tower(3, 1, 2)
+        for deltas in ((5, 4, 1), (4, 1, 5)):
+            d = derive_params(tw, CodeSpec(3, 1, 2, 8, 3, 7, deltas))
+            np.testing.assert_array_equal(naive_weight_counts(tw, d),
+                                          naive_weight_counts_unreduced(tw, d))
+        assert slabs == [2, 2]
 
     def test_period_sum_tally_matches_unreduced(self, monkeypatch):
         # at the default budget, where grid-size sweeps keep their x_1
@@ -873,9 +892,12 @@ def _field_id(sp):
 
 
 def _sampling_inputs(sp):
+    """The sampler's inputs: the tower, the derived parameters, the N + 1
+    class values (N eta_j per class, r - 1 at 0) and (q, delta, e)."""
     tw, d = setup_for(sp)
-    nval = _nval_by_elem(tw, d.N, gaussian_periods(tw, d.N).rational_values)
-    return tw, d, nval, (tw.q, d.delta, d.e)
+    periods = gaussian_periods(tw, d.N).rational_values
+    values = [d.N * v for v in periods] + [tw.r - 1]
+    return tw, d, values, (tw.q, d.delta, d.e)
 
 
 class TestBlockedSampling:
@@ -905,7 +927,7 @@ class TestBlockedSampling:
         # of 1/(4 WORKERS) of that on more.  At the default budget and at
         # WORKERS KB: on one CPU, 1 KB and rows of 18 to 64 samples; on
         # more, threaded blocks of 4 to 16
-        tw, d, nval, qde = _sampling_inputs(sp)
+        tw, d, values, qde = _sampling_inputs(sp)
         workers = _engine.WORKERS
         default_rows = _engine.SWEEP_BYTES // (8 * d.t)
         for budget, count in ((_engine.SWEEP_BYTES, default_rows + 4321),
@@ -918,11 +940,11 @@ class TestBlockedSampling:
             assert count % rows != 0
             for seed in seeds:
                 want = Counter(sample_weights_unblocked(
-                    tw, d, nval, qde, count, seed=seed).tolist())
+                    tw, d, values, qde, count, seed=seed).tolist())
                 # every other drawn weight as the support, so the rest are
                 # counted outside it, and two weights past 0..n no draw has
                 support = [-1] + sorted(want)[::2] + [d.n + 1]
-                got = sample_weights(tw, d, nval, support, count, seed=seed)
+                got = sample_weights(tw, d, values, support, count, seed=seed)
                 assert list(got.items()) == sorted(want.items()), (
                     f"{budget} B, seed {seed}")
 
@@ -936,7 +958,7 @@ class TestBlockedSampling:
         # gather indexes pass the budget.  At small r many draws have a
         # zero code (at r <= 27 some have two); every other weight as the
         # support sends the rest through the outside path
-        tw, d, nval, qde = _sampling_inputs(sp)
+        tw, d, values, qde = _sampling_inputs(sp)
         M = tw.r - 1
         entries = 3 * (d.N + 1) * M
         keyed = []
@@ -956,11 +978,11 @@ class TestBlockedSampling:
                 (entries, _engine.SWEEP_BYTES, False),
                 (many, 8 * d.N * M - 1, False)):
             monkeypatch.setattr(_engine, "SWEEP_BYTES", budget)
-            want = Counter(sample_weights_unblocked(tw, d, nval, qde, count,
+            want = Counter(sample_weights_unblocked(tw, d, values, qde, count,
                                                     seed=2).tolist())
             for support in (sorted(want), sorted(want)[::2]):
                 keyed.clear()
-                got = sample_weights(tw, d, nval, support, count, seed=2)
+                got = sample_weights(tw, d, values, support, count, seed=2)
                 assert list(got.items()) == sorted(want.items()), (
                     count, budget, support)
                 assert bool(keyed) == want_keyed
@@ -969,37 +991,37 @@ class TestBlockedSampling:
         # t >= 3 through compact keys at N = 1 (5^3) and N = 7 (golden 5),
         # with every other weight as the support
         for sp in (STHM3, S5):
-            tw, d, nval, qde = _sampling_inputs(sp)
-            want = Counter(sample_weights_unblocked(tw, d, nval, qde, 5000,
+            tw, d, values, qde = _sampling_inputs(sp)
+            want = Counter(sample_weights_unblocked(tw, d, values, qde, 5000,
                                                     seed=1).tolist())
-            got = sample_weights(tw, d, nval, sorted(want)[1::2], 5000, seed=1)
+            got = sample_weights(tw, d, values, sorted(want)[1::2], 5000,
+                                 seed=1)
             assert list(got.items()) == sorted(want.items()), sp
 
     def test_non_integral_weight_raises_exactly_when_drawn(self):
-        # one more at the zero element leaves X one short for each period
+        # one more in the value at 0 leaves X one short for each period
         # argument that is 0, so a draw with none keeps an integral weight.
         # Five draws on 3^3 (the element path): a seed whose draws all miss
         # 0 returns their tally, one that meets it raises.  Past the pair-key
         # table's 156 entries some draw always meets it, and that raises too
-        tw, d, nval, qde = _sampling_inputs(S1)
-        nval = nval.copy()
-        nval[0] += 1
+        tw, d, values, qde = _sampling_inputs(S1)
+        values[-1] += 1
         outcomes = set()
         for seed in range(20):
             try:
                 want = Counter(sample_weights_unblocked(
-                    tw, d, nval, qde, 5, seed=seed).tolist())
+                    tw, d, values, qde, 5, seed=seed).tolist())
             except NonIntegralWeight:
                 with pytest.raises(NonIntegralWeight):
-                    sample_weights(tw, d, nval, (0,), 5, seed=seed)
+                    sample_weights(tw, d, values, (0,), 5, seed=seed)
                 outcomes.add("raised")
             else:
-                got = sample_weights(tw, d, nval, sorted(want), 5, seed=seed)
+                got = sample_weights(tw, d, values, sorted(want), 5, seed=seed)
                 assert list(got.items()) == sorted(want.items())
                 outcomes.add("returned")
         assert outcomes == {"raised", "returned"}
         with pytest.raises(NonIntegralWeight):
-            sample_weights(tw, d, nval, (0,), 1000, seed=0)
+            sample_weights(tw, d, values, (0,), 1000, seed=0)
 
     def test_peak_memory(self, monkeypatch):
         # 1e6 draws on 2^20: a few SWEEP_BYTES of serial block temporaries,
@@ -1007,13 +1029,13 @@ class TestBlockedSampling:
         # tower's tables already built, and no weight per draw (12 and 5 MB
         # here; the unblocked kernel peaks at about 93 MB)
         sp = SAMPLED_LADDER[-1]
-        tw, d, nval, _ = _sampling_inputs(sp)
+        tw, d, values, _ = _sampling_inputs(sp)
         support = closed_dist(tw, sp, d).weights()
         for workers, bound_mb in ((1, 16), (2, 8)):
             monkeypatch.setattr(_engine, "WORKERS", workers)
             tracemalloc.start()
             try:
-                tally = sample_weights(tw, d, nval, support, 10 ** 6, seed=0)
+                tally = sample_weights(tw, d, values, support, 10 ** 6, seed=0)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -1023,14 +1045,16 @@ class TestBlockedSampling:
 
     def test_check_peak_memory(self, monkeypatch):
         # the whole sampling check on 2^20, with the tower and its periods
-        # built first: the sampler's blocks and a count per support weight.
-        # An int64 weight per draw and n + 1 int64 slots took it to 22 and
-        # 16 MB at 1 and 2 workers
+        # built first: the sampler's blocks, its uint16 units table and a
+        # count per support weight: 9.7 and 4.2 MB at 1 and 2 workers, bound
+        # with about 2 MB to spare.  An int32 value per element took it to
+        # 14.4 and 8.4 MB, and before that an int64 weight per draw and
+        # n + 1 int64 slots to 22 and 16 MB
         sp = SAMPLED_LADDER[-1]
         tw, d = setup_for(sp)
         gaussian_periods(tw, d.N)
         closed = closed_dist(tw, sp, d)
-        for workers, bound_mb in ((1, 20), (2, 12)):
+        for workers, bound_mb in ((1, 12), (2, 6)):
             monkeypatch.setattr(_engine, "WORKERS", workers)
             tracemalloc.start()
             try:
@@ -1041,6 +1065,25 @@ class TestBlockedSampling:
             assert res["ok"]
             assert peak <= bound_mb * 2 ** 20, (
                 f"{workers} workers: traced peak {peak / 2**20:.1f} MB")
+
+    def test_cross_verify_peak_memory(self, monkeypatch):
+        # cross_verify on the 2^20 ladder slot at a = 6, offsets 0,1,2, at 2
+        # workers, with the tower built inside: exp2 and dlog (12 MB) and
+        # the byte-wide Tr_{r/p} are its only r-entry tables beyond the
+        # sampler's uint16 units, and the tower's build holds one int32
+        # linear map at a time.  17.2 MB measured; 21.4 MB with an int32
+        # value per element and the build's other int32 transients
+        monkeypatch.setattr(_engine, "WORKERS", 2)
+        sp = CodeSpec(2, 1, 20, 3, 3, 6, (0, 1, 2))
+        _build_field.cache_clear()  # a held tower would measure about 0 B
+        tracemalloc.start()
+        try:
+            rep = cross_verify(sp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed and rep.sampling["ok"]
+        assert peak <= 18.5 * 2 ** 20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def _spy_threaded(monkeypatch):
@@ -1092,13 +1135,12 @@ class TestThreadedBlocks:
     def test_worker_error_keeps_its_type(self, monkeypatch):
         # a block of draws with a non-integral weight, raised on a worker
         # thread: the caller sees the typed error, and every thread is
-        # joined.  One more at the zero element leaves X one short for each
+        # joined.  One more in the value at 0 leaves X one short for each
         # period argument that is 0, so only those draws fail
         monkeypatch.setattr(_engine, "WORKERS", 3)
         monkeypatch.setattr(_engine, "SWEEP_BYTES", 1 << 11)
-        tw, d, nval, _ = _sampling_inputs(S5)
-        nval = nval.copy()
-        nval[0] += 1
+        tw, d, values, _ = _sampling_inputs(S5)
+        values[-1] += 1
         support = closed_dist(tw, S5, d).weights()
         real = _engine._in_order
         raised_on = []
@@ -1115,7 +1157,7 @@ class TestThreadedBlocks:
         monkeypatch.setattr(_engine, "_in_order", spy)
         before = threading.active_count()
         with pytest.raises(NonIntegralWeight):
-            sample_weights(tw, d, nval, support, 10 ** 4, seed=0)
+            sample_weights(tw, d, values, support, 10 ** 4, seed=0)
         assert threading.active_count() == before
         assert raised_on and threading.main_thread() not in raised_on
 
