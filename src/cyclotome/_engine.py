@@ -27,12 +27,13 @@ symbols over the (x_2, ..., x_t) grid.  Period sums and class profiles are
 one sweep (_sweep) with two sets of per-h tables: it keeps only the folds
 of the trailing axes resident and walks the slabs and the leading codes in
 blocks.  Where the folds are large, runs of g period arguments share one
-composed table and one gather per input.  The sampler weighs each draw by
-a key that fixes its weight, through one table per call from key to the
-weight's slot: at t = 2 the draw's orbit under the N-th powers, read
-through Zech's logarithms (Lidl & Niederreiter, Finite Fields), otherwise
-the period sum in compact units.  It keeps a count per weight, not a
-weight per draw.
+composed table and one gather per input.  Both period-sum kernels read the
+N + 1 class values as compact units (compact_units); the sweep tallies
+their sums.  The sampler weighs each draw by a key that fixes its weight,
+through one table per call from key to the weight's slot: at t = 2 the
+draw's orbit under the N-th powers, read through Zech's logarithms (Lidl &
+Niederreiter, Finite Fields), otherwise the period sum in compact units.
+It keeps a count per weight, not a weight per draw.
 
 A sweep or a sample that needs more than one block at the full budget runs
 its blocks on WORKERS threads, one per CPU the process may use (_in_order;
@@ -326,8 +327,8 @@ def _sweep(tower: FieldTower, lead: np.ndarray, mults: np.ndarray,
     and over the fold the accumulator, one gathered term and bincount's
     intp copy (threaded, blocks of SWEEP_BYTES / WORKERS).  A block takes
     one bincount per run of heads of equal multiplicity, so slabs grouped
-    by multiplicity cost few.  The accumulator holds e times the largest
-    |table entry| in the narrowest signed dtype, so it never wraps.
+    by multiplicity cost few.  The tables hold non-negative ints, and the
+    accumulator holds e times the largest in the narrowest dtype.
     """
     r, e, u = tower.r, len(lead), len(luts[0])
     k = next((k for k in range(u - 1)
@@ -350,9 +351,8 @@ def _sweep(tower: FieldTower, lead: np.ndarray, mults: np.ndarray,
             index.append(idx)
         folds = index
     distinct = {id(tab): tab for tab in tables}  # tsum passes one e times
-    bound = e * max(int(np.abs(tab).max()) for tab in distinct.values())
-    acc_dtype = next(dt for dt in (np.int8, np.int16, np.int32, np.int64)
-                     if bound <= np.iinfo(dt).max)
+    acc_dtype = np.min_scalar_type(
+        e * max(int(tab.max()) for tab in distinct.values()))
     cast = {key: tab.astype(acc_dtype) for key, tab in distinct.items()}
     tables = [cast[id(tab)] for tab in tables]
     item = np.dtype(acc_dtype).itemsize
@@ -378,8 +378,6 @@ def _sweep(tower: FieldTower, lead: np.ndarray, mults: np.ndarray,
                 acc = term
             else:
                 acc += term
-        if acc.min() < 0:
-            raise NegativePeriodSum("negative scaled period sum")
         block_mults = mults[lo:lo + len(acc)]
         cuts = [0, *np.flatnonzero(np.diff(block_mults)) + 1, len(acc)]
         top = int(acc.max()) + 1 if len(cuts) > 2 else 0
@@ -395,16 +393,41 @@ def _sweep(tower: FieldTower, lead: np.ndarray, mults: np.ndarray,
     return tally
 
 
-def period_sum_tally(tower: FieldTower, derived: DerivedParams,
-                     nval_by_elem: np.ndarray) -> np.ndarray:
-    """tally[X] = number of inputs with X = e(r-1) - sum_h nval[v_h(x)].
+def compact_units(tower: FieldTower, e: int, class_values
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(units, by_class, X): the N + 1 class values as compact units, the
+    one per-element table of the period-sum kernels.
 
-    With nval holding N * eta(class) at nonzero elements and r - 1 at zero,
-    X is the scaled period sum the weight formula consumes.  X fixes the
-    weight, so one slab per orbit stands for its whole orbit: one
-    (x_1, x_2) per orbit of the shift, GF(q)* scaling and Frobenius on the
-    lead pair of axes (lead_axes, pair_orbit_representatives), sorted by
-    multiplicity; or one x_1 per orbit (x1_orbit_representatives) where
+    class_values holds N * eta_0, ..., N * eta_(N-1) and r - 1, the value
+    at 0 (rational periods only); gamma^k is in class k mod N.  Each value
+    is low + gd * unit, low the least value and gd the gcd of the
+    differences, so an input's key sum_h unit(v_h) runs to e times the
+    largest unit, and its scaled period sum e(r-1) - sum_h value(v_h) is
+    X[key] = e(r - 1 - low) - gd * key.  by_class and units (per element,
+    read off dlog in chunks of 2^16) take the narrowest dtype."""
+    r, N = tower.r, len(class_values) - 1
+    seen = np.asarray(class_values, dtype=np.int64)
+    low = int(seen.min())
+    gd = int(np.gcd.reduce(seen - low)) or 1
+    top = (int(seen.max()) - low) // gd
+    by_class = ((seen - low) // gd).astype(np.min_scalar_type(top))
+    units = np.empty(r, dtype=by_class.dtype)
+    for i in range(0, r, 1 << 16):
+        units[i:i + (1 << 16)] = by_class[tower.dlog[i:i + (1 << 16)] % N]
+    units[0] = by_class[N]
+    X = e * (r - 1 - low) - gd * np.arange(e * top + 1, dtype=np.int64)
+    return units, by_class, X
+
+
+def period_sum_tally(tower: FieldTower, derived: DerivedParams,
+                     class_values) -> dict[int, int]:
+    """{X: number of inputs} over the scaled period sums X that occur: the
+    sweep tallies the keys of compact_units, and no X may be negative.
+
+    X fixes the weight, so one slab per orbit stands for its whole orbit:
+    one (x_1, x_2) per orbit of the shift, GF(q)* scaling and Frobenius on
+    the lead pair of axes (lead_axes, pair_orbit_representatives), sorted
+    by multiplicity; or one x_1 per orbit (x1_orbit_representatives) where
     the sweep is too small to pay for listing pairs, or the pairs are too
     many to list."""
     r, e, t = tower.r, derived.e, derived.t
@@ -423,8 +446,12 @@ def period_sum_tally(tower: FieldTower, derived: DerivedParams,
         c1, c2, mults = pairs
         lead = tower.add_arrays(luts[:, 0, c1], luts[:, 1, c2])
         luts = luts[:, 2:]
-    return _sweep(tower, lead, np.array(mults), luts,
-                  [(r - 1) - nval_by_elem] * e, 2 * e * (r - 1) + 1)
+    units, _, X = compact_units(tower, e, class_values)
+    tally = _sweep(tower, lead, np.array(mults), luts, [units] * e, X.size)
+    keys = np.flatnonzero(tally)
+    if X[keys[-1]] < 0:
+        raise NegativePeriodSum("negative scaled period sum")
+    return dict(zip(X[keys].tolist(), tally[keys].tolist()))
 
 
 PROFILE_SPACE_LIMIT = 1 << 24
@@ -444,8 +471,7 @@ def profile_code_tally(tower: FieldTower, derived: DerivedParams,
     if base ** e > PROFILE_SPACE_LIMIT:
         raise CapExceeded(
             f"profile space (N+1)^e = {base}^{e} is too large to tabulate")
-    cls = np.full(r, N, dtype=np.int64)
-    cls[tower.exp] = np.arange(r - 1, dtype=np.int64) % N
+    cls = compact_units(tower, e, range(base))[0].astype(np.int64)
     luts = _per_h_luts(tower, derived.a_list, e)
     return _sweep(tower, luts[:, 0], np.ones(r, dtype=np.int64),
                   luts[:, 1:], [cls * base ** h for h in range(e)], base ** e)
@@ -459,11 +485,10 @@ def weights_of_period_sums(X: np.ndarray, q: int, delta: int,
                            e: int) -> np.ndarray:
     """w = (q-1) X / (q delta e) for scaled period sums X, the one form of
     the weight formula the enumeration and sampling kernels share."""
-    num = (q - 1) * X
-    den = q * delta * e
-    if np.any(num % den):
+    w, rem = np.divmod((q - 1) * X, q * delta * e)
+    if rem.any():
         raise NonIntegralWeight("a period-sum weight is not an integer")
-    return num // den
+    return w
 
 
 def _pair_keys(tower: FieldTower, derived: DerivedParams,
@@ -479,7 +504,8 @@ def _pair_keys(tower: FieldTower, derived: DerivedParams,
     3M entries: (x_1, 0) at M - l_1 in 1..M and x_2 = gamma^l_2 at
     2M + l_2 - l_1 in M+1..3M-1 (row N: M and 2M + l_2).  So
     base[c] = 3M (l mod N) + 2M - l, base[0] = 3MN + 2M, col[c] = l and
-    col[0] = -M, and no draw needs a patch.
+    col[0] = -M, and no draw needs a patch.  Keys are int32, like the
+    codes: the table is used only at 3M(N+1) < 2^31.
 
     The sums come from Zech's logarithms: gamma^a + gamma^b =
     gamma^a (1 + gamma^(b-a)) has class a + C[b - a] mod N, C[j] the class
@@ -511,7 +537,7 @@ def _pair_keys(tower: FieldTower, derived: DerivedParams,
     table[:N, 2 * M:] = pair
     table[N] = slots[derived.e * int(units[N])]
     table[N, 2 * M:] = np.tile(lone[1], M // N)
-    code = np.arange(tower.r, dtype=np.int64) - 1
+    code = np.arange(tower.r, dtype=np.int32) - 1
     base = 3 * M * (code % N) + 2 * M - code
     base[0] = 3 * M * N + 2 * M
     code[0] = -M
@@ -531,23 +557,19 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
     the support weight's index, K for an integral weight outside the
     support, K + 1 for one that is not an integer.  So a block costs one
     gather per draw into the slot table and one bincount over K + 2 slots;
-    the draws in slot K are weighed again and counted by key, and a draw in
-    slot K + 1 raises NonIntegralWeight.  No array as long as the draws is
-    kept.
+    the draws in slot K are weighed again and counted by weight, and a draw
+    in slot K + 1 raises NonIntegralWeight.  No array as long as the draws
+    is kept.
 
-    The key is the period sum in compact units: value = low + gd * unit,
-    low the least class value and gd the gcd of the differences, so the key
-    sum_h unit(v_h) runs to e times the largest unit, and
-    X = e(r - 1 - low) - gd * key.  The units, formed per class, are read
-    off dlog into one narrowest-dtype r-entry table in chunks of 2^16.  At
-    t = 2, while the 3M(N+1) entries of its key table are fewer than the
-    draws and 8 N M bytes fit SWEEP_BYTES, the key is read from a table
-    over the orbits of the N-th powers (_pair_keys): two narrow gathers and
-    one from the table per draw.  Otherwise each v_h is summed as an
-    element: products go through logs, code c >= 1 is gamma^(c-1), so its
-    product with gamma^k, k = h a_tau mod (r-1), is exp2[k:][c - 1] (a view
-    of the power table), a zero code contributes zero, and add_arrays sums
-    them.
+    The key is the period sum in compact units (compact_units), one slot
+    per X.  At t = 2, while the 3M(N+1) entries of its key table are fewer
+    than the draws and 8 N M bytes fit SWEEP_BYTES, the key is read from a
+    table over the orbits of the N-th powers (_pair_keys): two narrow
+    gathers and one from the table per draw.  Otherwise each v_h is summed
+    as an element: products go through logs, code c >= 1 is gamma^(c-1),
+    so its product with gamma^k, k = h a_tau mod (r-1), is exp2[k:][c - 1]
+    (a view of the power table), a zero code contributes zero, and
+    add_arrays sums them.
 
     Inputs are drawn as int32 codes (an int64 draw's numbers, r <= 2^31)
     and weighed in row blocks of SWEEP_BYTES // (8 t) codes (threaded,
@@ -557,18 +579,9 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
     r, t, e, N = tower.r, derived.t, derived.e, derived.N
     r1, exp2 = r - 1, tower.exp2
     logs = [[h * ai % r1 for ai in derived.a_list] for h in range(e)]
-    seen = np.asarray(class_values, dtype=np.int64)
-    low = int(seen.min())
-    gd = int(np.gcd.reduce(seen - low)) or 1
-    top = e * ((int(seen.max()) - low) // gd)
-    by_class = ((seen - low) // gd).astype(np.min_scalar_type(top // e))
-    units = np.empty(r, dtype=by_class.dtype)
-    for i in range(0, r, 1 << 16):
-        units[i:i + (1 << 16)] = by_class[tower.dlog[i:i + (1 << 16)] % N]
-    units[0] = by_class[N]
+    units, by_class, X = compact_units(tower, e, class_values)
     support = np.asarray(support, dtype=np.int64)
     K = len(support)
-    X = e * (r1 - low) - gd * np.arange(top + 1, dtype=np.int64)
     w, rem = np.divmod((tower.q - 1) * X, tower.q * derived.delta * e)
     slots = np.where(rem != 0, K + 1, np.where(
         np.isin(w, support), np.searchsorted(support, w), K)
@@ -589,7 +602,7 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
         zeros = [np.flatnonzero(row < 0) for row in lg]
         for row, z in zip(lg, zeros):
             row[z] = 0
-        acc = np.zeros(len(drawn), dtype=np.min_scalar_type(top))
+        acc = np.zeros(len(drawn), dtype=np.min_scalar_type(X.size - 1))
         for ks in logs:
             v = None
             for row, z, k in zip(lg, zeros, ks):
@@ -611,18 +624,14 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
         if counts[K + 1]:
             raise NonIntegralWeight("a sampled weight is not an integer")
         outside = keys(drawn[slot == K]) if counts[K] else key[:0]
-        return counts[:K], np.unique(outside, return_counts=True)
+        return counts[:K], np.unique(w.take(outside), return_counts=True)
 
     draws = (rng.integers(0, r, size=(min(rows, count - i), t),
                           dtype=exp2.dtype)
              for i in range(0, count, rows))
-    inside, outside = np.zeros(K, dtype=np.int64), Counter()
-    for counts, (ks, cs) in _in_order(weigh, draws, threaded):
+    inside, tally = np.zeros(K, dtype=np.int64), Counter()
+    for counts, (ws, cs) in _in_order(weigh, draws, threaded):
         inside += counts
-        outside.update(dict(zip(ks.tolist(), cs.tolist())))
-    ks = np.array(sorted(outside), dtype=np.int64)
-    ws = weights_of_period_sums(e * (r1 - low) - gd * ks, tower.q,
-                                derived.delta, e)
-    tally = Counter(dict(zip(support.tolist(), inside.tolist())))
-    tally.update(dict(zip(ws.tolist(), (outside[k] for k in ks.tolist()))))
+        tally.update(dict(zip(ws.tolist(), cs.tolist())))
+    tally.update(dict(zip(support.tolist(), inside.tolist())))
     return {w: c for w, c in sorted(tally.items()) if c}

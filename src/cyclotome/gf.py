@@ -17,8 +17,8 @@ and Tr_{r/q}), which one primitive, FieldTower._linear_map, writes digit
 by digit in chunks, as dlog is filled.  Each r-entry table has the least
 dtype for its values, set by r and p, written in it: exp2 (the power
 table twice; exp views its first r - 1), dlog and the linear maps are
-int32 while r <= 2^31, Tr_{r/p} fits p - 1 and Tr_{r/q} r - 1.  Scalar
-reads go through int(): int32 * int wraps.
+int32 while r <= 2^31, Tr_{r/p} fits p - 1 and Tr_{r/q} r - 1 (at s = 1
+one table serves both).  Scalar reads go through int(): int32 * int wraps.
 
 A FieldTower is immutable once built (its numpy tables are marked
 read-only), so concurrent readers are safe.  build_field keeps the tower of
@@ -381,8 +381,10 @@ class FieldTower:
     @cached_property
     def trace_q_vector(self) -> np.ndarray:
         """Tr_{r/q}(x) = sum_{i<m} x^(q^i) of every element, a packed GF(q)
-        subfield value: an element of GF(r), not an int below q."""
-        return self._trace_vector(self.s, self.r - 1)
+        subfield value: an element of GF(r), not an int below q; at s = 1,
+        Tr_{r/p}."""
+        return (self.trace_p_vector if self.s == 1
+                else self._trace_vector(self.s, self.r - 1))
 
     @cached_property
     def _add_tables(self) -> tuple[tuple[np.ndarray, int, np.ndarray], ...]:

@@ -236,14 +236,11 @@ def wd_naive(tower: FieldTower, derived: DerivedParams,
 # Method 2: exact period sums.
 # ----------------------------------------------------------------------
 
-def _nval_by_elem(tower: FieldTower, N: int, periods) -> np.ndarray:
-    """nval[v] = N * eta(class of v) for v != 0 and r - 1 at v = 0, so that
-    the scaled period sum e(r-1) - sum_h nval[v_h] feeds the weight formula.
-    |N eta| <= r - 1 fits the tables' dtype; [] skips take's intp copy."""
-    vals = np.array([N * v for v in periods], dtype=tower.dlog.dtype)
-    nval = vals[tower.dlog % N]
-    nval[0] = tower.r - 1
-    return nval
+def class_values(tower: FieldTower, N: int) -> list[int]:
+    """N eta_j for each class j, then r - 1 for the zero element: the N + 1
+    period values the period-sum kernels read (_engine.compact_units)."""
+    periods = integer_periods(gaussian_periods(tower, N))
+    return [N * v for v in periods] + [tower.r - 1]
 
 
 def wd_tsum(tower: FieldTower, derived: DerivedParams,
@@ -253,13 +250,8 @@ def wd_tsum(tower: FieldTower, derived: DerivedParams,
     size = tower.r ** derived.t
     if size > cap:
         raise CapExceeded(f"r^t = {size} exceeds the period-sum cap {cap}")
-    N = derived.N
-    periods = integer_periods(gaussian_periods(tower, N))
-    tally = _engine.period_sum_tally(tower, derived,
-                                     _nval_by_elem(tower, N, periods))
-    xs = np.nonzero(tally)[0]
-    return _from_period_sums(tower, derived,
-                             dict(zip(xs.tolist(), tally[xs].tolist())))
+    return _from_period_sums(tower, derived, _engine.period_sum_tally(
+        tower, derived, class_values(tower, derived.N)))
 
 
 def _from_period_sums(tower: FieldTower, derived: DerivedParams,
@@ -518,14 +510,11 @@ def _sampling_check(tower, derived, closed: WeightDistribution,
     unlikely.  A class fails when its Chernoff bound is at most
     SAMPLING_ALPHA / (2K) for K classes; each bound covers one tail, so a
     correct table fails with probability at most SAMPLING_ALPHA.  The rows
-    report each class's deviation in binomial sigmas.  The sampler gets
-    the class values N eta_j and r - 1 (at 0), not one per element."""
-    periods = integer_periods(gaussian_periods(tower, derived.N))
+    report each class's deviation in binomial sigmas."""
     m = DEFAULT_SAMPLE_COUNT
     support = closed.weights()
     tally = _engine.sample_weights(
-        tower, derived, [derived.N * v for v in periods] + [tower.r - 1],
-        support, m, caps.seed)
+        tower, derived, class_values(tower, derived.N), support, m, caps.seed)
     outside = sorted(set(tally) - set(support))
     total = tower.r ** derived.t
     worst, least = 0.0, 1.0

@@ -307,7 +307,24 @@ def naive_weight_counts_unreduced(tower, derived):
     return np.bincount(wacc, minlength=derived.n + 1)
 
 
-def period_sum_tally_unreduced(tower, derived, nval_by_elem):
+def nval_by_elem(tower, N, class_values):
+    """The N + 1 class values spread into one int64 value per element, the
+    per-element route the period-sum references take: gamma^k takes class
+    k mod N, and 0 the last value."""
+    class_values = np.asarray(class_values, dtype=np.int64)
+    nval = class_values[tower.dlog % N]
+    nval[0] = class_values[N]
+    return nval
+
+
+def nonzero_sums(tally):
+    """{X: count} over the nonzero entries of a tally indexed by X, the
+    form _engine.period_sum_tally returns."""
+    xs = np.flatnonzero(tally)
+    return dict(zip(xs.tolist(), tally[xs].tolist()))
+
+
+def period_sum_tally_unreduced(tower, derived, nval):
     """Reference for _engine.period_sum_tally: tally[X] over all r^t inputs,
     one slab per x_1, with field additions done digit by digit."""
     r, e = tower.r, derived.e
@@ -326,7 +343,7 @@ def period_sum_tally_unreduced(tower, derived, nval_by_elem):
             else:
                 dig = (sub_digits[h] + dm[off]) % tower.p
                 v = dig.astype(np.int64) @ tower._packing_weights
-            term = nval_by_elem[v]
+            term = nval[v]
             acc = term.copy() if acc is None else acc + term
         X = e * (r - 1) - acc
         assert X.min() >= 0, "negative scaled period sum"
@@ -334,7 +351,7 @@ def period_sum_tally_unreduced(tower, derived, nval_by_elem):
     return tally
 
 
-def period_sum_tally_all_slabs(tower, derived, nval_by_elem):
+def period_sum_tally_all_slabs(tower, derived, nval):
     """Reference for _engine.period_sum_tally at sizes the digit-by-digit
     oracle cannot reach: the engine's sweep (checked against that oracle
     on small specs) with every x_1 code a slab of multiplicity 1, so no
@@ -342,7 +359,7 @@ def period_sum_tally_all_slabs(tower, derived, nval_by_elem):
     r, e = tower.r, derived.e
     luts = np.array(_per_h_luts(tower, derived, with_g=True))
     return _engine._sweep(tower, luts[:, 0], np.ones(r, dtype=np.int64),
-                          luts[:, 1:], [(r - 1) - nval_by_elem] * e,
+                          luts[:, 1:], [(r - 1) - nval] * e,
                           2 * e * (r - 1) + 1)
 
 
@@ -429,9 +446,7 @@ def sample_weights_unblocked(tower, derived, class_values, q_delta_e,
     per element (gamma^k takes class k mod N, 0 the last value)."""
     q, delta, e = q_delta_e
     r, t = tower.r, derived.t
-    class_values = np.asarray(class_values, dtype=np.int64)
-    nval_by_elem = np.full(r, class_values[derived.N])
-    nval_by_elem[tower.exp] = class_values[np.arange(r - 1) % derived.N]
+    nval = nval_by_elem(tower, derived.N, class_values)
     rng = np.random.default_rng(seed)
     codes = rng.integers(0, r, size=(count, t))
     elems = elem_of_code(tower)[codes]
@@ -443,7 +458,7 @@ def sample_weights_unblocked(tower, derived, class_values, q_delta_e,
             k = field_pow(tower, tower.mul(g, betas[tau]), h)
             term = mul_constant_table(tower, k)[elems[:, tau]]
             v = term if v is None else tower.add_arrays(v, term)
-        acc += nval_by_elem[v]
+        acc += nval[v]
     num = (q - 1) * (e * (tower.r - 1) - acc)
     den = q * delta * e
     if np.any(num % den):

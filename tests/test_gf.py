@@ -372,13 +372,14 @@ class TestTraces:
         (2, 20, None), (3, 12, (2, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 1))])
     def test_table_and_trace_peak_memory(self, p, d, modulus):
         # on 2^20: the int32 power table written out twice (8 MB), the int32
-        # dlog and Tr_{r/q} (4 MB each), the byte-wide Tr_{r/p}, and one
-        # int32 linear map at a time in the build, the trace vectors written
-        # in their own dtype; then the order-3 periods, counted from the
-        # byte-wide traces.  19.3 and 16.6 MB measured, bound with about
-        # 3 MB to spare; 21.0 and 23.5 MB with two linear maps held and the
-        # traces cast from int32 tables.  An (r, d) int64 digit matrix alone
-        # would be 168 MB
+        # dlog (4 MB), the byte-wide Tr_{r/p}, which is Tr_{r/q} at s = 1,
+        # and one int32 linear map at a time in the build, the trace vector
+        # written in its own dtype; then the order-3 periods, counted from
+        # the byte-wide traces.  13.7 and 15.2 MB measured, bound with
+        # about 1.8 MB to spare; 19.3 and 16.6 MB with a second, uint32
+        # copy of Tr_{r/p} as Tr_{r/q}, and 21.0 and 23.5 MB with two
+        # linear maps held and the traces cast from int32 tables.  An
+        # (r, d) int64 digit matrix alone would be 168 MB
         modulus = modulus or default_modulus(p, d)
         _build_field.cache_clear()  # a held tower would measure about 0 B
         tracemalloc.start()
@@ -389,7 +390,16 @@ class TestTraces:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 22 * 2 ** 20, f"traced peak {peak / 2**20:.1f} MB"
+        assert peak <= 17 * 2 ** 20, f"traced peak {peak / 2**20:.1f} MB"
+
+    def test_trace_q_vector_at_s1_is_trace_p_vector(self):
+        # Tr_{r/q} is Tr_{r/p} at s = 1: one cached table, whose values are
+        # those of the map k = s tabulated in the least dtype for r - 1
+        for p, s, m in GRID_TOWERS:
+            tw = tower(p, s, m)
+            own = tw._trace_vector(s, tw.r - 1)
+            assert (tw.trace_q_vector is tw.trace_p_vector) == (s == 1)
+            np.testing.assert_array_equal(tw.trace_q_vector, own)
 
     def test_dispatcher(self):
         assert trace_to_subfield(T27, 5, "p") == trace_to_p(T27, 5)

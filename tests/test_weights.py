@@ -61,8 +61,8 @@ from cyclotome.weights import (
     _chernoff_bound,
     _closed_te_n2,
     _closed_tlt_n1,
-    _nval_by_elem,
     _sampling_check,
+    class_values,
     classify,
     cross_verify,
     integer_periods,
@@ -81,6 +81,8 @@ from helpers import (
     criterion_grid,
     decode_profile,
     naive_weight_counts_unreduced,
+    nonzero_sums,
+    nval_by_elem,
     pair_orbit_labels,
     period_arguments,
     period_sum_tally_all_slabs,
@@ -658,8 +660,9 @@ class TestOrbitReduction:
             rationals = gaussian_periods(tw, d.N).rational_values
             if any(v is None for v in rationals):
                 continue
-            nval = _nval_by_elem(tw, d.N, rationals)
-            want = period_sum_tally_unreduced(tw, d, nval)
+            values = [d.N * v for v in rationals] + [tw.r - 1]
+            want = nonzero_sums(period_sum_tally_unreduced(
+                tw, d, nval_by_elem(tw, d.N, values)))
             shuffled = derive_params(tw, replace(
                 sp, deltas=tuple(rng.sample(sp.deltas, len(sp.deltas)))))
             for budget in (_engine.SWEEP_BYTES, 1 << 16):
@@ -667,9 +670,8 @@ class TestOrbitReduction:
                 seen = []
                 for derived in (d, shuffled):
                     visited.clear()
-                    np.testing.assert_array_equal(
-                        period_sum_tally(tw, derived, nval), want,
-                        err_msg=f"{sp} {derived.a_list} at {budget} B")
+                    assert period_sum_tally(tw, derived, values) == want, (
+                        f"{sp} {derived.a_list} at {budget} B")
                     seen.append(visited[:])
                 assert seen[0] == seen[1], (sp, budget, seen)
                 (axes, _), = seen[0]
@@ -687,14 +689,13 @@ class TestOrbitReduction:
             tw = tower(p, s, m)
             ds = [derive_params(tw, CodeSpec(p, s, m, e, t, a, o))
                   for o in orders]
-            nval = _nval_by_elem(tw, ds[0].N, gaussian_periods(
-                tw, ds[0].N).rational_values)
-            want = period_sum_tally_all_slabs(tw, ds[0], nval)
+            values = class_values(tw, ds[0].N)
+            want = nonzero_sums(period_sum_tally_all_slabs(
+                tw, ds[0], nval_by_elem(tw, ds[0].N, values)))
             seen = []
             for d in ds:
                 visited.clear()
-                np.testing.assert_array_equal(period_sum_tally(tw, d, nval),
-                                              want, err_msg=str(d))
+                assert period_sum_tally(tw, d, values) == want, d
                 seen.append(visited[:])
             (axes, inputs), = seen[0]
             assert seen == [seen[0]] * len(ds) and axes == t - 2
@@ -804,10 +805,11 @@ class TestChunkedSweep:
             cases = {"mask": (vanishing_mask_tally,
                               vanishing_mask_tally_unchunked(tw, d))}
             if all(v is not None for v in pset.rational_values):
-                nval = _nval_by_elem(tw, d.N, pset.rational_values)
-                cases["tsum"] = (lambda tw, d, nval=nval:
-                                 period_sum_tally(tw, d, nval),
-                                 period_sum_tally_unreduced(tw, d, nval))
+                values = [d.N * v for v in pset.rational_values] + [tw.r - 1]
+                cases["tsum"] = (lambda tw, d, values=values:
+                                 period_sum_tally(tw, d, values),
+                                 nonzero_sums(period_sum_tally_unreduced(
+                                     tw, d, nval_by_elem(tw, d.N, values))))
             if (d.N + 1) ** d.e <= PROFILE_SPACE_LIMIT:
                 cases["profile"] = (lambda tw, d:
                                     profile_code_tally(tw, d, d.N),
@@ -835,7 +837,7 @@ class TestChunkedSweep:
                     if (name == "profile" and budget != default
                             and (d.N + 1) ** d.e > 1 << 16):
                         continue
-                    np.testing.assert_array_equal(
+                    np.testing.assert_equal(
                         kernel(tw, d), want,
                         err_msg=f"{sp} at {budget} B, width {width}")
             for w in widths:
@@ -854,15 +856,33 @@ class TestChunkedSweep:
         sp = CodeSpec(3, 1, 2, 8, 8, 7, tuple(range(8)))
         tw, d = setup_for(sp)
         assert not validate_assumptions(tw, sp, d).all_hold
-        nval = _nval_by_elem(tw, d.N, gaussian_periods(tw, d.N).rational_values)
+        values = class_values(tw, d.N)
         tracemalloc.start()
         try:
-            tally = period_sum_tally(tw, d, nval)
+            tally = period_sum_tally(tw, d, values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert int(tally.sum()) == tw.r ** d.t
+        assert sum(tally.values()) == tw.r ** d.t
         assert peak <= 16 * 2 ** 20, f"traced peak {peak / 2**20:.1f} MB"
+
+    def test_wide_e_peak_memory(self):
+        # e = 2047 over GF(2^11) at t = 2: the sweep tallies compact-unit
+        # keys over 2048 slots.  36.4 MB measured, 32 MB of it the e t r
+        # int32 per-h luts, bound with about 3.5 MB to spare; a tally over
+        # X, 2e(r-1) + 1 = 8.4e6 slots, peaked at 195.1 MB
+        sp = CodeSpec(2, 1, 11, 2047, 2, 1, (0, 1))
+        tw, d = setup_for(sp)
+        values = class_values(tw, d.N)
+        tracemalloc.start()
+        try:
+            tally = period_sum_tally(tw, d, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert wd_tsum(tw, d).entries == ((0, 2048), (1024, 4192256))
+        assert sum(tally.values()) == tw.r ** d.t
+        assert peak <= 40 * 2 ** 20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 # the ladder's sampled fields, one a from each slot's pool (delta = 1)
@@ -895,9 +915,7 @@ def _sampling_inputs(sp):
     """The sampler's inputs: the tower, the derived parameters, the N + 1
     class values (N eta_j per class, r - 1 at 0) and (q, delta, e)."""
     tw, d = setup_for(sp)
-    periods = gaussian_periods(tw, d.N).rational_values
-    values = [d.N * v for v in periods] + [tw.r - 1]
-    return tw, d, values, (tw.q, d.delta, d.e)
+    return tw, d, class_values(tw, d.N), (tw.q, d.delta, d.e)
 
 
 class TestBlockedSampling:
@@ -957,7 +975,8 @@ class TestBlockedSampling:
         # more than the table's 3M(N+1) entries or its 8 N M bytes of
         # gather indexes pass the budget.  At small r many draws have a
         # zero code (at r <= 27 some have two); every other weight as the
-        # support sends the rest through the outside path
+        # support sends the rest through the outside path.  The keys are
+        # int32, like the codes
         tw, d, values, qde = _sampling_inputs(sp)
         M = tw.r - 1
         entries = 3 * (d.N + 1) * M
@@ -965,8 +984,9 @@ class TestBlockedSampling:
         real = _engine._pair_keys
 
         def spy(*args):
-            keyed.append(True)
-            return real(*args)
+            base, col, table = real(*args)
+            keyed.append((base.dtype, col.dtype))
+            return base, col, table
 
         monkeypatch.setattr(_engine, "_pair_keys", spy)
         many = max(entries + 1, 5000)
@@ -985,7 +1005,8 @@ class TestBlockedSampling:
                 got = sample_weights(tw, d, values, support, count, seed=2)
                 assert list(got.items()) == sorted(want.items()), (
                     count, budget, support)
-                assert bool(keyed) == want_keyed
+                assert keyed == ([(np.int32, np.int32)] if want_keyed
+                                 else [])
 
     def test_compact_keys_match_unblocked(self):
         # t >= 3 through compact keys at N = 1 (5^3) and N = 7 (golden 5),
@@ -1111,7 +1132,7 @@ class TestThreadedBlocks:
         want = [Counter(sample_weights_unblocked(*inputs, 3000, seed=5)
                         .tolist()) for inputs in sampled]
         tw, d = setup_for(S3)
-        nval = _nval_by_elem(tw, d.N, gaussian_periods(tw, d.N).rational_values)
+        values = class_values(tw, d.N)
         got = {}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # more thread switches inside each block
@@ -1122,15 +1143,16 @@ class TestThreadedBlocks:
                 drawn = [sample_weights(*inputs[:3], sorted(c), 3000, seed=5)
                          for inputs, c in zip(sampled, want)]
                 monkeypatch.setattr(_engine, "SWEEP_BYTES", 1 << 11)
-                got[workers] = (drawn, period_sum_tally(tw, d, nval))
+                got[workers] = (drawn, period_sum_tally(tw, d, values))
         finally:
             sys.setswitchinterval(interval)
         assert flags == [False] * 3 + [True] * 6
-        tally = period_sum_tally_unreduced(tw, d, nval)
+        tally = nonzero_sums(period_sum_tally_unreduced(
+            tw, d, nval_by_elem(tw, d.N, values)))
         for drawn, swept in got.values():
             assert [list(c.items()) for c in drawn] == [
                 sorted(c.items()) for c in want]
-            np.testing.assert_array_equal(swept, tally)
+            assert swept == tally
 
     def test_worker_error_keeps_its_type(self, monkeypatch):
         # a block of draws with a non-integral weight, raised on a worker
@@ -1163,7 +1185,7 @@ class TestThreadedBlocks:
 
         tw, d = setup_for(S3)
         with pytest.raises(NegativePeriodSum):
-            period_sum_tally(tw, d, np.full(tw.r, 10 * tw.r, dtype=np.int64))
+            period_sum_tally(tw, d, [10 * tw.r] * (d.N + 1))
         assert threading.active_count() == before
 
     def test_grid_size_work_starts_no_thread(self, monkeypatch):
@@ -1185,9 +1207,14 @@ class TestTypedChecks:
     """Internal consistency checks raise typed errors, which python -O keeps."""
 
     def test_negative_period_sum(self):
+        # a class value of 10 r makes X negative for every input with a
+        # period argument in that class (e = 3)
         tw, d = setup_for(S6)
-        with pytest.raises(NegativePeriodSum):
-            period_sum_tally(tw, d, np.full(tw.r, 10 * tw.r, dtype=np.int64))
+        for cls in range(d.N + 1):
+            values = class_values(tw, d.N)
+            values[cls] = 10 * tw.r
+            with pytest.raises(NegativePeriodSum):
+                period_sum_tally(tw, d, values)
 
     def test_non_integral_sampled_weight(self):
         # q = 2, delta = 1, e = 7: 7 * 63 is not a multiple of 14
