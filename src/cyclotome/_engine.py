@@ -24,16 +24,16 @@ order of the offsets, and every count stays exact.
 Memory is bounded by the byte budget SWEEP_BYTES, not by r^t.  The naive
 kernel takes the codeword coordinates in blocks of SWEEP_BYTES of int32
 symbols over the (x_2, ..., x_t) grid.  Period sums and class profiles are
-one sweep (_sweep) with two sets of per-h tables: it keeps only the folds
-of the trailing axes resident and walks the slabs and the leading codes in
-blocks.  Where the folds are large, runs of g period arguments share one
-composed table and one gather per input.  Both period-sum kernels read the
-N + 1 class values as compact units (compact_units); the sweep tallies
-their sums.  The sampler weighs each draw by a key that fixes its weight,
-through one table per call from key to the weight's slot: at t = 2 the
-draw's orbit under the N-th powers, read through Zech's logarithms (Lidl &
-Niederreiter, Finite Fields), otherwise the period sum in compact units.
-It keeps a count per weight, not a weight per draw.
+one sweep (_sweep) over the multipliers' logs h a_tau mod (r-1)
+(log_matrix): it builds a multiplier's row only to fold it, keeps the
+folds of the trailing axes resident, walks the slabs and leading codes in
+blocks, and where the folds are large lets runs of g period arguments
+share one composed table.  Both period-sum kernels read the class values
+as compact units (compact_units).  The sampler weighs each draw by a key
+that fixes its weight, through one table per call from key to slot: at
+t = 2 the draw's orbit under the N-th powers, read through Zech's
+logarithms (Lidl & Niederreiter, Finite Fields), otherwise the period sum
+in compact units.  It keeps a count per weight, not a weight per draw.
 
 A sweep or a sample that needs more than one block at the full budget runs
 its blocks on WORKERS threads, one per CPU the process may use (_in_order;
@@ -51,6 +51,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import Counter
+from functools import reduce
 from itertools import chain, combinations
 from math import gcd
 
@@ -62,12 +63,12 @@ from .errors import CapExceeded, NegativePeriodSum, NonIntegralWeight
 from .gf import FieldTower
 
 
-def fold_sum(tower: FieldTower, luts: list[np.ndarray]) -> np.ndarray:
-    """Values of sum_tau lut_tau[code_tau] over the full grid, flat order:
+def fold_sum(tower: FieldTower, rows: list[np.ndarray]) -> np.ndarray:
+    """Values of sum_tau rows_tau[code_tau] over the full grid, flat order:
     each further axis is one outer field addition."""
-    arr = luts[0]
-    for lut in luts[1:]:
-        arr = tower.add_arrays(arr[:, None], lut[None, :]).ravel()
+    arr = rows[0]
+    for row in rows[1:]:
+        arr = tower.add_arrays(arr[:, None], row[None, :]).ravel()
     return arr
 
 
@@ -282,18 +283,19 @@ def _in_order(work, blocks, threaded: bool):
             thread.join()
 
 
-def _per_h_luts(tower: FieldTower, a_list, e: int) -> np.ndarray:
-    """luts[h, tau, code] = K * elem(code) with K = (g b_tau)^h, of log
-    k = h a_tau mod (r-1), since log(g b_tau) = a_tau.  Code 1 + i is
-    gamma^i, so past code 0 a lut is the power table rotated by k: a slice
-    of the tower's table written out twice."""
-    r1 = tower.r - 1
-    luts = np.zeros((e, len(a_list), tower.r), dtype=tower.exp2.dtype)
-    for h in range(e):
-        for tau, a in enumerate(a_list):
-            k = h * a % r1
-            luts[h, tau, 1:] = tower.exp2[k:k + r1]
-    return luts
+def log_matrix(tower: FieldTower, a_list, e: int) -> np.ndarray:
+    """logs[h, tau] = h a_tau mod (r-1), the log of (g b_tau)^h, the
+    multiplier of x_tau in the period argument v_h (log(g b_tau) = a_tau)."""
+    return np.arange(e)[:, None] * np.asarray(a_list, np.int64) % (tower.r - 1)
+
+
+def _row(tower: FieldTower, k: int) -> np.ndarray:
+    """gamma^k times the element of each code: 0 at code 0, then the power
+    table rotated by k, a slice of the table written out twice."""
+    row = np.empty(tower.r, dtype=tower.exp2.dtype)
+    row[0] = 0
+    row[1:] = tower.exp2[k:k + tower.r - 1]
+    return row
 
 
 def _run_width(r: int, e: int, size: int) -> int:
@@ -306,38 +308,42 @@ def _run_width(r: int, e: int, size: int) -> int:
 
 
 def _sweep(tower: FieldTower, lead: np.ndarray, mults: np.ndarray,
-           luts: np.ndarray, tables: list[np.ndarray],
+           logs: np.ndarray, tables: list[np.ndarray],
            size: int) -> np.ndarray:
     """tally[X] = number of inputs with X = sum_h tables[h][v_h], where
-    v_h = lead[h, i] + sum_tau luts[h, tau, code of y_tau]: slab i fixes
-    the lead axes (their part of v_h is lead[h, i]) and counts mults[i]
-    times, and y runs over the u remaining axes.
+    v_h = lead[h, i] + sum_tau gamma^logs[h, tau] y_tau: slab i fixes the
+    lead axes (their part of v_h is lead[h, i]) and counts mults[i] times,
+    and y runs over the u remaining axes, logs' columns.
 
     Only the folds of y_(k+1)..y_u stay resident, k the least for which the
-    e int32 folds fit SWEEP_BYTES.  A head fixes a slab and y_1..y_k, so
-    there v_h = head_h + fold_h: one field addition composes the r-entry row
-    tables[h][head_h + .], gathered through the fold.  The h go in runs of
-    g, the largest g with 8 r^g <= fold size: a run's g rows are outer-added
-    into one r^g-entry row, gathered once through the run index
-    sum_j fold_(h_j) r^j (intp, in place of the run's folds, which are
-    released as it is built), so an input costs e/g gathers, not e.  At
-    g = 1 the folds are the indexes.  With no remaining axis (u = 0) a head
-    is one input, and tables[h] is gathered at head_h itself.  Heads go in
-    blocks of SWEEP_BYTES: per head the e r-entry sums, the composed rows,
-    and over the fold the accumulator, one gathered term and bincount's
-    intp copy (threaded, blocks of SWEEP_BYTES / WORKERS).  A block takes
-    one bincount per run of heads of equal multiplicity, so slabs grouped
-    by multiplicity cost few.  The tables hold non-negative ints, and the
-    accumulator holds e times the largest in the narrowest dtype.
+    e int32 folds fit SWEEP_BYTES, each folded from its h's rows (_row).  A
+    head fixes a slab and y_1..y_k, so there v_h = head_h + fold_h: one
+    field addition composes the r-entry row tables[h][head_h + .], gathered
+    through the fold.  The h go in runs of g, the largest g with
+    8 r^g <= fold size: a run's g rows are outer-added into one r^g-entry
+    row, gathered once through the run index sum_j fold_(h_j) r^j (intp, in
+    place of the run's folds, which are released as it is built), so an
+    input costs e/g gathers, not e.  At g = 1 the folds are the indexes.
+    With no remaining axis (u = 0) a head is one input, and tables[h] is
+    gathered at head_h itself.  Heads go in blocks of SWEEP_BYTES: per head
+    the e r-entry sums, the composed rows, and over the fold the
+    accumulator, one gathered term and bincount's intp copy (threaded,
+    blocks of SWEEP_BYTES / WORKERS).  A block takes one bincount per run
+    of heads of equal multiplicity, so slabs grouped by multiplicity cost
+    few.  The tables hold non-negative ints, and the accumulator holds e
+    times the largest in the narrowest dtype.
     """
-    r, e, u = tower.r, len(lead), len(luts[0])
+    r, (e, u) = tower.r, logs.shape
     k = next((k for k in range(u - 1)
               if 4 * e * r ** (u - k) <= SWEEP_BYTES), max(u - 1, 0))
-    heads = np.array([fold_sum(tower, [row_lead, *row[:k]])
-                      for row_lead, row in zip(lead, luts)])
-    folds = [fold_sum(tower, list(row[k:])) if u else None for row in luts]
+    heads, folds = [], []
+    for row_lead, ks in zip(lead, logs.tolist()):
+        rows = [_row(tower, j) for j in ks]
+        heads.append(fold_sum(tower, [row_lead, *rows[:k]]))
+        folds.append(fold_sum(tower, rows[k:]) if u else None)
+    heads = np.array(heads) if k else lead
     size_f, width = (folds[0].size, r) if u else (1, 1)
-    g = _run_width(r, e, size_f) if u else 1
+    g = _run_width(r, e, size_f)
     runs = [range(h, min(h + g, e)) for h in range(0, e, g)]
     if g > 1:  # each run's intp index replaces its folds
         index = []
@@ -374,10 +380,7 @@ def _sweep(tower: FieldTower, lead: np.ndarray, mults: np.ndarray,
                 row = (tables[h].take(v[h])[:, :, None] + row[:, None, :]
                        ).reshape(len(row), -1)
             term = row if idx is None else row.take(idx, axis=1)
-            if acc is None:
-                acc = term
-            else:
-                acc += term
+            acc = term if acc is None else np.add(acc, term, out=acc)
         block_mults = mults[lo:lo + len(acc)]
         cuts = [0, *np.flatnonzero(np.diff(block_mults)) + 1, len(acc)]
         top = int(acc.max()) + 1 if len(cuts) > 2 else 0
@@ -431,23 +434,21 @@ def period_sum_tally(tower: FieldTower, derived: DerivedParams,
     the sweep is too small to pay for listing pairs, or the pairs are too
     many to list."""
     r, e, t = tower.r, derived.e, derived.t
-    order = lead_axes(tower, derived.a_list)
-    a = [derived.a_list[i] for i in order]
-    luts = _per_h_luts(tower, a, e)
+    a = [derived.a_list[i] for i in lead_axes(tower, derived.a_list)]
+    logs = log_matrix(tower, a, e)
     reps = x1_orbit_representatives(tower, a[0])
     # listing pairs takes some 40 numpy calls, about the time of sweeping
     # SWEEP_BYTES / 64 period arguments, so a smaller x_1 sweep keeps them
     pairs = (pair_orbit_representatives(tower, a[0], a[1])
              if e * len(reps) * r ** (t - 1) > SWEEP_BYTES // 64 else None)
-    if pairs is None:
-        codes, mults = zip(*reps)
-        lead, luts = luts[:, 0, list(codes)], luts[:, 1:]
-    else:
-        c1, c2, mults = pairs
-        lead = tower.add_arrays(luts[:, 0, c1], luts[:, 1, c2])
-        luts = luts[:, 2:]
+    *slabs, mults = pairs or zip(*reps)
+    lead = np.empty((e, len(mults)), dtype=tower.exp2.dtype)
+    for h, ks in enumerate(logs.tolist()):  # lead axes' rows at the slabs
+        lead[h] = reduce(tower.add_arrays, (_row(tower, k).take(codes)
+                                            for k, codes in zip(ks, slabs)))
     units, _, X = compact_units(tower, e, class_values)
-    tally = _sweep(tower, lead, np.array(mults), luts, [units] * e, X.size)
+    tally = _sweep(tower, lead, np.array(mults), logs[:, len(slabs):],
+                   [units] * e, X.size)
     keys = np.flatnonzero(tally)
     if X[keys[-1]] < 0:
         raise NegativePeriodSum("negative scaled period sum")
@@ -472,23 +473,22 @@ def profile_code_tally(tower: FieldTower, derived: DerivedParams,
         raise CapExceeded(
             f"profile space (N+1)^e = {base}^{e} is too large to tabulate")
     cls = compact_units(tower, e, range(base))[0].astype(np.int64)
-    luts = _per_h_luts(tower, derived.a_list, e)
-    return _sweep(tower, luts[:, 0], np.ones(r, dtype=np.int64),
-                  luts[:, 1:], [cls * base ** h for h in range(e)], base ** e)
+    logs = log_matrix(tower, derived.a_list, e)
+    lead = np.array([_row(tower, k) for k in logs[:, 0].tolist()])
+    return _sweep(tower, lead, np.ones(r, dtype=np.int64), logs[:, 1:],
+                  [cls * base ** h for h in range(e)], base ** e)
 
 
 # ----------------------------------------------------------------------
 # Weights from scaled period sums, and seeded sampling through them.
 # ----------------------------------------------------------------------
 
-def weights_of_period_sums(X: np.ndarray, q: int, delta: int,
-                           e: int) -> np.ndarray:
-    """w = (q-1) X / (q delta e) for scaled period sums X, the one form of
-    the weight formula the enumeration and sampling kernels share."""
-    w, rem = np.divmod((q - 1) * X, q * delta * e)
-    if rem.any():
-        raise NonIntegralWeight("a period-sum weight is not an integer")
-    return w
+def weights_of_period_sums(tower: FieldTower, derived: DerivedParams,
+                           X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, integral): w = (q-1) X / (q delta e) rounded down for scaled
+    period sums X, and where it is exact; the one weight map of all kernels."""
+    w, rem = np.divmod((tower.q - 1) * X, tower.q * derived.delta * derived.e)
+    return w, rem == 0
 
 
 def _pair_keys(tower: FieldTower, derived: DerivedParams,
@@ -526,8 +526,7 @@ def _pair_keys(tower: FieldTower, derived: DerivedParams,
     rows = np.arange(N)[:, None]
     pair = np.zeros((N, M), dtype=dtype)     # both nonzero, d = l_2 - l_1
     lone = np.zeros((2, N), dtype=dtype)     # x_2 = 0 at l_1 = i; x_1 = 0
-    for h in range(derived.e):
-        k1, k2 = (h * a % M for a in derived.a_list)
+    for k1, k2 in log_matrix(tower, derived.a_list, derived.e).tolist():
         pair += vals.take(cls2[(k2 - k1) % M:][:M] + (rows + k1 % N))
         lone += vals[np.arange(N) + np.array([[k1 % N], [k2 % N]])]
     pair, lone = slots.take(pair), slots.take(lone)
@@ -566,10 +565,9 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
     than the draws and 8 N M bytes fit SWEEP_BYTES, the key is read from a
     table over the orbits of the N-th powers (_pair_keys): two narrow
     gathers and one from the table per draw.  Otherwise each v_h is summed
-    as an element: products go through logs, code c >= 1 is gamma^(c-1),
-    so its product with gamma^k, k = h a_tau mod (r-1), is exp2[k:][c - 1]
-    (a view of the power table), a zero code contributes zero, and
-    add_arrays sums them.
+    as an element: code c >= 1 times gamma^k, k from log_matrix, is
+    exp2[k:][c - 1], a view of the power table, a zero code gives zero,
+    and add_arrays sums them.
 
     Inputs are drawn as int32 codes (an int64 draw's numbers, r <= 2^31)
     and weighed in row blocks of SWEEP_BYTES // (8 t) codes (threaded,
@@ -578,12 +576,12 @@ def sample_weights(tower: FieldTower, derived: DerivedParams,
     """
     r, t, e, N = tower.r, derived.t, derived.e, derived.N
     r1, exp2 = r - 1, tower.exp2
-    logs = [[h * ai % r1 for ai in derived.a_list] for h in range(e)]
+    logs = log_matrix(tower, derived.a_list, e).tolist()
     units, by_class, X = compact_units(tower, e, class_values)
     support = np.asarray(support, dtype=np.int64)
     K = len(support)
-    w, rem = np.divmod((tower.q - 1) * X, tower.q * derived.delta * e)
-    slots = np.where(rem != 0, K + 1, np.where(
+    w, integral = weights_of_period_sums(tower, derived, X)
+    slots = np.where(~integral, K + 1, np.where(
         np.isin(w, support), np.searchsorted(support, w), K)
     ).astype(np.min_scalar_type(K + 1))
     keyed = (t == 2 and 3 * (N + 1) * r1 < count

@@ -78,6 +78,7 @@ from .errors import (
     InconsistentPeriods,
     IndependenceFails,
     MinorBudgetExceeded,
+    NonIntegralWeight,
     UnsupportedCase,
 )
 from .gf import FieldTower
@@ -258,9 +259,10 @@ def _from_period_sums(tower: FieldTower, derived: DerivedParams,
                       sums: dict[int, int]) -> WeightDistribution:
     """The distribution of the weights of scaled period sums X, each with
     its frequency, through the one weight map of the kernels."""
-    ws = _engine.weights_of_period_sums(
-        np.array(list(sums), dtype=np.int64), tower.q, derived.delta,
-        derived.e)
+    ws, integral = _engine.weights_of_period_sums(
+        tower, derived, np.array(list(sums), dtype=np.int64))
+    if not integral.all():
+        raise NonIntegralWeight("a period-sum weight is not an integer")
     return WeightDistribution.from_counts(zip(ws.tolist(), sums.values()))
 
 

@@ -269,6 +269,14 @@ def _per_h_luts(tower, derived, with_g):
     return out
 
 
+def multiplier_logs(tower, derived, with_g):
+    """logs[h, tau] = h a_tau mod (r-1), the log of (g b_tau)^h, or
+    h (a_tau - a) mod (r-1), the log of b_tau^h."""
+    shift = 0 if with_g else derived.a
+    return np.array([[h * (ai - shift) % (tower.r - 1) for ai in derived.a_list]
+                     for h in range(derived.e)], dtype=np.int64)
+
+
 def period_argument_folds(tower, derived):
     """Per-coordinate machinery for the e period arguments
     v_h(x) = g^h sum_tau x_tau beta_tau^h: returns (luts, subs) where
@@ -357,10 +365,10 @@ def period_sum_tally_all_slabs(tower, derived, nval):
     on small specs) with every x_1 code a slab of multiplicity 1, so no
     orbit is reduced."""
     r, e = tower.r, derived.e
-    luts = np.array(_per_h_luts(tower, derived, with_g=True))
-    return _engine._sweep(tower, luts[:, 0], np.ones(r, dtype=np.int64),
-                          luts[:, 1:], [(r - 1) - nval] * e,
-                          2 * e * (r - 1) + 1)
+    lead = np.array([row[0] for row in _per_h_luts(tower, derived, True)])
+    return _engine._sweep(tower, lead, np.ones(r, dtype=np.int64),
+                          multiplier_logs(tower, derived, True)[:, 1:],
+                          [(r - 1) - nval] * e, 2 * e * (r - 1) + 1)
 
 
 def pair_orbit_labels(tower, a1, a2):
@@ -678,8 +686,10 @@ def profile_weight(tower, derived, periods, u_zero, class_counts):
     r, N = tower.r, derived.N
     X = (derived.e - u_zero) * (r - 1) - N * sum(
         c * eta for c, eta in zip(class_counts, periods))
-    return int(weights_of_period_sums(np.array([X]), tower.q, derived.delta,
-                                      derived.e)[0])
+    (w,), (integral,) = weights_of_period_sums(tower, derived, np.array([X]))
+    if not integral:
+        raise NonIntegralWeight(f"weight of X = {X} is not an integer")
+    return int(w)
 
 
 def vanishing_mask_tally(tower, derived):
@@ -688,10 +698,10 @@ def vanishing_mask_tally(tower, derived):
     mask's bits: the engine's sweep with one bit table per h."""
     r, e = tower.r, derived.e
     is_zero = (np.arange(r) == 0).astype(np.int64)
-    luts = np.array(_per_h_luts(tower, derived, with_g=False))
-    return _engine._sweep(tower, luts[:, 0], np.ones(r, dtype=np.int64),
-                          luts[:, 1:], [is_zero << h for h in range(e)],
-                          1 << e)
+    lead = np.array([row[0] for row in _per_h_luts(tower, derived, False)])
+    return _engine._sweep(tower, lead, np.ones(r, dtype=np.int64),
+                          multiplier_logs(tower, derived, False)[:, 1:],
+                          [is_zero << h for h in range(e)], 1 << e)
 
 
 def count_vanishing_patterns(tower, derived, E, cap=10 ** 8):

@@ -25,6 +25,7 @@ from cyclotome._engine import (
     period_sum_tally,
     profile_code_tally,
     sample_weights,
+    weights_of_period_sums,
     x1_orbit_representatives,
 )
 from cyclotome.codes import (
@@ -61,6 +62,7 @@ from cyclotome.weights import (
     _chernoff_bound,
     _closed_te_n2,
     _closed_tlt_n1,
+    _from_period_sums,
     _sampling_check,
     class_values,
     classify,
@@ -765,9 +767,9 @@ def _spy_visited(monkeypatch):
     calls = []
     real = _engine._sweep
 
-    def spy(tower, lead, mults, luts, tables, size):
-        calls.append((luts.shape[1], lead.shape[1] * tower.r ** luts.shape[1]))
-        return real(tower, lead, mults, luts, tables, size)
+    def spy(tower, lead, mults, logs, tables, size):
+        calls.append((logs.shape[1], lead.shape[1] * tower.r ** logs.shape[1]))
+        return real(tower, lead, mults, logs, tables, size)
 
     monkeypatch.setattr(_engine, "_sweep", spy)
     return calls
@@ -868,9 +870,10 @@ class TestChunkedSweep:
 
     def test_wide_e_peak_memory(self):
         # e = 2047 over GF(2^11) at t = 2: the sweep tallies compact-unit
-        # keys over 2048 slots.  36.4 MB measured, 32 MB of it the e t r
-        # int32 per-h luts, bound with about 3.5 MB to spare; a tally over
-        # X, 2e(r-1) + 1 = 8.4e6 slots, peaked at 195.1 MB
+        # keys over 2048 slots and reads the multipliers as logs, so no
+        # e t r table is built.  1.9 MB measured; the e t r int32 table
+        # alone was 32 MB, and a tally over X, 2e(r-1) + 1 = 8.4e6 slots,
+        # peaked at 195.1 MB
         sp = CodeSpec(2, 1, 11, 2047, 2, 1, (0, 1))
         tw, d = setup_for(sp)
         values = class_values(tw, d.N)
@@ -882,7 +885,25 @@ class TestChunkedSweep:
             tracemalloc.stop()
         assert wd_tsum(tw, d).entries == ((0, 2048), (1024, 4192256))
         assert sum(tally.values()) == tw.r ** d.t
-        assert peak <= 40 * 2 ** 20, f"traced peak {peak / 2**20:.1f} MB"
+        assert peak <= 8 * 2 ** 20, f"traced peak {peak / 2**20:.1f} MB"
+
+    def test_widest_e_under_the_cap_peak_memory(self):
+        # e = 8191 over GF(2^13) at t = 2, r^t = 6.7e7 under the tsum cap:
+        # an e t r table of multipliers would take 537 MB.  What is left is
+        # the (e x 634 pairs) lead array and one block; 21.6 MB measured
+        sp = CodeSpec(2, 1, 13, 8191, 2, 1, (0, 1))
+        tw, d = setup_for(sp)
+        values = class_values(tw, d.N)
+        tracemalloc.start()
+        try:
+            tally = period_sum_tally(tw, d, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert wd_tsum(tw, d).entries == ((0, 8192), (4096, 67100672))
+        assert sum(tally.values()) == tw.r ** d.t
+        assert peak <= 8 * _engine.SWEEP_BYTES, \
+            f"traced peak {peak / 2**20:.1f} MB"
 
 
 # the ladder's sampled fields, one a from each slot's pool (delta = 1)
@@ -1215,6 +1236,17 @@ class TestTypedChecks:
             values[cls] = 10 * tw.r
             with pytest.raises(NegativePeriodSum):
                 period_sum_tally(tw, d, values)
+
+    def test_non_integral_period_sum_weight(self):
+        # q = 2, delta = 1, e = 7: the one weight map divides X by 14 and
+        # marks a remainder, on which the enumerations' distribution raises
+        tw, d = setup_for(S5)
+        w, integral = weights_of_period_sums(tw, d, np.array([14, 15]))
+        assert w.tolist() == [1, 1] and integral.tolist() == [True, False]
+        assert _from_period_sums(tw, d, {0: 1, 14: 2}).entries == (
+            (0, 1), (1, 2))
+        with pytest.raises(NonIntegralWeight, match="period-sum weight"):
+            _from_period_sums(tw, d, {14: 1, 15: 1})
 
     def test_non_integral_sampled_weight(self):
         # q = 2, delta = 1, e = 7: 7 * 63 is not a multiple of 14
